@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="inclusive range of word lengths")
         if shards:
             p.add_argument("--shards", type=int, default=1, metavar="K",
-                           help="number of enumeration shards (default 1)")
+                           help="number of enumeration shards, run on at most one "
+                                "process per core (default 1)")
         if check:
             p.add_argument("--check", action="store_true",
                            help="cross-check all fullness criteria and fail on disagreement")
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, check=True)
 
     p = sub.add_parser("runs", help="maximal runs and run-length sets at length n")
-    add_common(p, shards=True)
+    add_common(p)
 
     p = sub.add_parser("tau", help="greedy step counts tau(s) for s = 1..n")
     add_common(p)
@@ -174,12 +175,6 @@ def _emit_rows(fmt: str, header: list[str], rows, out) -> None:
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _digit_text(digits) -> str:
-    if all(d <= 9 for d in digits):
-        return "".join(str(d) for d in digits)
-    return ",".join(str(d) for d in digits)
-
-
 def cmd_expand(args, out) -> int:
     n = _parse_n(args)
     tol = _parse_tol(args)
@@ -189,18 +184,18 @@ def cmd_expand(args, out) -> int:
         beta = BetaInterval.from_decimal(args.beta, tol)
         digits = tuple(expansion_digits_from_beta(beta, n))
         rows = [
-            ("eps", _digit_text(digits)),
+            ("eps", Word(digits).text()),
             ("nonzero", ",".join(str(i) for i, d in enumerate(digits, start=1) if d)),
         ]
     else:
         e = _expansion(args)
         star = modified_expansion(e)
-        star_text = "(" + _digit_text(star.period) + ")*"
+        star_text = "(" + Word(star.period).text() + ")*"
         if star.preperiod:
-            star_text = _digit_text(star.preperiod) + ";" + star_text
+            star_text = Word(star.preperiod).text() + ";" + star_text
         rows = [
-            ("eps", _digit_text(e.digits_prefix(n))),
-            ("eps_star", _digit_text(star.digits_prefix(n))),
+            ("eps", Word(e.digits_prefix(n)).text()),
+            ("eps_star", Word(star.digits_prefix(n)).text()),
             ("eps_star_rep", star_text),
             ("nonzero", ",".join(str(i) for i in nonzero_sequence(e, n))),
             (f"r_{n}", str(max_zero_run(e, n))),
@@ -291,7 +286,7 @@ def cmd_runs(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     formula = run_sets_formula(e, n)
-    row, failures = run_sets_check(e, n, shards=max(1, args.shards))
+    row, failures = run_sets_check(e, n)
     records = maximal_runs(e, n)
     rows = [
         (r.kind, r.start_index, r.length, r.first_word.text(), r.last_word.text())

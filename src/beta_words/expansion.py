@@ -121,14 +121,6 @@ class ExpansionOfOne:
         except ValueError as exc:
             raise InvalidSequence(f"cannot parse digit sequence {text!r}: {exc}") from None
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExpansionOfOne":
-        if "finite" in obj:
-            return cls.finite(obj["finite"])
-        if "preperiod" in obj and "period" in obj:
-            return cls.eventually_periodic(obj["preperiod"], obj["period"])
-        raise InvalidSequence("JSON sequence needs key 'finite' or keys 'preperiod'+'period'")
-
     @property
     def is_finite(self) -> bool:
         return not self.period
@@ -158,11 +150,6 @@ class ExpansionOfOne:
         if self.is_finite:
             return pre
         return pre + ";" + ",".join(str(d) for d in self.period)
-
-    def to_json_obj(self) -> dict:
-        if self.is_finite:
-            return {"finite": list(self.preperiod)}
-        return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
 
 def validate_expansion_of_one(seq) -> ExpansionOfOne:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, nonzero_sequence
-from .structure import is_full
-from .words import Word, automaton, check_alphabet, count, predecessor, scan_states, word_at
+from .structure import _tail_matches, is_full, tail_cap
+from .words import Word, automaton, count, predecessor, start_at, walk
 
 FULL = "full"
 NONFULL = "nonfull"
@@ -34,13 +34,7 @@ def tau(e: ExpansionOfOne, s: int) -> int:
     greedy walk terminates."""
     if s < 1:
         raise ValueError("tau is defined for s >= 1")
-    positions = nonzero_sequence(e, s)
-    steps = 0
-    remaining = s
-    while remaining:
-        remaining -= positions[bisect_right(positions, remaining) - 1]
-        steps += 1
-    return steps
+    return tau_table(e, s)[s]
 
 
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
@@ -171,8 +165,7 @@ def _with_low_range(e: ExpansionOfOne, n: int, n2: int) -> tuple[int, ...]:
 
 def max_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
-    bound = n if not e.is_finite else min(e.finite_length - 1, n)
-    return max(tau_table(e, bound)[1:])
+    return max(tau_table(e, tail_cap(e, n))[1:])
 
 
 def min_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
@@ -232,7 +225,7 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     Words sharing a length-(n-1) prefix split as eps_j full words (digits
     below the match digit) followed by at most one non-full word (the match
     digit), where j is the prefix's automaton state; the pass walks prefixes
-    with the successor step and never materializes individual words.
+    with words.walk and never materializes individual words.
 
     Returns (full_set, nonfull_set, first_run, last_run, run_count, total)
     where the sets hold interior closed runs only and first_run/last_run are
@@ -240,13 +233,16 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
+    prefixes = prefix_count(e, n)
     if prefix_stop is None:
-        prefix_stop = prefix_count(e, n)
+        prefix_stop = prefixes
     remaining = prefix_stop - prefix_start
     if remaining <= 0:
         return set(), set(), (True, 0), (True, 0), 1, 0
+    if prefix_stop > prefixes:
+        raise VerificationError("prefix range exceeds the enumeration")
     aut = automaton(e)
-    cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
+    cmp, adv = aut.cmp, aut.adv
     full: set[int] = set()
     nonfull: set[int] = set()
     first_run: tuple[bool, int] | None = None
@@ -254,18 +250,9 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     cur_full = True
     cur_len = 0
     total = 0
-    if n == 1:
-        prefix: list[int] = []
-        states = [1]
-    elif prefix_start == 0:
-        prefix = [0] * (n - 1)
-        states = [1] * n
-    else:
-        prefix = list(word_at(e, n - 1, prefix_start).digits)
-        states = scan_states(prefix, e)
+    prefix, states = start_at(e, n - 1, prefix_start)
     last = n - 1
-    while remaining > 0:
-        remaining -= 1
+    for _ in walk(e, prefix, states, remaining):
         s = states[last]
         c = cmp[s]
         a = adv[s]
@@ -294,23 +281,6 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
                 cur_len = 1
             else:
                 cur_len += 1
-        if remaining == 0:
-            break
-        for t in range(last, 0, -1):
-            st = states[t - 1]
-            d = prefix[t - 1]
-            if d < maxdig[st]:
-                nd = d + 1
-                prefix[t - 1] = nd
-                s2 = adv[st] if nd == cmp[st] else 1
-                states[t] = s2
-                for u in range(t, last):
-                    prefix[u] = 0
-                    s2 = adv[s2] if cmp[s2] == 0 else 1
-                    states[u + 1] = s2
-                break
-        else:
-            raise VerificationError("prefix range exceeds the enumeration")
     last_run = (cur_full, cur_len)
     if first_run is None:
         first_run = last_run
@@ -361,7 +331,7 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
     if n < 1:
         raise ValueError("word length n must be >= 1")
     aut = automaton(e)
-    cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
+    cmp, adv = aut.cmp, aut.adv
     records: list[RunRecord] = []
     cur_full = True
     cur_len = 0
@@ -369,10 +339,9 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
     cur_first: tuple[int, ...] = (0,) * n
     last_word: tuple[int, ...] = cur_first
     index = 0
-    prefix = [0] * (n - 1)
-    states = [1] * n
+    prefix, states = start_at(e, n - 1, 0)
     last = n - 1
-    while True:
+    for _ in walk(e, prefix, states):
         s = states[last]
         c = cmp[s]
         a = adv[s]
@@ -394,23 +363,6 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
                 cur_len += 1
             last_word = base + (c,)
             index += 1
-        advanced = False
-        for t in range(last, 0, -1):
-            st = states[t - 1]
-            d = prefix[t - 1]
-            if d < maxdig[st]:
-                nd = d + 1
-                prefix[t - 1] = nd
-                s2 = adv[st] if nd == cmp[st] else 1
-                states[t] = s2
-                for u in range(t, last):
-                    prefix[u] = 0
-                    s2 = adv[s2] if cmp[s2] == 0 else 1
-                    states[u + 1] = s2
-                advanced = True
-                break
-        if not advanced:
-            break
     records.append(RunRecord(FULL if cur_full else NONFULL, cur_start, cur_len, Word(cur_first), Word(last_word)))
     return records
 
@@ -419,16 +371,8 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
 
 
 def matched_tail_lengths(w: Word, e: ExpansionOfOne) -> list[int]:
-    """All s for which w ends with eps_1..eps_s, in increasing order.
-
-    For finite expansions s stops at M - 1: an admissible word never ends
-    with the whole expansion of 1."""
-    check_alphabet(w.digits, e)
-    scan_states(w.digits, e)
-    n = len(w)
-    s_max = n if not e.is_finite else min(e.finite_length - 1, n)
-    prefix = e.digits_prefix(s_max)
-    return [s for s in range(1, s_max + 1) if w.digits[n - s:] == prefix[:s]]
+    """All s for which w ends with eps_1..eps_s, in increasing order."""
+    return list(_tail_matches(w, e))
 
 
 def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import NotAdmissible, VerificationError
 from .expansion import ExpansionOfOne, solve_beta
@@ -96,34 +97,36 @@ def is_full(w: Word, e: ExpansionOfOne) -> bool:
     return scan_states(w.digits, e)[-1] == 1
 
 
-def is_full_by_tail(w: Word, e: ExpansionOfOne) -> bool:
-    """Suffix criterion: w is full iff it ends with no prefix of eps(1, beta).
+def tail_cap(e: ExpansionOfOne, n: int) -> int:
+    """Longest expansion prefix a length-n admissible word can end with: n,
+    or at most M - 1 for a finite expansion, since no admissible word ends
+    with all M digits."""
+    return n if not e.is_finite else min(e.finite_length - 1, n)
 
-    Candidate prefix lengths run to n for an infinite expansion and to
-    min(M - 1, n) for a finite one.
+
+def _tail_matches(w: Word, e: ExpansionOfOne) -> Iterator[int]:
+    """Lengths s <= tail_cap, ascending, for which w ends with eps_1..eps_s.
+
+    Lazy, so a caller can stop at the first match.
     """
     check_alphabet(w.digits, e)
     scan_states(w.digits, e)
     n = len(w)
-    s_max = n if not e.is_finite else min(e.finite_length - 1, n)
+    s_max = tail_cap(e, n)
     prefix = e.digits_prefix(s_max)
     for s in range(1, s_max + 1):
         if w.digits[n - s:] == prefix[:s]:
-            return False
-    return True
+            yield s
+
+
+def is_full_by_tail(w: Word, e: ExpansionOfOne) -> bool:
+    """Suffix criterion: w is full iff it ends with no prefix of eps(1, beta)."""
+    return next(_tail_matches(w, e), None) is None
 
 
 def smallest_tail_length(w: Word, e: ExpansionOfOne) -> int | None:
     """Smallest s with w ending in eps_1..eps_s; None when w is full."""
-    check_alphabet(w.digits, e)
-    scan_states(w.digits, e)
-    n = len(w)
-    s_max = n if not e.is_finite else min(e.finite_length - 1, n)
-    prefix = e.digits_prefix(s_max)
-    for s in range(1, s_max + 1):
-        if w.digits[n - s:] == prefix[:s]:
-            return s
-    return None
+    return next(_tail_matches(w, e), None)
 
 
 class CylinderCalc:
@@ -207,20 +210,23 @@ class CylinderInterval:
         return (max(Fraction(0), self.right[0] - self.left[1]), self.right[1] - self.left[0])
 
 
+def _cylinder_ends(w: Word, e: ExpansionOfOne, tol) -> tuple[CylinderCalc, tuple[int, int], tuple[int, int]]:
+    """The calculator for (e, |w|) and the scaled enclosures of the left
+    endpoint of w and of its successor (1 for the maximal word)."""
+    calc = cylinder_calc(e, len(w), tol)
+    nxt = successor(w, e)
+    right = calc.pi_bounds(nxt.digits) if nxt is not None else (calc.one, calc.one)
+    return calc, calc.pi_bounds(w.digits), right
+
+
 def cylinder(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = DEFAULT_TOL) -> CylinderInterval:
     """Certified enclosures for the cylinder endpoints of w.
 
     The left endpoint is sum w_i beta^-i; the right endpoint is the left
     endpoint of the successor, or 1 for the maximal word.
     """
-    calc = cylinder_calc(e, len(w), tol)
-    left = calc.pi_bounds(w.digits)
-    nxt = successor(w, e)
-    right = calc.pi_bounds(nxt.digits) if nxt is not None else (calc.one, calc.one)
-    return CylinderInterval(
-        (calc.as_fraction(left[0]), calc.as_fraction(left[1])),
-        (calc.as_fraction(right[0]), calc.as_fraction(right[1])),
-    )
+    calc, left, right = _cylinder_ends(w, e, tol)
+    return CylinderInterval(tuple(map(calc.as_fraction, left)), tuple(map(calc.as_fraction, right)))
 
 
 def is_full_by_length(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = DEFAULT_TOL):
@@ -230,8 +236,5 @@ def is_full_by_length(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = 
     loosely for the requested tolerance.
     """
     tol = Fraction(tol)
-    calc = cylinder_calc(e, len(w), tol)
-    left = calc.pi_bounds(w.digits)
-    nxt = successor(w, e)
-    right = calc.pi_bounds(nxt.digits) if nxt is not None else (calc.one, calc.one)
+    calc, left, right = _cylinder_ends(w, e, tol)
     return calc.compare_length(left, right, tol)

@@ -8,12 +8,19 @@ j - 1 digits, a digit below eps_j closes the block, a digit equal to eps_j
 extends it, anything larger (or completing all M digits of a finite
 expansion) is inadmissible.  A word is full exactly when its scan ends on a
 closed block, i.e. in state 1.
+
+Every lex-order walk goes through ``walk``: it takes a word's digit list and
+its state list (from ``start_at`` or ``scan_states``), rewrites both in place
+to each successor in turn, and yields for every word visited the number of
+leading digits it shares with the previous one (0 for the first word).  It
+stops after the lex-largest word or after a given number of words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, NotAdmissible
@@ -62,6 +69,11 @@ class Automaton:
     cmp: tuple[int, ...]
     adv: tuple[int, ...]
     maxdig: tuple[int, ...]
+
+    @cached_property
+    def zero(self) -> tuple[int, ...]:
+        """zero[j]: state after the digit 0 in state j."""
+        return tuple(a if c == 0 else 1 for c, a in zip(self.cmp, self.adv))
 
 
 @lru_cache(maxsize=None)
@@ -131,27 +143,11 @@ def _require_admissible(w: Word, e: ExpansionOfOne) -> list[int]:
 
 
 def successor(w: Word, e: ExpansionOfOne) -> Word | None:
-    """The next admissible word of the same length; None at the maximum.
-
-    Increments the last position that admits a larger digit and fills the
-    rest with zeros (always an admissible continuation).
-    """
-    states = _require_admissible(w, e)
-    aut = automaton(e)
-    cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
+    """The next admissible word of the same length; None at the maximum."""
     digits = list(w.digits)
-    n = len(digits)
-    for t in range(n, 0, -1):
-        s = states[t - 1]
-        if digits[t - 1] < maxdig[s]:
-            nd = digits[t - 1] + 1
-            digits[t - 1] = nd
-            st = adv[s] if nd == cmp[s] else 1
-            for u in range(t, n):
-                digits[u] = 0
-                st = adv[st] if cmp[st] == 0 else 1
-            return Word(tuple(digits))
-    return None
+    steps = walk(e, digits, _require_admissible(w, e))
+    next(steps)
+    return None if next(steps, None) is None else Word(tuple(digits))
 
 
 def predecessor(w: Word, e: ExpansionOfOne) -> Word | None:
@@ -174,6 +170,51 @@ def predecessor(w: Word, e: ExpansionOfOne) -> Word | None:
     return Word(tuple(digits[:k]) + (digits[k] - 1,) + star.digits_prefix(n - k - 1))
 
 
+def start_at(e: ExpansionOfOne, m: int, rank: int) -> tuple[list[int], list[int]]:
+    """Digit and state lists of the length-m word at rank, ready for walk.
+
+    m = 0 gives the empty word, whose only state is 1.
+    """
+    if m == 0 or rank == 0:
+        return [0] * m, [1] * (m + 1)
+    digits = list(word_at(e, m, rank).digits)
+    return digits, scan_states(digits, e)
+
+
+def walk(e: ExpansionOfOne, digits: list[int], states: list[int], limit: int | None = None) -> Iterator[int]:
+    """Step digits and states in place through the lex successors.
+
+    Yields once per word visited, starting with the given word: the number of
+    leading digits unchanged since the previous word (0 for the first).  The
+    successor increments the last position that admits a larger digit and
+    fills the rest with zeros, always an admissible continuation.  Stops
+    after the lex-largest word or after limit words.
+    """
+    if limit is not None and limit < 1:
+        return
+    aut = automaton(e)
+    cmp, adv, maxdig, zero = aut.cmp, aut.adv, aut.maxdig, aut.zero
+    n = len(digits)
+    yield 0
+    for _ in repeat(None) if limit is None else range(limit - 1):
+        for t in range(n - 1, -1, -1):
+            s = states[t]
+            d = digits[t]
+            if d < maxdig[s]:
+                d += 1
+                digits[t] = d
+                s = adv[s] if d == cmp[s] else 1
+                states[t + 1] = s
+                for u in range(t + 1, n):
+                    digits[u] = 0
+                    s = zero[s]
+                    states[u + 1] = s
+                break
+        else:
+            return
+        yield t
+
+
 def iter_words(
     e: ExpansionOfOne,
     n: int,
@@ -182,11 +223,8 @@ def iter_words(
 ) -> Iterator[Word]:
     """All admissible words of length n in lex order, optionally [start, stop)."""
     _check_n(n)
-    aut = automaton(e)
-    cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
     if start is None:
-        digits = [0] * n
-        states = [1] * (n + 1)
+        digits, states = start_at(e, n, 0)
     else:
         if len(start) != n:
             raise ValueError("start word has the wrong length")
@@ -197,44 +235,38 @@ def iter_words(
         if len(stop) != n:
             raise ValueError("stop word has the wrong length")
         stop_digits = tuple(stop.digits)
-    while True:
+    for _ in walk(e, digits, states):
         word = tuple(digits)
         if stop_digits is not None and word >= stop_digits:
             return
         yield Word(word)
-        for t in range(n, 0, -1):
-            s = states[t - 1]
-            if digits[t - 1] < maxdig[s]:
-                nd = digits[t - 1] + 1
-                digits[t - 1] = nd
-                st = adv[s] if nd == cmp[s] else 1
-                states[t] = st
-                for u in range(t, n):
-                    digits[u] = 0
-                    st = adv[st] if cmp[st] == 0 else 1
-                    states[u + 1] = st
-                break
-        else:
-            return
 
 
-@lru_cache(maxsize=None)
-def _count_table(e: ExpansionOfOne, n: int) -> tuple[tuple[int, ...], ...]:
-    """table[m][j] = number of admissible length-m continuations from state j."""
-    aut = automaton(e)
-    cmp, adv = aut.cmp, aut.adv
-    width = len(cmp)
-    table = [(0,) + (1,) * (width - 1)]
-    for _ in range(n):
-        prev = table[-1]
-        row = [0] * width
-        for j in range(1, width):
-            total = cmp[j] * prev[1]
-            if adv[j]:
-                total += prev[adv[j]]
-            row[j] = total
-        table.append(tuple(row))
-    return tuple(table)
+_COUNT_ROWS: dict[ExpansionOfOne, list[tuple[int, ...]]] = {}
+
+
+def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
+    """table[m][j] = number of admissible length-m continuations from state j.
+
+    One row list per expansion, extended on demand, so it holds at least
+    rows 0..n and never more rows than the largest n asked for.
+    """
+    table = _COUNT_ROWS.get(e)
+    if table is None or len(table) <= n:
+        aut = automaton(e)
+        cmp, adv = aut.cmp, aut.adv
+        width = len(cmp)
+        table = _COUNT_ROWS.setdefault(e, [(0,) + (1,) * (width - 1)])
+        while len(table) <= n:
+            prev = table[-1]
+            row = [0] * width
+            for j in range(1, width):
+                total = cmp[j] * prev[1]
+                if adv[j]:
+                    total += prev[adv[j]]
+                row[j] = total
+            table.append(tuple(row))
+    return table
 
 
 def count(e: ExpansionOfOne, n: int) -> int:

@@ -156,3 +156,9 @@ def test_missing_n_uses_default(capsys):
     code, out, _ = run_cli(capsys, "expand", "--seq", "1,1")
     assert code == 0
     assert "1100000000000000" in out
+
+
+def test_runs_has_no_shards_option(capsys):
+    code, _, err = run_cli(capsys, "runs", "--seq", "1,1", "--n", "4", "--shards", "2")
+    assert code == 2
+    assert "--shards" in err

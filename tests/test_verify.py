@@ -1,5 +1,6 @@
 """Verification harness: sweeps, theorem checks, and failure detection."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from beta_words import (
     verify_report,
     verify_theorems,
 )
+from beta_words import cli
 from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 
@@ -128,3 +130,48 @@ def test_all_ten_cases_covered_by_default_corpus():
         for n in range(1, 13):
             seen.add(runs_mod.nonfull_run_case(e, n))
     assert len(seen) == 10
+
+
+# sha256 of `beta-words verify --n-range 1..5` on the bundled corpus.
+REPORT_1_5_SHA256 = "498dbf151de5c0344bde21157281229ece46859fb75044536f2cf0e9d8bf455d"
+
+
+def test_verify_report_bytes_pinned(capsys):
+    assert cli.main(["verify", "--n-range", "1..5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_1_5_SHA256
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakeExecutor.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cores, shards, expected", [(2, 10**6, 2), (8, 3, 3), (None, 5, 1)])
+def test_pool_size_bounded_by_cores(monkeypatch, cores, shards, expected):
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+    rows, failures = verify_report([GOLDEN, PEARL], range(1, 5), shards=shards)
+    assert FakeExecutor.sizes == [expected]
+    assert failures == []
+    assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 5))[0])
+
+
+def test_shard_bounds_capped_at_prefix_count():
+    assert verify_mod._shard_bounds(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+    assert verify_mod._shard_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert verify_mod._shard_bounds(1, 0) == [(0, 1)]

@@ -7,8 +7,11 @@ import pytest
 from beta_words import (
     ExpansionOfOne,
     NotAdmissible,
+    VerificationError,
     Word,
+    automaton,
     count,
+    default_corpus,
     is_admissible,
     iter_words,
     max_word,
@@ -18,6 +21,9 @@ from beta_words import (
     successor,
     word_at,
 )
+from beta_words import words as words_mod
+from beta_words.runs import scan_run_lengths
+from beta_words.words import start_at, walk
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -118,3 +124,78 @@ def test_word_text_round_trip():
     assert Word.parse("3020").digits == (3, 0, 2, 0)
     w = Word((10, 0, 2))
     assert Word.parse(w.text()) == w
+
+
+def common_prefix(a, b):
+    k = 0
+    while k < len(a) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def walk_windows(total):
+    """Rank windows [a, b): the whole range, a mid-enumeration start, the
+    last word alone, and a window ending on the last word."""
+    mid = total // 2
+    return sorted({(0, total), (mid, min(total, mid + 7)), (total - 1, total),
+                   (max(0, total - 5), total)})
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+@pytest.mark.parametrize("m", range(1, 7))
+def test_walk_visits_rank_window(e, m):
+    total = count(e, m)
+    for a, b in walk_windows(total):
+        digits, states = start_at(e, m, a)
+        seen, shared = [], []
+        for k in walk(e, digits, states, b - a):
+            assert states == scan_states(digits, e)
+            seen.append(tuple(digits))
+            shared.append(k)
+        assert seen == [word_at(e, m, i).digits for i in range(a, b)]
+        assert shared[0] == 0
+        assert shared[1:] == [common_prefix(u, v) for u, v in zip(seen, seen[1:])]
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_walk_stops_at_last_word(e):
+    total = count(e, 5)
+    digits, states = start_at(e, 5, total - 3)
+    assert len(list(walk(e, digits, states, 10))) == 3
+    assert tuple(digits) == max_word(e, 5).digits
+    assert list(walk(e, digits, states, 0)) == []
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_scan_window_past_enumeration_raises(e, n):
+    prefixes = count(e, n - 1) if n >= 2 else 1
+    with pytest.raises(VerificationError):
+        scan_run_lengths(e, n, max(0, prefixes - 2), prefixes + 3)
+
+
+def fresh_count_table(e, n):
+    """table[m][j], rebuilt from the automaton without any cache."""
+    aut = automaton(e)
+    width = len(aut.cmp)
+    table = [[0] + [1] * (width - 1)]
+    for _ in range(n):
+        prev = table[-1]
+        table.append([0] + [aut.cmp[j] * prev[1] + (prev[aut.adv[j]] if aut.adv[j] else 0)
+                            for j in range(1, width)])
+    return table
+
+
+@pytest.mark.parametrize("text", MEMBERS)
+def test_count_table_out_of_order(text, monkeypatch):
+    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+    e = ExpansionOfOne.parse(text)
+    fresh = fresh_count_table(e, 40)
+    assert count(e, 40) == fresh[40][1]
+    words = list(iter_words(e, 7))
+    assert len(words) == fresh[7][1]
+    for i, w in enumerate(words):
+        assert word_at(e, 7, i) == w
+        assert rank_of(w, e) == i
+    assert [count(e, n) for n in range(1, 41)] == [fresh[n][1] for n in range(1, 41)]
+    assert len(words_mod._COUNT_ROWS[e]) == 41
