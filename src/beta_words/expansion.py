@@ -34,6 +34,14 @@ def seq_digit(pair: SeqPair, i: int) -> int:
     return per[(i - len(pre) - 1) % len(per)]
 
 
+def seq_prefix(pair: SeqPair, n: int) -> tuple[int, ...]:
+    """The first n digits of an eventually periodic sequence (none for n < 1)."""
+    pre, per = pair
+    if n <= len(pre):
+        return pre[:max(n, 0)]
+    return (pre + per * -(-(n - len(pre)) // len(per)))[:n]
+
+
 def lex_compare(a: SeqPair, b: SeqPair) -> int:
     """Decide the lexicographic order of two eventually periodic sequences.
 
@@ -142,8 +150,7 @@ class ExpansionOfOne:
         return seq_digit(self.as_pair(), i)
 
     def digits_prefix(self, n: int) -> tuple[int, ...]:
-        pair = self.as_pair()
-        return tuple(seq_digit(pair, i) for i in range(1, n + 1))
+        return seq_prefix(self.as_pair(), n)
 
     def text(self) -> str:
         pre = ",".join(str(d) for d in self.preperiod)
@@ -182,8 +189,7 @@ class ModifiedExpansion:
         return seq_digit(self.as_pair(), i)
 
     def digits_prefix(self, n: int) -> tuple[int, ...]:
-        pair = self.as_pair()
-        return tuple(seq_digit(pair, i) for i in range(1, n + 1))
+        return seq_prefix(self.as_pair(), n)
 
 
 def modified_expansion(e: ExpansionOfOne) -> ModifiedExpansion:

@@ -64,9 +64,11 @@ class Decomposition:
     tail: tuple[int, int]
 
     def reconstruct(self, e: ExpansionOfOne) -> Word:
+        pieces = self.blocks + (self.tail,)
+        eps = e.digits_prefix(max(length for length, _ in pieces))
         digits: list[int] = []
-        for length, last in self.blocks + (self.tail,):
-            digits.extend(e.digit(i) for i in range(1, length))
+        for length, last in pieces:
+            digits.extend(eps[:length - 1])
             digits.append(last)
         return Word(tuple(digits))
 
@@ -75,10 +77,11 @@ def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:
     """Split w into full blocks and a tail by repeated mismatch scanning."""
     check_alphabet(w.digits, e)
     scan_states(w.digits, e)
+    eps = e.digits_prefix(len(w))
     segments: list[tuple[int, int]] = []
     j = 1
     for d in w.digits:
-        if d < e.digit(j):
+        if d < eps[j - 1]:
             segments.append((j, d))
             j = 1
         else:

@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
@@ -41,11 +42,10 @@ from .runs import (
     second_nonzero_position,
     stitch_run_scans,
     tail_run_prediction,
-    tau,
     tau_table,
 )
 from .structure import DEFAULT_TOL, cylinder_calc, decompose, is_full, tail_cap
-from .words import Word, automaton, count, iter_words, max_word, scan_states, start_at, word_at
+from .words import Word, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
 
 MAX_FAILURES = 24
 
@@ -433,10 +433,21 @@ def check_truncations(e: ExpansionOfOne, k_max: int, failures: list[str]) -> Non
 
 
 def _full_words_upto(e: ExpansionOfOne, cap: int) -> list[tuple[int, ...]]:
+    """Full words of lengths 1..cap, by length and then in lex order."""
     fulls: list[tuple[int, ...]] = []
     for k in range(1, cap + 1):
-        fulls.extend(w.digits for w in iter_words(e, k) if scan_states(w.digits, e)[-1] == 1)
+        digits, states = start_at(e, k, 0)
+        for _ in walk(e, digits, states):
+            if states[-1] == 1:
+                fulls.append(tuple(digits))
     return fulls
+
+
+def _prefix_ends(w: tuple[int, ...], prefix: tuple[int, ...], top: int) -> Iterator[int]:
+    """Lengths s <= top, ascending, with w ending in the first s digits of prefix."""
+    for s in range(1, min(top, len(w)) + 1):
+        if w[-s:] == prefix[:s]:
+            yield s
 
 
 def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -444,22 +455,35 @@ def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> No
 
     The block-match automaton restarts at state 1 after a full word, so the
     structural route makes this immediate; the pairs are therefore checked
-    against the independent suffix criterion.
+    against the independent suffix criterion.  A match of eps|_s at the end
+    of u + v either lies inside v (s <= |v|) or straddles the boundary: u
+    ends with eps|_t and v is eps_(t+1..t+|v|).  So each v keeps its
+    smallest inside match and its straddle offsets t, each u its tail
+    offsets, and only pairs that share an offset or have an inside match
+    are visited: O(|F| * s_top) slice comparisons, not one per pair.
     """
     case = e.text()
     fulls = _full_words_upto(e, cap)
     s_top = tail_cap(e, 2 * cap)
     prefix = e.digits_prefix(s_top)
-    heads = [prefix[:s] for s in range(s_top + 1)]
+    inside: dict[int, int] = {}
+    straddles: dict[int, list[tuple[int, int]]] = {}
+    for i, v in enumerate(fulls):
+        s = next(_prefix_ends(v, prefix, s_top), None)
+        if s is not None:
+            inside[i] = s
+        m = len(v)
+        for t in range(1, s_top - m + 1):
+            if prefix[t:t + m] == v:
+                straddles.setdefault(t, []).append((i, t + m))
     for u in fulls:
-        for v in fulls:
-            w = u + v
-            top = min(s_top, len(w))
-            for s in range(1, top + 1):
-                if w[-s:] == heads[s]:
-                    _record(failures, f"{case}: concatenation {Word(w).text()} of full words "
-                                      f"ends with the first {s} digits of the expansion")
-                    break
+        hits = dict(inside)
+        for t in _prefix_ends(u, prefix, s_top - 1):
+            for i, s in straddles.get(t, ()):
+                hits.setdefault(i, s)
+        for i in sorted(hits):
+            _record(failures, f"{case}: concatenation {Word(u + fulls[i]).text()} of full words "
+                              f"ends with the first {hits[i]} digits of the expansion")
             if len(failures) >= MAX_FAILURES:
                 return
 
@@ -471,46 +495,78 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
     the whole prefix and js the state of the prefix minus its first digit,
     every family digit d < cmp[j] yields a full word, whose one-digit-shorter
     suffix is full exactly when d < cmp[js].  Chaining over n covers all
-    suffixes; lengths up to deep_cap also get every suffix scanned directly.
+    suffixes.  j is read off the walker; the states of the prefix minus its
+    first digit are a second list, updated from the first digit the walker
+    changed.  Lengths up to deep_cap also get every suffix scanned directly,
+    once per distinct suffix: suffixes that scanned full are kept in a set,
+    so a suffix shared by many full words is looked up, not rescanned.
     """
     case = e.text()
     aut = automaton(e)
-    cmp_ = aut.cmp
-    maxdig = aut.maxdig
+    cmp_, adv_, maxdig = aut.cmp, aut.adv, aut.maxdig
     for n in range(2, cap + 1):
-        for p in iter_words(e, n - 1):
-            c = cmp_[scan_states(p.digits, e)[-1]]
+        digits, states = start_at(e, n - 1, 0)
+        rest = [1] * (n - 1)  # rest[i]: state after digits[1..i]
+        valid = 1
+        for t in walk(e, digits, states):
+            valid = min(valid, max(t, 1))
+            c = cmp_[states[-1]]
             if c == 0:
                 continue
-            try:
-                js = scan_states(p.digits[1:], e)[-1]
-            except NotAdmissible:
-                _record(failures, f"{case}: suffix of admissible prefix {p.text()} is not admissible")
+            for i in range(valid, n - 1):
+                s = rest[i - 1]
+                d = digits[i]
+                if d > maxdig[s]:
+                    break
+                rest[i] = adv_[s] if d == cmp_[s] else 1
+                valid = i + 1
+            if valid < n - 1:
+                _record(failures, f"{case}: suffix of admissible prefix {Word(tuple(digits)).text()} "
+                                  "is not admissible")
                 continue
+            js = rest[-1]
             if c - 1 > maxdig[js]:
-                _record(failures, f"{case}: suffix of full word {Word(p.digits + (c - 1,)).text()} "
+                _record(failures, f"{case}: suffix of full word {Word(tuple(digits) + (c - 1,)).text()} "
                                   "is not admissible")
             elif c > cmp_[js]:
-                _record(failures, f"{case}: suffix of full word {Word(p.digits + (cmp_[js],)).text()} "
+                _record(failures, f"{case}: suffix of full word {Word(tuple(digits) + (cmp_[js],)).text()} "
                                   "is not full")
+    full_suffixes: set[tuple[int, ...]] = set()
     for n in range(2, deep_cap + 1):
-        for w in iter_words(e, n):
-            if scan_states(w.digits, e)[-1] != 1:
+        digits, states = start_at(e, n, 0)
+        for _ in walk(e, digits, states):
+            if states[-1] != 1:
                 continue
+            w = tuple(digits)
             for k in range(1, n):
-                if scan_states(w.digits[k:], e)[-1] != 1:
-                    _record(failures, f"{case}: suffix at offset {k} of full {w.text()} is not full")
+                suffix = w[k:]
+                if suffix in full_suffixes:
+                    continue
+                try:
+                    full = scan_states(suffix, e)[-1] == 1
+                except NotAdmissible:
+                    _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not admissible")
+                    continue
+                if full:
+                    full_suffixes.add(suffix)
+                else:
+                    _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not full")
 
 
 def check_decrement_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
     """Lowering the nonzero last digit of an admissible word gives a full
-    word; chained decrements cover every smaller final digit."""
+    word; chained decrements cover every smaller final digit.  The state
+    before the last digit is read off the walker."""
     case = e.text()
+    aut = automaton(e)
+    cmp_, adv_ = aut.cmp, aut.adv
     for n in range(1, cap + 1):
-        for w in iter_words(e, n):
-            d = w.digits[-1]
-            if d and scan_states(w.digits[:-1] + (d - 1,), e)[-1] != 1:
-                _record(failures, f"{case}: decrement of {w.text()} is not full")
+        digits, states = start_at(e, n, 0)
+        for _ in walk(e, digits, states):
+            d = digits[-1] - 1
+            s = states[-2]
+            if d >= 0 and d == cmp_[s] and adv_[s] != 1:
+                _record(failures, f"{case}: decrement of {Word(tuple(digits)).text()} is not full")
 
 
 def check_last_digit_bound(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -518,17 +574,26 @@ def check_last_digit_bound(e: ExpansionOfOne, cap: int, failures: list[str]) -> 
     case = e.text()
     top = e.alphabet_max
     for n in range(1, cap + 1):
-        for w in iter_words(e, n):
-            if w.digits[-1] >= top and scan_states(w.digits, e)[-1] == 1:
-                _record(failures, f"{case}: full word {w.text()} ends with digit {w.digits[-1]} "
-                                  f">= floor(beta) = {top}")
+        digits, states = start_at(e, n, 0)
+        for _ in walk(e, digits, states):
+            if digits[-1] >= top and states[-1] == 1:
+                _record(failures, f"{case}: full word {Word(tuple(digits)).text()} ends with digit "
+                                  f"{digits[-1]} >= floor(beta) = {top}")
 
 
 def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: int, failures: list[str]) -> None:
     """Reconstruction inverts decomposition; blocks are full; the block and
-    tail lengths obey the finite-expansion caps."""
+    tail lengths obey the finite-expansion caps.
+
+    decompose and reconstruct run once per word; a block's verdict depends
+    only on its (length, last digit), so it is worked out once per distinct
+    pair, and the expansion digits come from one prefix.
+    """
     case = e.text()
     m = e.finite_length
+    n_values = tuple(n_values)
+    eps = e.digits_prefix(max(n_values, default=0))
+    verdicts: dict[tuple[int, int], str] = {}
     for n in n_values:
         total = count(e, n)
         if n <= exhaustive_to or total <= samples:
@@ -538,26 +603,33 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
             words = (word_at(e, n, i) for i in range(0, total, step))
         for w in words:
             dec = decompose(w, e)
-            if dec.reconstruct(e) != w:
-                _record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs "
-                                  f"to {dec.reconstruct(e).text()}")
+            back = dec.reconstruct(e)
+            if back != w:
+                _record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs to {back.text()}")
                 continue
             pieces = dec.blocks + (dec.tail,)
             if sum(length for length, _ in pieces) != n:
                 _record(failures, f"{case} n={n}: decomposition lengths of {w.text()} do not sum to n")
-            for length, lastd in dec.blocks:
-                if lastd >= e.digit(length):
-                    _record(failures, f"{case} n={n}: block ({length},{lastd}) of {w.text()} "
-                                      "does not end strictly below the expansion digit")
-                elif scan_states(e.digits_prefix(length - 1) + (lastd,), e)[-1] != 1:
-                    _record(failures, f"{case} n={n}: block ({length},{lastd}) of {w.text()} is not full")
+            for block in dec.blocks:
+                verdict = verdicts.get(block)
+                if verdict is None:
+                    length, lastd = block
+                    if lastd >= eps[length - 1]:
+                        verdict = "does not end strictly below the expansion digit"
+                    elif scan_states(eps[:length - 1] + (lastd,), e)[-1] != 1:
+                        verdict = "is not full"
+                    else:
+                        verdict = ""
+                    verdicts[block] = verdict
+                if verdict:
+                    _record(failures, f"{case} n={n}: block ({block[0]},{block[1]}) of {w.text()} {verdict}")
             tail_len, tail_d = dec.tail
-            if tail_d > e.digit(tail_len):
+            if tail_d > eps[tail_len - 1]:
                 _record(failures, f"{case} n={n}: tail of {w.text()} exceeds the expansion digit")
             if m is not None:
                 if any(length > m for length, _ in pieces):
                     _record(failures, f"{case} n={n}: a decomposition piece of {w.text()} is longer than M")
-                if tail_len == m and tail_d >= e.digit(m):
+                if tail_len == m and tail_d >= eps[m - 1]:
                     _record(failures, f"{case} n={n}: tail of {w.text()} matches all M digits")
 
 
@@ -566,6 +638,7 @@ def check_tail_walks(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
     full word and confirm the greedy step count; for small n do the same
     from every non-full word."""
     case = e.text()
+    taus = tau_table(e, tail_cap(e, cap))
     for n in range(1, cap + 1):
         for s in range(1, tail_cap(e, n) + 1):
             w = Word((0,) * (n - s) + e.digits_prefix(s))
@@ -574,9 +647,9 @@ def check_tail_walks(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
             except (TailMismatch, VerificationError) as exc:
                 _record(failures, f"{case} n={n}: tail walk from {w.text()} failed: {exc}")
                 continue
-            if steps != tau(e, s):
+            if steps != taus[s]:
                 _record(failures, f"{case} n={n}: tail walk from {w.text()} returned {steps}, "
-                                  f"expected tau({s}) = {tau(e, s)}")
+                                  f"expected tau({s}) = {taus[s]}")
     for n in range(1, min(cap, 6) + 1):
         for w in iter_words(e, n):
             if scan_states(w.digits, e)[-1] == 1:

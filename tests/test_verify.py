@@ -20,6 +20,10 @@ from beta_words import (
 from beta_words import cli
 from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
+from beta_words import words as words_mod
+from beta_words.errors import NotAdmissible
+from beta_words.structure import Decomposition, is_full, tail_cap
+from beta_words.words import Automaton, Word, iter_words, word_at
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -175,3 +179,299 @@ def test_shard_bounds_capped_at_prefix_count():
     assert verify_mod._shard_bounds(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
     assert verify_mod._shard_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
     assert verify_mod._shard_bounds(1, 0) == [(0, 1)]
+
+
+# --- the rewritten theorem checks against their brute-force formulations ---
+#
+# The oracles below are the pairwise / per-word loops the checks used before
+# they were rewritten to avoid the pair and word products.  They look up
+# _full_words_upto, scan_states and decompose on the verify module at call
+# time, so an injected fault reaches the oracle and the check alike.
+
+CAPS = range(1, 5)
+
+
+def oracle_concat_closure(e, cap, failures):
+    case = e.text()
+    fulls = verify_mod._full_words_upto(e, cap)
+    s_top = tail_cap(e, 2 * cap)
+    prefix = e.digits_prefix(s_top)
+    heads = [prefix[:s] for s in range(s_top + 1)]
+    for u in fulls:
+        for v in fulls:
+            w = u + v
+            top = min(s_top, len(w))
+            for s in range(1, top + 1):
+                if w[-s:] == heads[s]:
+                    verify_mod._record(failures, f"{case}: concatenation {Word(w).text()} of full words "
+                                                 f"ends with the first {s} digits of the expansion")
+                    break
+            if len(failures) >= verify_mod.MAX_FAILURES:
+                return
+
+
+def oracle_deep_suffix_closure(e, deep_cap, failures):
+    case = e.text()
+    for n in range(2, deep_cap + 1):
+        for w in iter_words(e, n):
+            if verify_mod.scan_states(w.digits, e)[-1] != 1:
+                continue
+            for k in range(1, n):
+                if verify_mod.scan_states(w.digits[k:], e)[-1] != 1:
+                    verify_mod._record(failures, f"{case}: suffix at offset {k} of full {w.text()} is not full")
+
+
+def oracle_decompose(e, n_values, exhaustive_to, samples, failures):
+    record = verify_mod._record
+    case = e.text()
+    m = e.finite_length
+    for n in n_values:
+        total = count(e, n)
+        if n <= exhaustive_to or total <= samples:
+            words = iter_words(e, n)
+        else:
+            step = max(1, total // samples)
+            words = (word_at(e, n, i) for i in range(0, total, step))
+        for w in words:
+            dec = verify_mod.decompose(w, e)
+            if dec.reconstruct(e) != w:
+                record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs "
+                                 f"to {dec.reconstruct(e).text()}")
+                continue
+            pieces = dec.blocks + (dec.tail,)
+            if sum(length for length, _ in pieces) != n:
+                record(failures, f"{case} n={n}: decomposition lengths of {w.text()} do not sum to n")
+            for length, lastd in dec.blocks:
+                if lastd >= e.digit(length):
+                    record(failures, f"{case} n={n}: block ({length},{lastd}) of {w.text()} "
+                                     "does not end strictly below the expansion digit")
+                elif verify_mod.scan_states(e.digits_prefix(length - 1) + (lastd,), e)[-1] != 1:
+                    record(failures, f"{case} n={n}: block ({length},{lastd}) of {w.text()} is not full")
+            tail_len, tail_d = dec.tail
+            if tail_d > e.digit(tail_len):
+                record(failures, f"{case} n={n}: tail of {w.text()} exceeds the expansion digit")
+            if m is not None:
+                if any(length > m for length, _ in pieces):
+                    record(failures, f"{case} n={n}: a decomposition piece of {w.text()} is longer than M")
+                if tail_len == m and tail_d >= e.digit(m):
+                    record(failures, f"{case} n={n}: tail of {w.text()} matches all M digits")
+
+
+def both(check, oracle, *args):
+    got, want = [], []
+    check(*args, got)
+    oracle(*args, want)
+    return got, want
+
+
+def all_admissible_upto(e, cap):
+    return [w.digits for k in range(1, cap + 1) for w in iter_words(e, k)]
+
+
+FULL_WORDS_UPTO = verify_mod._full_words_upto
+
+
+def truncations_first(e, cap):
+    """The non-full truncations eps|_k ahead of the full words, so that early
+    pairs match across the u|v boundary."""
+    heads = [e.digits_prefix(k) for k in range(1, tail_cap(e, cap) + 1)]
+    return heads + FULL_WORDS_UPTO(e, cap)
+
+
+@pytest.mark.parametrize("fault", [None, all_admissible_upto, truncations_first])
+def test_concat_closure_matches_pairwise_oracle(monkeypatch, fault):
+    if fault is not None:
+        monkeypatch.setattr(verify_mod, "_full_words_upto", fault)
+    saw_failures = False
+    for e in default_corpus():
+        for cap in CAPS:
+            got, want = both(verify_mod.check_concat_closure, oracle_concat_closure, e, cap)
+            assert got == want, (e.text(), cap)
+            saw_failures |= bool(want)
+    assert saw_failures == (fault is not None)
+
+
+def full_words_of_length(e, n):
+    return [w.digits for w in iter_words(e, n) if is_full(w, e)]
+
+
+@pytest.mark.parametrize("pick", ["shortest", "longest"])
+def test_deep_suffix_closure_matches_per_word_oracle(monkeypatch, pick):
+    real = verify_mod.scan_states
+    saw_failures = False
+    for e in default_corpus():
+        for cap in CAPS:
+            length = 1 if pick == "shortest" else max(1, cap - 1)
+            candidates = full_words_of_length(e, length)
+            bad = candidates[0] if pick == "shortest" else candidates[-1]
+
+            def fake(digits, e_, bad=bad):
+                states = real(digits, e_)
+                return states[:-1] + [0] if tuple(digits) == bad else states
+
+            monkeypatch.setattr(verify_mod, "scan_states", fake)
+            got, want = [], []
+            verify_mod.check_suffix_closure(e, cap, cap, got)
+            oracle_deep_suffix_closure(e, cap, want)
+            assert got == want, (e.text(), cap, bad)
+            saw_failures |= bool(want)
+    assert saw_failures
+
+
+def test_suffix_closure_clean_matches_oracle():
+    for e in default_corpus():
+        for cap in CAPS:
+            got, want = [], []
+            verify_mod.check_suffix_closure(e, cap, cap, got)
+            oracle_deep_suffix_closure(e, cap, want)
+            assert got == want == [], (e.text(), cap)
+
+
+def oracle_prefix_family_suffix_closure(e, cap, failures):
+    case = e.text()
+    aut = verify_mod.automaton(e)
+    cmp_ = aut.cmp
+    maxdig = aut.maxdig
+    for n in range(2, cap + 1):
+        for p in iter_words(e, n - 1):
+            c = cmp_[words_mod.scan_states(p.digits, e)[-1]]
+            if c == 0:
+                continue
+            try:
+                js = words_mod.scan_states(p.digits[1:], e)[-1]
+            except NotAdmissible:
+                verify_mod._record(failures, f"{case}: suffix of admissible prefix {p.text()} is not admissible")
+                continue
+            if c - 1 > maxdig[js]:
+                verify_mod._record(failures, f"{case}: suffix of full word {Word(p.digits + (c - 1,)).text()} "
+                                             "is not admissible")
+            elif c > cmp_[js]:
+                verify_mod._record(failures, f"{case}: suffix of full word {Word(p.digits + (cmp_[js],)).text()} "
+                                             "is not full")
+
+
+AUTOMATON = words_mod.automaton
+
+
+def corrupted_automata(e):
+    """The block-match tables with one state's largest digit moved by one,
+    or one state's extension sent back to state 1.  A raised largest digit
+    breaks shift invariance, so some suffixes of walked words are not
+    admissible."""
+    aut = AUTOMATON(e)
+    for j in range(1, len(aut.cmp)):
+        for step in (-1, 1):
+            maxdig = list(aut.maxdig)
+            maxdig[j] += step
+            if 0 <= maxdig[j] <= e.alphabet_max:
+                yield Automaton(aut.cmp, aut.adv, tuple(maxdig))
+        if aut.adv[j] not in (0, 1):
+            adv = list(aut.adv)
+            adv[j] = 1
+            yield Automaton(aut.cmp, tuple(adv), aut.maxdig)
+
+
+def test_prefix_family_suffix_closure_matches_per_prefix_oracle(monkeypatch):
+    """The walker's second state list, updated from the first changed digit,
+    agrees with rescanning every prefix on corrupted tables.  Walker, scans
+    and check all see the same corrupted tables."""
+    kinds = set()
+    for e in default_corpus():
+        for bad in corrupted_automata(e):
+            monkeypatch.setattr(words_mod, "automaton", lambda e_, bad=bad: bad)
+            monkeypatch.setattr(verify_mod, "automaton", lambda e_, bad=bad: bad)
+            for cap in range(1, 7):
+                got, want = [], []
+                verify_mod.check_suffix_closure(e, cap, 1, got)
+                oracle_prefix_family_suffix_closure(e, cap, want)
+                assert got == want, (e.text(), bad, cap)
+                kinds.update(message.rsplit(" is ", 1)[-1] for message in want)
+    assert kinds == {"not admissible", "not full"}
+
+
+def test_deep_suffix_not_admissible_is_a_failure(monkeypatch):
+    """A suffix scan that raises is recorded, not propagated."""
+    real = verify_mod.scan_states
+    bad = (0,) * 7
+
+    def fake(digits, e):
+        if tuple(digits) == bad:
+            raise NotAdmissible("injected")
+        return real(digits, e)
+
+    monkeypatch.setattr(verify_mod, "scan_states", fake)
+    failures = []
+    verify_mod.check_suffix_closure(GOLDEN, 8, 8, failures)
+    assert failures and failures[0] == "1,1: suffix at offset 1 of full 00000000 is not admissible"
+    assert verify_theorems(GOLDEN, 8)[0] == failures[0]
+
+
+def unit_pieces(dec, w, e):
+    """Every digit its own piece: reconstructs, but blocks ending in eps_1 are wrong."""
+    return Decomposition(tuple((1, d) for d in w.digits[:-1]), (1, w.digits[-1]))
+
+
+def one_tail(dec, w, e):
+    """The whole word as one tail: reconstructs only for eps|_(n-1) plus a digit."""
+    return Decomposition((), (len(w), w.digits[-1]))
+
+
+def split_tail(dec, w, e):
+    """A tail (j, d) with j >= 2 split into a block that matches eps_(j-1)
+    instead of dropping below it, and a one-digit tail."""
+    j, d = dec.tail
+    if j < 2:
+        return dec
+    return Decomposition(dec.blocks + ((j - 1, e.digit(j - 1)),), (1, d))
+
+
+def bumped_tail(dec, w, e):
+    j, d = dec.tail
+    return Decomposition(dec.blocks, (j, d + 1))
+
+
+@pytest.mark.parametrize("corrupt", [unit_pieces, one_tail, split_tail, bumped_tail])
+def test_decompose_check_matches_per_word_oracle(monkeypatch, corrupt):
+    real = verify_mod.decompose
+
+    def fake(w, e):
+        dec = real(w, e)
+        # corrupt about a third of the words, so failures come from many n
+        return corrupt(dec, w, e) if sum(i * d for i, d in enumerate(w.digits, 1)) % 3 == 0 else dec
+
+    monkeypatch.setattr(verify_mod, "decompose", fake)
+    saw_failures = False
+    for e in default_corpus():
+        for cap in CAPS:
+            for exhaustive_to, samples in ((10, 300), (2, 5)):
+                args = (e, range(1, cap + 1), exhaustive_to, samples)
+                got, want = both(verify_mod.check_decompose, oracle_decompose, *args)
+                assert got == want, (e.text(), cap, exhaustive_to)
+                saw_failures |= bool(want)
+    assert saw_failures
+
+
+def test_decompose_block_verdict_matches_oracle(monkeypatch):
+    """A scan that calls every length-2 block word non-full reaches the
+    memoized verdict and the per-word oracle alike."""
+    real = verify_mod.scan_states
+
+    def fake(digits, e):
+        states = real(digits, e)
+        return states[:-1] + [0] if len(digits) == 2 else states
+
+    monkeypatch.setattr(verify_mod, "scan_states", fake)
+    saw_failures = False
+    for e in default_corpus():
+        for cap in CAPS:
+            got, want = both(verify_mod.check_decompose, oracle_decompose, e, range(1, cap + 1), 10, 300)
+            assert got == want, (e.text(), cap)
+            saw_failures |= bool(want)
+    assert saw_failures
+
+
+@pytest.mark.parametrize("text", ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"])
+def test_verify_theorems_clean_outside_corpus(text):
+    e = ExpansionOfOne.parse(text)
+    assert text not in {m.text() for m in default_corpus()}
+    assert verify_theorems(e, 6) == []
