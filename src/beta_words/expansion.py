@@ -28,6 +28,8 @@ SeqPair = tuple[tuple[int, ...], tuple[int, ...]]
 
 def seq_digit(pair: SeqPair, i: int) -> int:
     """Digit at 1-based position i of an eventually periodic sequence."""
+    if i < 1:
+        raise ValueError(f"digit positions start at 1, got {i}")
     pre, per = pair
     if i <= len(pre):
         return pre[i - 1]

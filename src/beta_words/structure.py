@@ -68,6 +68,8 @@ class Decomposition:
         eps = e.digits_prefix(max(length for length, _ in pieces))
         digits: list[int] = []
         for length, last in pieces:
+            if length < 1:
+                raise ValueError("decomposition pieces must have length >= 1")
             digits.extend(eps[:length - 1])
             digits.append(last)
         return Word(tuple(digits))

@@ -11,6 +11,9 @@ nonempty), and a certified fixed-point enclosure of the word's cylinder
 left endpoint (length criterion).  Within one prefix family, consecutive
 cylinders differ by exactly beta^-n, so only the last word of each family
 needs a computed length; that keeps the sweep linear with tiny constants.
+The same pass tallies the maximal full and non-full runs, so one streamed
+pass per (member, n) gives both the enumerated run sets that the closed
+forms are checked against and the three fullness criteria.
 
 Sweeps shard on prefix-rank ranges for multiprocess verification; stitching
 merges boundary runs and re-anchors the tail-run position counters, so the
@@ -105,7 +108,15 @@ def _empty_sweep_chunk() -> dict:
         "deferred": [],
         "seen_full": False,
         "trailing_nonfull": 0,
+        "runs": (set(), set(), (True, 0), (True, 0), 1, 0),
     }
+
+
+def _word_text(e: ExpansionOfOne, n: int, rank: int, digit: int) -> str:
+    """Text of the word with length-(n-1) prefix of the given rank and the
+    given last digit; the sweep builds it only when it records a failure."""
+    head = word_at(e, n - 1, rank).digits if n > 1 else ()
+    return Word(head + (digit,)).text()
 
 
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: int) -> dict:
@@ -117,11 +128,15 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     arithmetic.  Tail-run positions of words seen before the shard's first
     full word are deferred to the stitcher, which knows the preceding
     shard's trailing run.
+
+    The chunk's "runs" entry is the shard's run summary in the shape
+    runs.scan_run_lengths returns, ready for runs.stitch_run_scans.  It is
+    tallied here from the structural verdicts rather than by a second walk;
+    the tests hold it against scan_run_lengths.
     """
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
-    remaining = prefix_stop - prefix_start
-    if remaining <= 0:
+    if prefix_stop <= prefix_start:
         return chunk
     failures = chunk["failures"]
     case = e.text()
@@ -144,7 +159,12 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     sum_lo = sum_hi = 0
     deferred = chunk["deferred"]
     seen_full = False
-    nonfull_pos = 0
+    nonfull_pos = 0  # length of the current non-full run
+    full_len = 0  # length of the current full run
+    full_runs: set[int] = set()
+    nonfull_runs: set[int] = set()
+    first_run: tuple[bool, int] | None = None
+    closed = 0
     prefix, states = start_at(e, n - 1, prefix_start)
     kstates = [0] * n
     pl = [0] * n
@@ -154,8 +174,8 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
         pl[i + 1] = pl[i] + d * pow_lo[i + 1]
         ph[i + 1] = ph[i] + d * pow_hi[i + 1]
     last = n - 1
-    while remaining > 0:
-        remaining -= 1
+    last_rank = prefix_stop - 1
+    for rank in range(prefix_start, prefix_stop):
         s = states[last]
         c = cmp_[s]
         a = adv_[s]
@@ -163,24 +183,39 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
         krow = trans[kp]
         children = c + (1 if a else 0)
         words += children
-        base = tuple(prefix)
         for d in kmp_nonzero[kp]:
             if d < c:
-                _record(failures, f"{case} n={n}: word {Word(base + (d,)).text()} is structurally "
+                _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, d)} is structurally "
                                   "full but ends with a prefix of the expansion")
         if c:
             seen_full = True
-            nonfull_pos = 0
+            if nonfull_pos:
+                if first_run is None:
+                    first_run = (False, nonfull_pos)
+                else:
+                    nonfull_runs.add(nonfull_pos)
+                closed += 1
+                nonfull_pos = 0
+                full_len = c
+            else:
+                full_len += c
         if a:
+            if full_len:
+                if first_run is None:
+                    first_run = (True, full_len)
+                else:
+                    full_runs.add(full_len)
+                closed += 1
+                full_len = 0
             nonfull_pos += 1
             k_adv = krow[c]
             if k_adv == 0:
-                _record(failures, f"{case} n={n}: word {Word(base + (c,)).text()} is structurally "
+                _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
                                   "non-full but ends with no prefix of the expansion")
             for sv in chains[k_adv]:
                 if seen_full:
                     if nonfull_pos != taus[sv]:
-                        _record(failures, f"{case} n={n}: word {Word(base + (c,)).text()} ends with "
+                        _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, c)} ends with "
                                           f"the first {sv} digits but sits {nonfull_pos} above the "
                                           f"last full word, expected tau({sv}) = {taus[sv]}")
                 else:
@@ -192,7 +227,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
             last_full = True
         cur_lo = pl[last] + last_digit * pow_lo[n]
         cur_hi = ph[last] + last_digit * pow_hi[n]
-        if remaining:
+        if rank != last_rank:
             # words.walk's step, inlined: on the walker this sweep ran 1.2x slower.
             for t in range(last, 0, -1):
                 st = states[t - 1]
@@ -227,7 +262,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
         if len_hi - xn_lo < 0:
             length_full = False
         elif len_lo - xn_hi > 0:
-            _record(failures, f"{case} n={n}: cylinder of {Word(base + (last_digit,)).text()} "
+            _record(failures, f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
                               "certified longer than beta^-n")
             length_full = None
         elif max(xn_hi - len_lo, len_hi - xn_lo) <= slack:
@@ -236,7 +271,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
             undecided += 1
             length_full = None
         if length_full is not None and length_full != last_full:
-            _record(failures, f"{case} n={n}: word {Word(base + (last_digit,)).text()} is "
+            _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
                               f"{'full' if last_full else 'non-full'} structurally but the "
                               "cylinder-length criterion disagrees")
     chunk["words"] = words
@@ -245,17 +280,21 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     chunk["sum_hi"] = sum_hi
     chunk["seen_full"] = seen_full
     chunk["trailing_nonfull"] = nonfull_pos
+    last_run = (False, nonfull_pos) if nonfull_pos else (True, full_len)
+    chunk["runs"] = (full_runs, nonfull_runs, first_run or last_run, last_run, closed + 1, words)
     return chunk
 
 
 @dataclass
 class SweepResult:
-    """Aggregated outcome of a full-word sweep at one (e, n)."""
+    """Aggregated outcome of a full-word sweep at one (e, n); runs is the
+    stitched run summary in the shape runs.stitch_run_scans returns."""
 
     words: int
     undecided: int
     length_sum: tuple[Fraction, Fraction]
     failures: list[str]
+    runs: tuple
 
 
 def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
@@ -281,7 +320,10 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     sum to 1 within n * tol, the visited-word tally must equal the counting
     recursion, and tail-run positions deferred at shard starts must match
     the greedy step counts once the preceding shard's trailing run is known.
+    The shards' run summaries are stitched into the result's runs.
     """
+    if n < 1:
+        raise ValueError("word length n must be >= 1")
     tol = Fraction(tol)
     bounds = _shard_bounds(prefix_count(e, n), shards)
     if executor is not None and len(bounds) > 1:
@@ -314,7 +356,8 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
                           f"[{sum_lo / one:.17g}, {sum_hi / one:.17g}], not 1 within {n}*tol")
     if words != count(e, n):
         _record(failures, f"{case} n={n}: sweep visited {words} words, count says {count(e, n)}")
-    return SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures)
+    runs = stitch_run_scans([chunk["runs"] for chunk in chunks])
+    return SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures, runs)
 
 
 # --- run-set checks: closed forms against enumeration ---
@@ -326,13 +369,19 @@ def run_sets_check(e: ExpansionOfOne, n: int, shards: int = 1, executor=None):
     Returns (report_row, failures); the row carries both provenances and the
     match verdict.
     """
-    case = e.text()
     bounds = _shard_bounds(prefix_count(e, n), shards)
     if executor is not None and len(bounds) > 1:
         chunks = list(executor.map(_scan_worker, [(e, n, a, b) for a, b in bounds]))
     else:
         chunks = [scan_run_lengths(e, n, a, b) for a, b in bounds]
-    full, nonfull, _, total, last_run = stitch_run_scans(chunks)
+    return _compare_run_sets(e, n, stitch_run_scans(chunks))
+
+
+def _compare_run_sets(e: ExpansionOfOne, n: int, runs):
+    """The report row and failures for stitched enumerated runs at (e, n)
+    against every closed form."""
+    case = e.text()
+    full, nonfull, _, total, last_run = runs
     f_enum = sorted(full)
     n_enum = sorted(nonfull)
     f_formula = sorted(full_run_lengths_formula(e, n))
@@ -679,15 +728,16 @@ def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, shards: int = 1,
     """Formula-versus-enumeration rows plus criterion sweeps for one expansion.
 
     Returns (report_rows, failures): one row per n with the run-length sets
-    from both provenances, and failure strings for anything that broke.
+    from both provenances, and failure strings for anything that broke.  One
+    sweep per n yields the enumerated run sets and the criterion checks.
     """
     rows = []
     failures: list[str] = []
     for n in n_values:
-        row, fails = run_sets_check(e, n, shards, executor)
+        sweep = sweep_fullness(e, n, tol, shards, executor)
+        row, fails = _compare_run_sets(e, n, sweep.runs)
         rows.append(row)
         failures.extend(fails)
-        sweep = sweep_fullness(e, n, tol, shards, executor)
         failures.extend(sweep.failures)
         if sweep.undecided:
             _record(failures, f"{e.text()} n={n}: {sweep.undecided} words undecided by the "

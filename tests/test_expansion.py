@@ -106,6 +106,17 @@ def test_nonzero_sequence():
     assert nonzero_sequence(ExpansionOfOne.parse("1,0,1,0,0,0,1"), 7) == [1, 3, 7]
 
 
+@pytest.mark.parametrize("text", ["3,0,2,0,0,0,0,1", "3,0,0,2;0,0,0,2"])
+def test_digit_positions_start_at_one(text):
+    e = ExpansionOfOne.parse(text)
+    assert e.digit(1) == 3
+    for i in (0, -1):
+        with pytest.raises(ValueError):
+            e.digit(i)
+        with pytest.raises(ValueError):
+            modified_expansion(e).digit(i)
+
+
 def test_max_zero_run_uses_modified_expansion():
     # eps* of 1,1 is (10)^inf: longest zero gap in any window of length n
     assert max_zero_run(GOLDEN, 1) == 0

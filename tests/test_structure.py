@@ -17,6 +17,7 @@ from beta_words import (
     smallest_tail_length,
     successor,
 )
+from beta_words.structure import Decomposition
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -28,6 +29,13 @@ def test_decompose_golden_example():
     assert d.blocks == ((2, 0), (2, 0))
     assert d.tail == (1, 0)
     assert d.reconstruct(GOLDEN) == Word((1, 0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("pieces", [((0, 0),), ((2, 0), (0, 1)), ((-1, 0),)])
+def test_reconstruct_rejects_empty_pieces(pieces):
+    d = Decomposition(pieces[:-1], pieces[-1])
+    with pytest.raises(ValueError):
+        d.reconstruct(GOLDEN)
 
 
 def test_decompose_pearl_example():

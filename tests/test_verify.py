@@ -1,5 +1,6 @@
 """Verification harness: sweeps, theorem checks, and failure detection."""
 
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
 from beta_words.errors import NotAdmissible
-from beta_words.structure import Decomposition, is_full, tail_cap
+from beta_words.structure import DEFAULT_TOL, Decomposition, is_full, tail_cap
 from beta_words.words import Automaton, Word, iter_words, word_at
 
 GOLDEN = ExpansionOfOne.parse("1,1")
@@ -68,6 +69,8 @@ def test_verify_member_rows():
     assert failures == []
     assert [r["n"] for r in rows] == list(range(1, 7))
     assert all(r["match"] for r in rows)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        verify_member(GOLDEN, [0])
 
 
 def test_verify_theorems_clean_small():
@@ -179,6 +182,123 @@ def test_shard_bounds_capped_at_prefix_count():
     assert verify_mod._shard_bounds(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
     assert verify_mod._shard_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
     assert verify_mod._shard_bounds(1, 0) == [(0, 1)]
+
+
+# --- one sweep per (member, n): its run summary against the run scan ---
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_sweep_run_summary_matches_scan(e):
+    for n in range(1, 10):
+        prefixes = runs_mod.prefix_count(e, n)
+        for a, b in ((0, 0), (prefixes, prefixes)):
+            assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)["runs"] == runs_mod.scan_run_lengths(e, n, a, b)
+        for shards in (1, 2, 3, 5):
+            scans = []
+            for a, b in verify_mod._shard_bounds(prefixes, shards):
+                scan = runs_mod.scan_run_lengths(e, n, a, b)
+                assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)["runs"] == scan, (n, shards, a, b)
+                scans.append(scan)
+            assert sweep_fullness(e, n, shards=shards).runs == runs_mod.stitch_run_scans(scans), (n, shards)
+
+
+class CountingExecutor(FakeExecutor):
+    maps = 0
+
+    def map(self, fn, items):
+        CountingExecutor.maps += 1
+        return super().map(fn, items)
+
+
+def test_verify_walks_once(monkeypatch):
+    calls = []
+    real = verify_mod.scan_run_lengths
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, "scan_run_lengths", counted)
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(CountingExecutor, "maps", 0)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    rows, failures = verify_member(PEARL, range(1, 6))
+    assert failures == [] and len(rows) == 5
+    # every n >= 2 has at least two prefixes, so each (member, n) maps once
+    rows, failures = verify_report([GOLDEN, PEARL], range(2, 6), shards=2)
+    assert failures == []
+    assert CountingExecutor.maps == 2 * 4
+    assert calls == []
+    assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(2, 6))[0])
+    assert run_sets_check(PEARL, 4)[1] == []
+    assert len(calls) == 1
+
+
+def tau_off_by_one(monkeypatch):
+    real = verify_mod.tau_table
+    monkeypatch.setattr(verify_mod, "tau_table",
+                        lambda e, bound: [t + 1 if s else t for s, t in enumerate(real(e, bound))])
+
+
+def kmp_first_row(value):
+    def inject(monkeypatch):
+        real = verify_mod._kmp_transitions
+
+        def fake(pattern, alphabet):
+            fail, trans = real(pattern, alphabet)
+            return fail, [[value] * len(trans[0])] + trans[1:]
+
+        monkeypatch.setattr(verify_mod, "_kmp_transitions", fake)
+    return inject
+
+
+def scaled_beta_n(factor):
+    def inject(monkeypatch):
+        real = verify_mod.cylinder_calc
+
+        def fake(e, n, tol):
+            calc = copy.copy(real(e, n, tol))
+            calc.pow_lo = calc.pow_lo[:-1] + [int(calc.pow_lo[-1] * factor)]
+            calc.pow_hi = calc.pow_hi[:-1] + [int(calc.pow_hi[-1] * factor)]
+            return calc
+
+        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+    return inject
+
+
+TAU_1 = "ends with the first 1 digits but sits 1 above the last full word, expected tau(1) = 2"
+NO_PREFIX = "is structurally non-full but ends with no prefix of the expansion"
+PREFIX = "is structurally full but ends with a prefix of the expansion"
+DISAGREES = "is full structurally but the cylinder-length criterion disagrees"
+
+
+@pytest.mark.parametrize("inject, n, expected", [
+    (tau_off_by_one, 1, ["1,1 n=1: greedy step counts over 1..1 are [2], not the full range 1..2",
+                         f"1,1 n=1: word 1 {TAU_1}"]),
+    (tau_off_by_one, 4, ["1,1 n=4: greedy step counts over 1..4 are [2, 3], not the full range 1..3",
+                         f"1,1 n=4: word 0001 {TAU_1}", f"1,1 n=4: word 0101 {TAU_1}",
+                         f"1,1 n=4: word 1001 {TAU_1}"]),
+    (kmp_first_row(0), 1, [f"1,1 n=1: word 1 {NO_PREFIX}"]),
+    (kmp_first_row(0), 4, [f"1,1 n=4: word 0001 {NO_PREFIX}", f"1,1 n=4: word 0101 {NO_PREFIX}",
+                           f"1,1 n=4: word 1001 {NO_PREFIX}"]),
+    (kmp_first_row(1), 1, [f"1,1 n=1: word 0 {PREFIX}"]),
+    (kmp_first_row(1), 3, [f"1,1 n=3: word 000 {PREFIX}", f"1,1 n=3: word 100 {PREFIX}"]),
+    (scaled_beta_n(0.5), 1, ["1,1 n=1: cylinder of 1 certified longer than beta^-n"]),
+    (scaled_beta_n(0.5), 3, ["1,1 n=3: cylinder of 001 certified longer than beta^-n",
+                             "1,1 n=3: cylinder of 010 certified longer than beta^-n",
+                             "1,1 n=3: cylinder of 101 certified longer than beta^-n"]),
+    (scaled_beta_n(2), 2, [f"1,1 n=2: word 10 {DISAGREES}"]),
+    (scaled_beta_n(2), 4, [f"1,1 n=4: word 0010 {DISAGREES}", f"1,1 n=4: word 1010 {DISAGREES}"]),
+])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected, shards):
+    """Run-set failures come first, then the sweep's; the sweep names each
+    word from its family rank, also after the prefix has moved on."""
+    inject(monkeypatch)
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    executor = FakeExecutor(shards) if shards > 1 else None
+    assert verify_member(GOLDEN, [n], shards=shards, executor=executor)[1] == expected
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
