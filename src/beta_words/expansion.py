@@ -203,19 +203,18 @@ def modified_expansion(e: ExpansionOfOne) -> ModifiedExpansion:
 
 def nonzero_sequence(e: ExpansionOfOne, upto: int) -> list[int]:
     """Positions i <= upto with a nonzero digit in eps(1, beta); starts at 1."""
-    return [i for i in range(1, upto + 1) if e.digit(i) != 0]
+    return [i for i, d in enumerate(e.digits_prefix(upto), start=1) if d]
 
 
 def max_zero_run(e: ExpansionOfOne, n: int) -> int:
     """Length of the longest zero run among the first n digits of eps*(1, beta)."""
-    star = modified_expansion(e)
     best = run = 0
-    for i in range(1, n + 1):
-        if star.digit(i) == 0:
+    for d in modified_expansion(e).digits_prefix(n):
+        if d:
+            run = 0
+        else:
             run += 1
             best = max(best, run)
-        else:
-            run = 0
     return best
 
 

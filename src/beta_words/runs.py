@@ -11,11 +11,10 @@ single streamed pass, so they can be checked against each other.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
-from .expansion import ExpansionOfOne, nonzero_sequence
+from .expansion import ExpansionOfOne
 from .structure import _tail_matches, is_full, tail_cap
 from .words import Word, automaton, count, predecessor, start_at, walk
 
@@ -38,16 +37,19 @@ def tau(e: ExpansionOfOne, s: int) -> int:
 
 
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
-    """tau(e, s) for s = 1..bound; index 0 is an unused sentinel."""
-    positions = nonzero_sequence(e, bound)
+    """tau(e, s) for s = 1..bound; index 0 holds tau(0) = 0.
+
+    The greedy walk from s first subtracts P(s), the largest nonzero digit
+    position <= s, and then walks on from s - P(s), so
+    tau(s) = 1 + tau(s - P(s)).  One pass over the first bound digits fills
+    the table in increasing s.
+    """
     table = [0] * (bound + 1)
-    for s in range(1, bound + 1):
-        steps = 0
-        remaining = s
-        while remaining:
-            remaining -= positions[bisect_right(positions, remaining) - 1]
-            steps += 1
-        table[s] = steps
+    last = 0
+    for s, d in enumerate(e.digits_prefix(bound), start=1):
+        if d:
+            last = s
+        table[s] = table[s - last] + 1
     return table
 
 
@@ -55,9 +57,9 @@ def second_nonzero_position(e: ExpansionOfOne) -> int:
     """The second nonzero digit position of eps(1, beta); requires beta not
     an integer, in which case it always exists."""
     _reject_integer_beta(e)
-    horizon = len(e.preperiod) + len(e.period) + 1
-    for i in range(2, horizon + 1):
-        if e.digit(i):
+    digits = e.digits_prefix(len(e.preperiod) + len(e.period) + 1)
+    for i, d in enumerate(digits[1:], start=2):
+        if d:
             return i
     raise VerificationError("no second nonzero digit found")
 
@@ -65,19 +67,27 @@ def second_nonzero_position(e: ExpansionOfOne) -> int:
 # --- closed-form run-length sets ---
 
 
+def _nonzero_values(e: ExpansionOfOne, upto: int) -> set[int]:
+    """The nonzero digit values among the first upto digits of eps(1, beta).
+
+    Past the first |preperiod| + |period| digits the values repeat (a finite
+    expansion has only zeros there), so the prefix stops at that horizon.
+    """
+    return {d for d in e.digits_prefix(min(upto, len(e.preperiod) + len(e.period))) if d}
+
+
 def _full_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     _reject_integer_beta(e)
     if n < 1:
         raise ValueError("word length n must be >= 1")
-    values = {e.digit(i) for i in nonzero_sequence(e, n)}
     m = e.finite_length
     if not e.is_finite or m >= n:
-        return "short-or-infinite", tuple(sorted(values))
+        return "short-or-infinite", tuple(sorted(_nonzero_values(e, n)))
     boundary = e.digit(1) + e.digit(m)
     if n % m == 0:
-        return "finite-multiple", tuple(sorted(values | {boundary}))
-    values = {e.digit(i) for i in nonzero_sequence(e, n) if i != m}
-    return "finite-nonmultiple", tuple(sorted(values | {boundary}))
+        return "finite-multiple", tuple(sorted(_nonzero_values(e, n) | {boundary}))
+    # m < n, so the digits past position m - 1 are eps_M and zeros
+    return "finite-nonmultiple", tuple(sorted(_nonzero_values(e, m - 1) | {boundary}))
 
 
 def full_run_lengths_formula(e: ExpansionOfOne, n: int) -> tuple[int, ...]:
@@ -103,8 +113,8 @@ def min_full_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
     m = e.finite_length
     if e.is_finite and m < n and n % m != 0:
-        return min(e.digit(i) for i in nonzero_sequence(e, m) if i != m)
-    return min(e.digit(i) for i in nonzero_sequence(e, n))
+        return min(_nonzero_values(e, m - 1))
+    return min(_nonzero_values(e, n))
 
 
 def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:

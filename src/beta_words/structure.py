@@ -158,11 +158,12 @@ class CylinderCalc:
         self.pow_lo, self.pow_hi = pow_lo, pow_hi
         self.one = one
 
-    def pi_bounds(self, digits) -> tuple[int, int]:
-        """Scaled enclosure of sum_i w_i beta^-i."""
+    def pi_bounds(self, digits, offset: int = 0) -> tuple[int, int]:
+        """Scaled enclosure of sum_i w_i beta^-(offset + i): the digits'
+        share of a word whose first offset digits are summed elsewhere."""
         lo = hi = 0
         pow_lo, pow_hi = self.pow_lo, self.pow_hi
-        for i, d in enumerate(digits, start=1):
+        for i, d in enumerate(digits, start=offset + 1):
             if d:
                 lo += d * pow_lo[i]
                 hi += d * pow_hi[i]
@@ -217,11 +218,24 @@ class CylinderInterval:
 
 def _cylinder_ends(w: Word, e: ExpansionOfOne, tol) -> tuple[CylinderCalc, tuple[int, int], tuple[int, int]]:
     """The calculator for (e, |w|) and the scaled enclosures of the left
-    endpoint of w and of its successor (1 for the maximal word)."""
+    endpoint of w and of its successor (1 for the maximal word).
+
+    The successor agrees with w before its last nonzero digit, at index t,
+    so the first t digits are summed once and shared.  Both enclosures are
+    the same integer sums that a full pass over each word gives.
+    """
     calc = cylinder_calc(e, len(w), tol)
     nxt = successor(w, e)
-    right = calc.pi_bounds(nxt.digits) if nxt is not None else (calc.one, calc.one)
-    return calc, calc.pi_bounds(w.digits), right
+    if nxt is None:
+        return calc, calc.pi_bounds(w.digits), (calc.one, calc.one)
+    succ = nxt.digits
+    t = len(succ) - 1
+    while not succ[t]:
+        t -= 1
+    lo, hi = calc.pi_bounds(w.digits[:t])
+    rest_lo, rest_hi = calc.pi_bounds(w.digits[t:], t)
+    d = succ[t]
+    return calc, (lo + rest_lo, hi + rest_hi), (lo + d * calc.pow_lo[t + 1], hi + d * calc.pow_hi[t + 1])
 
 
 def cylinder(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = DEFAULT_TOL) -> CylinderInterval:

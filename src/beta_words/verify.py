@@ -308,11 +308,6 @@ def _sweep_worker(args):
     return sweep_shard(e, n, tol, start, stop)
 
 
-def _scan_worker(args):
-    e, n, start, stop = args
-    return scan_run_lengths(e, n, start, stop)
-
-
 def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, executor=None) -> SweepResult:
     """Run the word sweep over the whole enumeration, optionally sharded.
 
@@ -363,18 +358,14 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
 # --- run-set checks: closed forms against enumeration ---
 
 
-def run_sets_check(e: ExpansionOfOne, n: int, shards: int = 1, executor=None):
-    """Enumerate run lengths (sharded) and compare every closed form.
+def run_sets_check(e: ExpansionOfOne, n: int):
+    """Enumerate run lengths in one in-process scan and compare every
+    closed form.
 
     Returns (report_row, failures); the row carries both provenances and the
     match verdict.
     """
-    bounds = _shard_bounds(prefix_count(e, n), shards)
-    if executor is not None and len(bounds) > 1:
-        chunks = list(executor.map(_scan_worker, [(e, n, a, b) for a, b in bounds]))
-    else:
-        chunks = [scan_run_lengths(e, n, a, b) for a, b in bounds]
-    return _compare_run_sets(e, n, stitch_run_scans(chunks))
+    return _compare_run_sets(e, n, stitch_run_scans([scan_run_lengths(e, n)]))
 
 
 def _compare_run_sets(e: ExpansionOfOne, n: int, runs):

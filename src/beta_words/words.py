@@ -76,7 +76,7 @@ class Automaton:
         return tuple(a if c == 0 else 1 for c, a in zip(self.cmp, self.adv))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def automaton(e: ExpansionOfOne) -> Automaton:
     if e.is_finite:
         digits = e.preperiod
@@ -301,6 +301,10 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
 def rank_of(w: Word, e: ExpansionOfOne) -> int:
     """0-based position of w in the lex enumeration of its length."""
     _require_admissible(w, e)
-    table = _count_table(e, len(w))
     n = len(w)
-    return sum(d * table[n - t - 1][1] for t, d in enumerate(w.digits))
+    table = _count_table(e, n)
+    rank = 0
+    for t, d in enumerate(w.digits, start=1):
+        if d:
+            rank += d * table[n - t][1]
+    return rank

@@ -54,6 +54,12 @@ def test_tau_greedy_recursion(e, s):
     steps = tau(e, s)
     positions = nonzero_sequence(e, s)
     largest = max(p for p in positions if p <= s)
+    # the greedy walk itself, with the digits read one position at a time
+    greedy, remaining = 0, s
+    while remaining:
+        remaining -= max(p for p in range(1, remaining + 1) if e.digit(p))
+        greedy += 1
+    assert steps == greedy
     assert 1 <= steps <= s
     if s == largest:
         assert steps == 1

@@ -1,7 +1,10 @@
 """Run lengths of full and non-full words: formulas against enumeration."""
 
+from bisect import bisect_right
+
 import pytest
 
+from beta_words import runs
 from beta_words import (
     ExpansionOfOne,
     IntegerBeta,
@@ -15,11 +18,14 @@ from beta_words import (
     iter_words,
     max_full_run_length,
     max_nonfull_run_length,
+    max_zero_run,
     maximal_runs,
     min_full_run_length,
     min_nonfull_run_length,
+    modified_expansion,
     nonfull_run_case,
     nonfull_run_lengths_formula,
+    nonzero_sequence,
     run_sets_enumerated,
     run_sets_formula,
     second_nonzero_position,
@@ -203,3 +209,104 @@ def test_run_count_parity():
         for a, b in zip(recs, recs[1:]):
             assert a.kind != b.kind
         assert sum(r.length for r in recs) == count(e, 6)
+
+
+# --- the closed forms against per-position oracles ---
+#
+# The oracles below read one digit per position through e.digit and walk the
+# greedy subtraction for every s; the library reads digit prefixes once and
+# fills tau by its recursion.  Both must give the same values everywhere.
+
+ORACLE_MEMBERS = MEMBERS + ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
+
+
+def oracle_nonzero_sequence(e, upto):
+    return [i for i in range(1, upto + 1) if e.digit(i) != 0]
+
+
+def oracle_tau_table(e, bound):
+    positions = oracle_nonzero_sequence(e, bound)
+    table = [0] * (bound + 1)
+    for s in range(1, bound + 1):
+        steps = 0
+        remaining = s
+        while remaining:
+            remaining -= positions[bisect_right(positions, remaining) - 1]
+            steps += 1
+        table[s] = steps
+    return table
+
+
+def oracle_second_nonzero_position(e):
+    return next(i for i in range(2, len(e.preperiod) + len(e.period) + 2) if e.digit(i))
+
+
+def oracle_max_zero_run(e, n):
+    star = modified_expansion(e)
+    best = run = 0
+    for i in range(1, n + 1):
+        run = run + 1 if star.digit(i) == 0 else 0
+        best = max(best, run)
+    return best
+
+
+def oracle_full_case(e, n):
+    values = {e.digit(i) for i in oracle_nonzero_sequence(e, n)}
+    m = e.finite_length
+    if not e.is_finite or m >= n:
+        return "short-or-infinite", tuple(sorted(values))
+    boundary = e.digit(1) + e.digit(m)
+    if n % m == 0:
+        return "finite-multiple", tuple(sorted(values | {boundary}))
+    values = {e.digit(i) for i in oracle_nonzero_sequence(e, n) if i != m}
+    return "finite-nonmultiple", tuple(sorted(values | {boundary}))
+
+
+def oracle_min_full_run_length(e, n):
+    m = e.finite_length
+    if e.is_finite and m < n and n % m != 0:
+        return min(e.digit(i) for i in oracle_nonzero_sequence(e, m) if i != m)
+    return min(e.digit(i) for i in oracle_nonzero_sequence(e, n))
+
+
+def closed_forms(e, n):
+    """Every public closed-form value at (e, n), looked up on the module so
+    that patched helpers take effect."""
+    return [
+        runs.full_run_case(e, n),
+        runs.full_run_lengths_formula(e, n),
+        runs.max_full_run_length(e, n),
+        runs.min_full_run_length(e, n),
+        runs.nonfull_run_case(e, n),
+        runs.nonfull_run_lengths_formula(e, n),
+        runs.max_nonfull_run_length(e, n),
+        runs.min_nonfull_run_length(e, n),
+        runs.run_sets_formula(e, n),
+        runs.classify_last_run(e, n),
+    ]
+
+
+@pytest.mark.parametrize("text", ORACLE_MEMBERS)
+def test_closed_forms_match_per_position_oracles(text, monkeypatch):
+    e = ExpansionOfOne.parse(text)
+    got = [closed_forms(e, n) for n in range(1, 301)]
+    monkeypatch.setattr(runs, "tau_table", oracle_tau_table)
+    monkeypatch.setattr(runs, "second_nonzero_position", oracle_second_nonzero_position)
+    monkeypatch.setattr(runs, "_full_case", oracle_full_case)
+    monkeypatch.setattr(runs, "min_full_run_length", oracle_min_full_run_length)
+    for n in range(1, 301):
+        assert got[n - 1] == closed_forms(e, n), (text, n)
+
+
+@pytest.mark.parametrize("text", ORACLE_MEMBERS)
+def test_tau_and_positions_match_per_position_oracles(text):
+    e = ExpansionOfOne.parse(text)
+    table = oracle_tau_table(e, 600)
+    assert tau_table(e, 600) == table
+    assert [tau(e, s) for s in range(1, 601)] == table[1:]
+    assert tau_table(e, 0) == [0]
+    for upto in range(0, 601):
+        assert nonzero_sequence(e, upto) == oracle_nonzero_sequence(e, upto), upto
+    for n in range(0, 301):
+        assert max_zero_run(e, n) == oracle_max_zero_run(e, n), n
+    assert second_nonzero_position(e) == oracle_second_nonzero_position(e)

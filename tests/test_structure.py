@@ -1,23 +1,29 @@
 """Structural decomposition, fullness criteria, and cylinder geometry."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from beta_words import (
+    DEFAULT_CORPUS,
     ExpansionOfOne,
     Word,
+    count,
     cylinder,
     decompose,
     is_full,
     is_full_by_length,
     is_full_by_tail,
     iter_words,
+    max_word,
     mismatch,
+    rank_of,
     smallest_tail_length,
     successor,
+    word_at,
 )
-from beta_words.structure import Decomposition
+from beta_words.structure import DEFAULT_TOL, Decomposition, _cylinder_ends, cylinder_calc
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -140,3 +146,66 @@ def test_successor_shares_boundary():
     c1 = cylinder(w, GOLDEN)
     c2 = cylinder(successor(w, GOLDEN), GOLDEN)
     assert c1.right == c2.left
+
+
+# --- cylinder ends against two full passes ---
+
+CYLINDER_NS = [1, 2, 3, 9, 40, 512]
+
+
+def cylinder_words(e, n):
+    """Rank 0, the maximal word, the last word starting with 0 (its
+    successor carries into position 1) and seeded ranks."""
+    total = count(e, n)
+    ranks = {0, total - 1, count(e, n - 1) - 1 if n > 1 else 0}
+    rng = random.Random(n)
+    ranks.update(rng.randrange(total) for _ in range(12))
+    return [word_at(e, n, r) for r in sorted(ranks)]
+
+
+def two_pass_ends(w, e):
+    calc = cylinder_calc(e, len(w), DEFAULT_TOL)
+    nxt = successor(w, e)
+    right = calc.pi_bounds(nxt.digits) if nxt is not None else (calc.one, calc.one)
+    return calc, calc.pi_bounds(w.digits), right
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+@pytest.mark.parametrize("n", CYLINDER_NS)
+def test_cylinder_ends_match_two_passes(text, n):
+    e = ExpansionOfOne.parse(text)
+    words = cylinder_words(e, n)
+    assert words[-1] == max_word(e, n)
+    if n > 1:
+        carry = successor(word_at(e, n, count(e, n - 1) - 1), e)
+        assert carry.digits == (1,) + (0,) * (n - 1)
+    for w in words:
+        calc, left, right = two_pass_ends(w, e)
+        assert _cylinder_ends(w, e, DEFAULT_TOL) == (calc, left, right)
+        c = cylinder(w, e)
+        assert c.left == tuple(map(calc.as_fraction, left))
+        assert c.right == tuple(map(calc.as_fraction, right))
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_pi_bounds_split_at_any_index(text):
+    e = ExpansionOfOne.parse(text)
+    for n in (1, 9, 40):
+        calc = cylinder_calc(e, n)
+        for w in cylinder_words(e, n):
+            d = w.digits
+            whole = calc.pi_bounds(d)
+            for t in range(n + 1):
+                head, tail = calc.pi_bounds(d[:t]), calc.pi_bounds(d[t:], t)
+                assert (head[0] + tail[0], head[1] + tail[1]) == whole
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_rank_round_trip_at_512(text):
+    e = ExpansionOfOne.parse(text)
+    for w in cylinder_words(e, 512):
+        assert word_at(e, 512, rank_of(w, e)) == w
+    rng = random.Random(text)
+    for _ in range(20):
+        index = rng.randrange(count(e, 512))
+        assert rank_of(word_at(e, 512, index), e) == index

@@ -199,3 +199,17 @@ def test_count_table_out_of_order(text, monkeypatch):
         assert rank_of(w, e) == i
     assert [count(e, n) for n in range(1, 41)] == [fresh[n][1] for n in range(1, 41)]
     assert len(words_mod._COUNT_ROWS[e]) == 41
+
+
+def test_automaton_cache_is_bounded():
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-entry cache
+    members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
+    for e in members:
+        automaton(e)
+    assert automaton.cache_info().currsize <= 64
+    first = members[0]
+    misses = automaton.cache_info().misses
+    aut = automaton(first)
+    assert automaton.cache_info().misses == misses + 1
+    assert (aut.cmp, aut.adv, aut.maxdig) == ((0, 2, 1), (0, 2, 0), (0, 2, 0))
+    assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
