@@ -24,7 +24,7 @@ from .expansion import (
     nonzero_sequence,
     solve_beta,
 )
-from .runs import maximal_runs, run_sets_formula, tau_table
+from .runs import FULL, maximal_runs, run_sets_formula, tau_table
 from .structure import (
     DEFAULT_TOL,
     UNDECIDED,
@@ -33,7 +33,7 @@ from .structure import (
     is_full_by_length,
     smallest_tail_length,
 )
-from .verify import render_report, run_sets_check, verify_report
+from .verify import _compare_run_sets, render_report, verify_report
 from .words import Word, count, iter_words, scan_states
 
 OK = 0
@@ -286,8 +286,16 @@ def cmd_runs(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     formula = run_sets_formula(e, n)
-    row, failures = run_sets_check(e, n)
     records = maximal_runs(e, n)
+    # the stitched run summary that _compare_run_sets takes, read off the records
+    runs = (
+        {r.length for r in records if r.kind == FULL},
+        {r.length for r in records if r.kind != FULL},
+        len(records),
+        sum(r.length for r in records),
+        (records[-1].kind == FULL, records[-1].length),
+    )
+    row, failures = _compare_run_sets(e, n, runs)
     rows = [
         (r.kind, r.start_index, r.length, r.first_word.text(), r.last_word.text())
         for r in records

@@ -299,23 +299,69 @@ def _poly_sign_at_dyadic(coeffs: tuple[int, ...], num: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _poly_and_slope(coeffs: tuple[int, ...], num: int, k: int) -> tuple[int, int]:
+    """p(x) 2^(kd) and p'(x) 2^(k(d-1)) at x = num / 2^k, p = sum_i
+    coeffs[i] x^i of degree d; one Horner pass in integer arithmetic."""
+    value, slope = coeffs[-1], 0
+    shift = 0
+    for c in reversed(coeffs[:-1]):
+        shift += k
+        slope = slope * num + value
+        value = value * num + (c << shift)
+    return value, slope
+
+
 def _point_interval(value: Fraction) -> BetaInterval:
     return BetaInterval(value, value, lambda target: _point_interval(value))
 
 
+# Bits bisected before Newton steps start, and bits each Newton step stays
+# below doubling, so that the step's error (about |p''/2p'| times the
+# squared bracket width) lands well inside one cell of the new level.
+_NEWTON_FROM_BITS = 16
+_NEWTON_SLACK_BITS = 4
+
+
 def _dyadic_bisect(coeffs: tuple[int, ...], num_lo: int, k: int, target) -> BetaInterval:
-    # invariant: the polynomial is positive at num_lo / 2^k and negative at
-    # (num_lo + 1) / 2^k, so the root stays bracketed as k grows
+    """Narrow the root's dyadic cell [num_lo, num_lo + 1] / 2^k until its
+    width is at most target.
+
+    Invariant: the polynomial is positive at num_lo / 2^k and negative at
+    (num_lo + 1) / 2^k, and the root is its only one there.  Below
+    _NEWTON_FROM_BITS each step bisects.  From there on each step is one
+    integer Newton step from the cell's midpoint that nearly doubles the
+    level, certified by the same sign test: the new cell must lie inside the
+    old one, with + at its left end and - at its right end.  A step that
+    fails the test, or meets a zero slope, falls back to bisecting by the
+    midpoint's sign.  The cell at each level holding the root is unique, so
+    the result (and its refine chain) is bit-identical to pure bisection;
+    a midpoint that is the root gives the same point interval.
+    """
     target = Fraction(target)
     if target <= 0:
         raise InvalidSequence("solve_beta tolerance must be positive")
-    while Fraction(1, 1 << k) > target:
-        num_lo, k = 2 * num_lo, k + 1
-        sign = _poly_sign_at_dyadic(coeffs, num_lo + 1, k)
+    # the least level whose cell width 2^-top is at most target
+    top = (-(-target.denominator // target.numerator) - 1).bit_length()
+    while k < top:
+        mid = 2 * num_lo + 1
+        if k < _NEWTON_FROM_BITS:
+            sign = _poly_sign_at_dyadic(coeffs, mid, k + 1)
+        else:
+            value, slope = _poly_and_slope(coeffs, mid, k + 1)
+            sign = (value > 0) - (value < 0)
+            step = min(max(2 * k - _NEWTON_SLACK_BITS, k + 1), top)
+            if sign and slope:
+                # x - p(x)/p'(x) at x = mid / 2^(k+1), floored at level step
+                cell = ((mid * slope - value) << (step - k - 1)) // slope
+                first, last = num_lo << (step - k), ((num_lo + 1) << (step - k)) - 1
+                if (first <= cell <= last
+                        and (cell == first or _poly_sign_at_dyadic(coeffs, cell, step) > 0)
+                        and (cell == last or _poly_sign_at_dyadic(coeffs, cell + 1, step) < 0)):
+                    num_lo, k = cell, step
+                    continue
         if sign == 0:
-            return _point_interval(Fraction(num_lo + 1, 1 << k))
-        if sign > 0:
-            num_lo += 1
+            return _point_interval(Fraction(mid, 1 << (k + 1)))
+        num_lo, k = mid if sign > 0 else mid - 1, k + 1
     refine = lambda t: _dyadic_bisect(coeffs, num_lo, k, t)
     return BetaInterval(Fraction(num_lo, 1 << k), Fraction(num_lo + 1, 1 << k), refine)
 
@@ -323,10 +369,13 @@ def _dyadic_bisect(coeffs: tuple[int, ...], num_lo: int, k: int, target) -> Beta
 def solve_beta(e: ExpansionOfOne, tol: Fraction | float | str = Fraction(1, 10**12)) -> BetaInterval:
     """Bracket the unique beta > 1 with expansion of 1 equal to e.
 
-    Dyadic bisection of the cleared-denominator root polynomial over
-    [eps_1, eps_1 + 1]; the returned interval has width <= tol (width 0 when
-    the root is hit exactly) and carries a refine callback that resumes the
-    bisection instead of restarting it.
+    Narrows a dyadic cell of the cleared-denominator root polynomial from
+    [eps_1, eps_1 + 1]: 16 bits by bisection, then certified Newton steps
+    that each nearly double the bits, falling back to a bisection step when
+    a step's cell fails the sign test.  The interval is the one plain
+    bisection gives, with width <= tol (width 0 when the root is hit
+    exactly), and carries a refine callback that resumes from it instead of
+    restarting.
     """
     coeffs = _root_polynomial(e)
     base = e.alphabet_max

@@ -382,7 +382,7 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
 
 def matched_tail_lengths(w: Word, e: ExpansionOfOne) -> list[int]:
     """All s for which w ends with eps_1..eps_s, in increasing order."""
-    return list(_tail_matches(w, e))
+    return _tail_matches(w, e)
 
 
 def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int:
@@ -400,9 +400,10 @@ def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int
         s = matches[0]
     elif s not in matches:
         raise TailMismatch(f"word does not end with the first {s} expansion digits")
-    if len({tau(e, m) for m in matches}) != 1:
+    taus = tau_table(e, matches[-1])
+    if len({taus[m] for m in matches}) != 1:
         raise VerificationError("tail lengths disagree on the predicted run length")
-    steps = tau(e, s)
+    steps = taus[s]
     current: Word | None = w
     for _ in range(steps):
         if current is None or is_full(current, e):

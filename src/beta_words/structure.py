@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import NotAdmissible, VerificationError
 from .expansion import ExpansionOfOne, solve_beta
@@ -109,29 +108,64 @@ def tail_cap(e: ExpansionOfOne, n: int) -> int:
     return n if not e.is_finite else min(e.finite_length - 1, n)
 
 
-def _tail_matches(w: Word, e: ExpansionOfOne) -> Iterator[int]:
+def _kmp_failure(pattern: tuple[int, ...]) -> list[int]:
+    """fail[k]: the longest proper border of pattern[:k] (KMP failure table)."""
+    fail = [0] * (len(pattern) + 1)
+    k = 0
+    for i in range(1, len(pattern)):
+        while k and pattern[i] != pattern[k]:
+            k = fail[k]
+        if pattern[i] == pattern[k]:
+            k += 1
+        fail[i + 1] = k
+    return fail
+
+
+def _kmp_chains(fail: list[int]) -> list[tuple[int, ...]]:
+    """chains[k] = all match lengths ending here: k and its proper borders."""
+    chains: list[tuple[int, ...]] = [()]
+    for k in range(1, len(fail)):
+        chains.append((k,) + chains[fail[k]])
+    return chains
+
+
+def _tail_matches(w: Word, e: ExpansionOfOne) -> list[int]:
     """Lengths s <= tail_cap, ascending, for which w ends with eps_1..eps_s.
 
-    Lazy, so a caller can stop at the first match.
+    One KMP pass over the last tail_cap digits of w against eps_1..eps_cap
+    finds the longest such s; the others are its borders, down the failure
+    table.  Linear in n, where comparing the two tails for every s is
+    quadratic.
     """
     check_alphabet(w.digits, e)
     scan_states(w.digits, e)
     n = len(w)
-    s_max = tail_cap(e, n)
-    prefix = e.digits_prefix(s_max)
-    for s in range(1, s_max + 1):
-        if w.digits[n - s:] == prefix[:s]:
-            yield s
+    cap = tail_cap(e, n)
+    pattern = e.digits_prefix(cap)
+    fail = _kmp_failure(pattern)
+    k = 0
+    # k <= the digits read so far, so k < cap until the last digit is read
+    for d in w.digits[n - cap:]:
+        while k and pattern[k] != d:
+            k = fail[k]
+        if pattern[k] == d:
+            k += 1
+    matches = []
+    while k:
+        matches.append(k)
+        k = fail[k]
+    return matches[::-1]
 
 
 def is_full_by_tail(w: Word, e: ExpansionOfOne) -> bool:
     """Suffix criterion: w is full iff it ends with no prefix of eps(1, beta)."""
-    return next(_tail_matches(w, e), None) is None
+    return not _tail_matches(w, e)
 
 
 def smallest_tail_length(w: Word, e: ExpansionOfOne) -> int | None:
     """Smallest s with w ending in eps_1..eps_s; None when w is full."""
-    return next(_tail_matches(w, e), None)
+    matches = _tail_matches(w, e)
+    return matches[0] if matches else None
 
 
 class CylinderCalc:

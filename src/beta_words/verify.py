@@ -47,7 +47,7 @@ from .runs import (
     tail_run_prediction,
     tau_table,
 )
-from .structure import DEFAULT_TOL, cylinder_calc, decompose, is_full, tail_cap
+from .structure import DEFAULT_TOL, _kmp_chains, _kmp_failure, cylinder_calc, decompose, is_full, tail_cap
 from .words import Word, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
 
 MAX_FAILURES = 24
@@ -59,18 +59,6 @@ def _record(failures: list[str], message: str) -> None:
 
 
 # --- KMP matcher for "ends with a prefix of eps(1, beta)" ---
-
-
-def _kmp_failure(pattern: tuple[int, ...]) -> list[int]:
-    fail = [0] * (len(pattern) + 1)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i + 1] = k
-    return fail
 
 
 def _kmp_transitions(pattern: tuple[int, ...], alphabet: int):
@@ -88,14 +76,6 @@ def _kmp_transitions(pattern: tuple[int, ...], alphabet: int):
             row.append(j + 1 if j < size and pattern[j] == d else 0)
         trans.append(row)
     return fail, trans
-
-
-def _kmp_chains(fail: list[int]) -> list[tuple[int, ...]]:
-    """chains[k] = all match lengths ending here: k and its proper borders."""
-    chains: list[tuple[int, ...]] = [()]
-    for k in range(1, len(fail)):
-        chains.append((k,) + chains[fail[k]])
-    return chains
 
 
 def _empty_sweep_chunk() -> dict:

@@ -242,21 +242,30 @@ def iter_words(
         yield Word(word)
 
 
+# Count rows per expansion, least recently used first, bounded like
+# automaton's lru_cache.
 _COUNT_ROWS: dict[ExpansionOfOne, list[tuple[int, ...]]] = {}
+_COUNT_ROWS_MAX = 64
 
 
 def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
     """table[m][j] = number of admissible length-m continuations from state j.
 
     One row list per expansion, extended on demand, so it holds at least
-    rows 0..n and never more rows than the largest n asked for.
+    rows 0..n and never more rows than the largest n asked for.  Each call
+    marks e as most recently used; a new expansion past _COUNT_ROWS_MAX
+    evicts the least recently used one.
     """
-    table = _COUNT_ROWS.get(e)
-    if table is None or len(table) <= n:
+    table = _COUNT_ROWS.pop(e, None)
+    if table is None:
+        while len(_COUNT_ROWS) >= _COUNT_ROWS_MAX:
+            del _COUNT_ROWS[next(iter(_COUNT_ROWS))]
+        table = [(0,) + (1,) * (len(automaton(e).cmp) - 1)]
+    _COUNT_ROWS[e] = table
+    if len(table) <= n:
         aut = automaton(e)
         cmp, adv = aut.cmp, aut.adv
         width = len(cmp)
-        table = _COUNT_ROWS.setdefault(e, [(0,) + (1,) * (width - 1)])
         while len(table) <= n:
             prev = table[-1]
             row = [0] * width

@@ -162,3 +162,72 @@ def test_runs_has_no_shards_option(capsys):
     code, _, err = run_cli(capsys, "runs", "--seq", "1,1", "--n", "4", "--shards", "2")
     assert code == 2
     assert "--shards" in err
+
+
+# --- runs: one walk, read off the records, against the two-walk path ---
+
+from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
+
+
+def two_walk_runs(args, out, err):
+    """cmd_runs as it was: run_sets_check's scan, then maximal_runs."""
+    e = ExpansionOfOne.parse(args.seq)
+    n = cli._parse_n(args)
+    formula = run_sets_formula(e, n)
+    row, failures = run_sets_check(e, n)
+    records = maximal_runs(e, n)
+    rows = [
+        (r.kind, r.start_index, r.length, r.first_word.text(), r.last_word.text())
+        for r in records
+    ]
+    summary = {
+        "F_formula": sorted(formula.full),
+        "F_enum": row["F_enum"],
+        "N_formula": sorted(formula.nonfull),
+        "N_enum": row["N_enum"],
+        "match": row["match"] and not failures,
+    }
+    if args.format == "json":
+        payload = {
+            "records": [dict(zip(["kind", "start_index", "length", "first_word", "last_word"], r))
+                        for r in rows],
+            **summary,
+        }
+        json.dump(payload, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        cli._emit_rows(args.format, ["kind", "start_index", "length", "first_word", "last_word"], rows, out)
+        if args.format == "plain":
+            for key in ("F_formula", "F_enum", "N_formula", "N_enum"):
+                out.write(f"{key} {{{','.join(str(v) for v in summary[key])}}}\n")
+            out.write(f"match {str(summary['match']).lower()}\n")
+    for message in failures:
+        err.write(message + "\n")
+    return cli.OK if summary["match"] else cli.MISMATCH
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_runs_output_matches_two_walk_path(text, capsys, monkeypatch):
+    for n in range(1, 9):
+        for fmt in ("plain", "json", "csv"):
+            argv = ("runs", "--seq", text, "--n", str(n), "--format", fmt)
+            got = run_cli(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_runs", two_walk_runs)
+                want = run_cli(capsys, *argv)
+            assert got == want, (text, n, fmt)
+            assert got[0] == 0 and got[2] == ""
+
+
+def test_runs_failures_match_two_walk_path(capsys, monkeypatch):
+    # a wrong closed form must give the same report, messages and exit code
+    real = verify_mod.full_run_lengths_formula
+    monkeypatch.setattr(verify_mod, "full_run_lengths_formula", lambda e, n: real(e, n) + (99,))
+    for text in ("1,1", "3,0,0,2;0,0,0,2"):
+        argv = ("runs", "--seq", text, "--n", "5", "--format", "json")
+        got = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "cmd_runs", two_walk_runs)
+            want = run_cli(capsys, *argv)
+        assert got == want
+        assert got[0] == 3 and "differ from enumerated" in got[2]

@@ -310,3 +310,91 @@ def test_tau_and_positions_match_per_position_oracles(text):
     for n in range(0, 301):
         assert max_zero_run(e, n) == oracle_max_zero_run(e, n), n
     assert second_nonzero_position(e) == oracle_second_nonzero_position(e)
+
+
+# --- tail_run_prediction reads one tau table ---
+
+from beta_words import TailMismatch, VerificationError, predecessor
+from beta_words.runs import matched_tail_lengths
+
+
+def oracle_tail_run_prediction(w, e, s=None):
+    """The prediction with one tau call, and so one table, per matched s."""
+    matches = matched_tail_lengths(w, e)
+    if s is None:
+        if not matches:
+            raise TailMismatch("word does not end with a prefix of the expansion of 1")
+        s = matches[0]
+    elif s not in matches:
+        raise TailMismatch(f"word does not end with the first {s} expansion digits")
+    if len({tau(e, m) for m in matches}) != 1:
+        raise VerificationError("tail lengths disagree on the predicted run length")
+    steps = tau(e, s)
+    current = w
+    for _ in range(steps):
+        if current is None or is_full(current, e):
+            raise VerificationError("predicted non-full stretch contains a full word")
+        current = predecessor(current, e)
+    if current is None or not is_full(current, e):
+        raise VerificationError("word below the predicted stretch is not full")
+    return steps
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (TailMismatch, VerificationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("text", MEMBERS)
+def test_tail_run_prediction_matches_oracle(text):
+    e = ExpansionOfOne.parse(text)
+    for n in range(1, 8):
+        for w in iter_words(e, n):
+            for s in (None, 1, 2, n):
+                assert outcome(tail_run_prediction, w, e, s) == outcome(oracle_tail_run_prediction, w, e, s)
+
+
+def test_tail_run_prediction_error_strings():
+    assert outcome(tail_run_prediction, Word((0, 0, 0)), SPARSE) == (
+        "TailMismatch", "word does not end with a prefix of the expansion of 1")
+    assert outcome(tail_run_prediction, Word((0, 0, 1)), SPARSE, 2) == (
+        "TailMismatch", "word does not end with the first 2 expansion digits")
+
+
+def test_tail_run_prediction_builds_one_tau_table(monkeypatch):
+    # 0^5 eps|_300 ends with eps|_1 = 1 and with eps|_300; the old code built
+    # a tau table of length 1 and one of length 300
+    e = ExpansionOfOne.parse("1,0,0,0,0,1;0,0,0,0,0,1")
+    w = Word((0,) * 5 + e.digits_prefix(300))
+    matches = matched_tail_lengths(w, e)
+    assert matches == [1, 300]
+    expected = tau(e, 1)
+    bounds = []
+    real = runs.tau_table
+
+    def spy(e_, bound):
+        bounds.append(bound)
+        return real(e_, bound)
+
+    monkeypatch.setattr(runs, "tau_table", spy)
+    assert tail_run_prediction(w, e) == expected
+    assert bounds == [300]
+
+
+def test_tail_run_prediction_reports_disagreeing_taus(monkeypatch):
+    # a tau table that breaks tau(1) = tau(300) for a word matching both
+    e = ExpansionOfOne.parse("1,0,0,0,0,1;0,0,0,0,0,1")
+    w = Word((0,) * 5 + e.digits_prefix(300))
+    real = runs.tau_table
+
+    def faulty(e_, bound):
+        table = real(e_, bound)
+        if bound >= 300:
+            table[300] += 1
+        return table
+
+    monkeypatch.setattr(runs, "tau_table", faulty)
+    want = ("VerificationError", "tail lengths disagree on the predicted run length")
+    assert outcome(tail_run_prediction, w, e) == outcome(oracle_tail_run_prediction, w, e) == want

@@ -209,3 +209,68 @@ def test_rank_round_trip_at_512(text):
     for _ in range(20):
         index = rng.randrange(count(e, 512))
         assert rank_of(word_at(e, 512, index), e) == index
+
+
+# --- the one-pass tail matcher against the per-s slice comparison ---
+
+from beta_words import AlphabetMismatch, NotAdmissible
+from beta_words.runs import matched_tail_lengths
+from beta_words.structure import _tail_matches, tail_cap
+from beta_words.words import check_alphabet, scan_states
+
+
+def tail_matches_oracle(w, e):
+    """Every s <= tail_cap with w ending in eps_1..eps_s, one slice pair per s."""
+    check_alphabet(w.digits, e)
+    scan_states(w.digits, e)
+    n = len(w)
+    s_max = tail_cap(e, n)
+    prefix = e.digits_prefix(s_max)
+    return [s for s in range(1, s_max + 1) if w.digits[n - s:] == prefix[:s]]
+
+
+def tail_words(e, n, rng):
+    """max_word, two seeded words and 0^(n-s) eps|_s for s = cap and a seeded s."""
+    words = [max_word(e, n)]
+    words += [word_at(e, n, rng.randrange(count(e, n))) for _ in range(2)]
+    cap = tail_cap(e, n)
+    eps = e.digits_prefix(cap)
+    for s in {cap, rng.randint(1, cap)} if cap else ():
+        words.append(Word((0,) * (n - s) + eps[:s]))
+    return words
+
+
+# every n up to 160, then a stride of 10 and the deep-n length 512 up to 600;
+# the quadratic oracle makes every n up to 600 cost seconds per member
+TAIL_NS = sorted(set(range(1, 161)) | set(range(170, 601, 10)) | {511, 512, 513, 599})
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_tail_matches_match_slice_oracle(text):
+    e = ExpansionOfOne.parse(text)
+    rng = random.Random(text)
+    for n in TAIL_NS:
+        for w in tail_words(e, n, rng):
+            assert _tail_matches(w, e) == tail_matches_oracle(w, e), (n, w.text())
+
+
+@pytest.mark.parametrize("text", MEMBERS)
+def test_tail_matches_every_word_small_n(text):
+    e = ExpansionOfOne.parse(text)
+    for n in range(1, 9):
+        for w in iter_words(e, n):
+            want = tail_matches_oracle(w, e)
+            assert _tail_matches(w, e) == want
+            assert matched_tail_lengths(w, e) == want
+            assert smallest_tail_length(w, e) == (want[0] if want else None)
+            assert is_full_by_tail(w, e) == (not want)
+
+
+@pytest.mark.parametrize("call", [_tail_matches, is_full_by_tail, smallest_tail_length, matched_tail_lengths])
+def test_tail_route_error_messages(call):
+    with pytest.raises(AlphabetMismatch, match=r"^digit 4 outside alphabet 0\.\.3$"):
+        call(Word((0, 4, 0)), PEARL)
+    with pytest.raises(NotAdmissible, match=r"^digit 1 at position 2 is not admissible$"):
+        call(Word((1, 1, 0)), GOLDEN)
+    with pytest.raises(NotAdmissible, match=r"^digit 1 at position 8 is not admissible$"):
+        call(Word((3, 0, 2, 0, 0, 0, 0, 1)), PEARL)

@@ -213,3 +213,23 @@ def test_automaton_cache_is_bounded():
     assert automaton.cache_info().misses == misses + 1
     assert (aut.cmp, aut.adv, aut.maxdig) == ((0, 2, 1), (0, 2, 0), (0, 2, 0))
     assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
+
+
+def test_count_rows_are_bounded(monkeypatch):
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
+    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+    members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
+    for e in members:
+        count(e, 5)
+    assert len(words_mod._COUNT_ROWS) == words_mod._COUNT_ROWS_MAX == 64
+    assert list(words_mod._COUNT_ROWS) == members[6:]
+    first = members[0]
+    assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
+    assert first in words_mod._COUNT_ROWS
+    assert members[6] not in words_mod._COUNT_ROWS
+    # a call marks its expansion most recently used, so it outlives older ones
+    word_at(members[7], 5, 0)
+    count(ExpansionOfOne.parse("1,1"), 3)
+    assert members[7] in words_mod._COUNT_ROWS
+    assert members[8] not in words_mod._COUNT_ROWS
+    assert len(words_mod._COUNT_ROWS) == 64
