@@ -134,7 +134,7 @@ def _tail_matches(w: Word, e: ExpansionOfOne) -> list[int]:
 
     One KMP pass over the last tail_cap digits of w against eps_1..eps_cap
     finds the longest such s; the others are its borders, down the failure
-    table.  Linear in n, where comparing the two tails for every s is
+    table.  Linear in n; comparing the two tails for every s would be
     quadratic.
     """
     check_alphabet(w.digits, e)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from beta_words import cli
+from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
 from beta_words import verify as verify_mod
 
 
@@ -165,8 +166,6 @@ def test_runs_has_no_shards_option(capsys):
 
 
 # --- runs: one walk, read off the records, against the two-walk path ---
-
-from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
 
 
 def two_walk_runs(args, out, err):

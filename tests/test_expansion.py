@@ -17,7 +17,9 @@ from beta_words import (
     solve_beta,
     validate_expansion_of_one,
 )
-from beta_words.expansion import _one_minus_power_sum
+from beta_words import DEFAULT_CORPUS
+from beta_words import expansion as expansion_mod
+from beta_words.expansion import _one_minus_power_sum, _point_interval, _poly_and_slope, _root_polynomial
 
 
 GOLDEN = ExpansionOfOne.parse("1,1")
@@ -142,6 +144,8 @@ def test_solve_beta_golden_value():
 def test_solve_beta_integer_base_is_exact():
     beta = solve_beta(ExpansionOfOne.parse("4"), Fraction(1, 10))
     assert beta.lo == beta.hi == 4
+    beta = solve_beta(ExpansionOfOne.parse("4"), Fraction(1, 2**200))
+    assert beta.lo == beta.hi == beta.refine(Fraction(1, 2**300)).lo == 4
 
 
 def test_refine_narrows_and_keeps_bracket():
@@ -182,9 +186,6 @@ def test_env_precision_cap(monkeypatch):
 
 # --- certified Newton steps against the plain bisection they replace ---
 
-from beta_words import DEFAULT_CORPUS
-from beta_words import expansion as expansion_mod
-from beta_words.expansion import _point_interval, _poly_and_slope, _root_polynomial
 
 SOLVE_SPECS = list(DEFAULT_CORPUS) + ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
 TOL_BITS = [8, 15, 16, 17, 40, 100, 333, 1112, 2200]
@@ -231,9 +232,7 @@ def test_solve_beta_matches_bisection(text):
     assert solve_beta(e, Fraction(3, 7)) == solve_oracle(e, Fraction(3, 7))
 
 
-def test_solve_beta_integer_and_bad_tolerance_unchanged():
-    e = ExpansionOfOne.parse("4")
-    assert (solve_beta(e, Fraction(1, 2**200)).lo, solve_beta(e).hi) == (4, 4)
+def test_solve_beta_rejects_bad_tolerance():
     for tol in (0, -1):
         with pytest.raises(InvalidSequence, match="tolerance must be positive"):
             solve_beta(GOLDEN, tol)

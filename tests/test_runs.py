@@ -33,6 +33,8 @@ from beta_words import (
     tau,
     tau_table,
 )
+from beta_words import TailMismatch, VerificationError, predecessor
+from beta_words.runs import matched_tail_lengths
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -313,9 +315,6 @@ def test_tau_and_positions_match_per_position_oracles(text):
 
 
 # --- tail_run_prediction reads one tau table ---
-
-from beta_words import TailMismatch, VerificationError, predecessor
-from beta_words.runs import matched_tail_lengths
 
 
 def oracle_tail_run_prediction(w, e, s=None):

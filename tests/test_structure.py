@@ -23,7 +23,10 @@ from beta_words import (
     successor,
     word_at,
 )
-from beta_words.structure import DEFAULT_TOL, Decomposition, _cylinder_ends, cylinder_calc
+from beta_words import AlphabetMismatch, NotAdmissible
+from beta_words.runs import matched_tail_lengths
+from beta_words.structure import DEFAULT_TOL, Decomposition, _cylinder_ends, _tail_matches, cylinder_calc, tail_cap
+from beta_words.words import check_alphabet, scan_states
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -212,11 +215,6 @@ def test_rank_round_trip_at_512(text):
 
 
 # --- the one-pass tail matcher against the per-s slice comparison ---
-
-from beta_words import AlphabetMismatch, NotAdmissible
-from beta_words.runs import matched_tail_lengths
-from beta_words.structure import _tail_matches, tail_cap
-from beta_words.words import check_alphabet, scan_states
 
 
 def tail_matches_oracle(w, e):
