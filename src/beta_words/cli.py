@@ -24,7 +24,7 @@ from .expansion import (
     nonzero_sequence,
     solve_beta,
 )
-from .runs import FULL, maximal_runs, run_sets_formula, tau_table
+from .runs import FULL, maximal_runs, one_run, run_sets_formula, stitch_run_scans, tau_table
 from .structure import (
     DEFAULT_TOL,
     UNDECIDED,
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, beta_ok=False, n_default=None, shards=False, check=False, corpus=False):
+    def add_common(p, beta_ok=False, n_default=None, shards=False, check=False, corpus=False, tol=False):
         if corpus:
             p.add_argument("--corpus", metavar="FILE",
                            help="file with one digit-sequence spec per line (# comments)")
@@ -59,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="expansion of 1 as 'a,b,c' (finite) or 'a,b;c,d' (preperiod;period)")
         if beta_ok:
             p.add_argument("--beta", metavar="DECIMAL", help="beta as a decimal string")
-        p.add_argument("--tol", default=str(DEFAULT_TOL), metavar="T",
-                       help="tolerance for numeric work (default 1e-12)")
+        if tol:
+            p.add_argument("--tol", default=str(DEFAULT_TOL), metavar="T",
+                           help="tolerance for numeric work (default 1e-12)")
         if n_default != "range-only":
             p.add_argument("--n", type=int, metavar="N", default=n_default, help="word length")
         if n_default == "range-only" or check:
@@ -73,20 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
         if check:
             p.add_argument("--check", action="store_true",
                            help="cross-check all fullness criteria and fail on disagreement")
-        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
-                       help="output format (default plain)")
+        if not corpus:  # verify always prints its JSON report
+            p.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
+                           help="output format (default plain)")
 
     p = sub.add_parser("expand", help="digits of eps(1,beta) and eps*(1,beta)")
-    add_common(p, beta_ok=True, n_default=16)
+    add_common(p, beta_ok=True, n_default=16, tol=True)
 
     p = sub.add_parser("validate", help="check that a spec is a valid expansion of 1")
-    add_common(p, beta_ok=True, n_default=16)
+    add_common(p, beta_ok=True, n_default=16, tol=True)
 
     p = sub.add_parser("enumerate", help="admissible words of length n in lex order")
     add_common(p)
 
     p = sub.add_parser("classify", help="fullness of every admissible word of length n")
-    add_common(p, check=True)
+    add_common(p, check=True, tol=True)
 
     p = sub.add_parser("runs", help="maximal runs and run-length sets at length n")
     add_common(p)
@@ -95,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="formula-vs-enumeration report over a corpus")
-    add_common(p, n_default="range-only", shards=True, corpus=True)
+    add_common(p, n_default="range-only", shards=True, corpus=True, tol=True)
     return parser
 
 
@@ -287,14 +289,7 @@ def cmd_runs(args, out, err) -> int:
     n = _parse_n(args)
     formula = run_sets_formula(e, n)
     records = maximal_runs(e, n)
-    # the stitched run summary that _compare_run_sets takes, read off the records
-    runs = (
-        {r.length for r in records if r.kind == FULL},
-        {r.length for r in records if r.kind != FULL},
-        len(records),
-        sum(r.length for r in records),
-        (records[-1].kind == FULL, records[-1].length),
-    )
+    runs = stitch_run_scans(one_run(r.kind == FULL, r.length) for r in records)
     row, failures = _compare_run_sets(e, n, runs)
     rows = [
         (r.kind, r.start_index, r.length, r.first_word.text(), r.last_word.text())

@@ -12,6 +12,7 @@ single streamed pass, so they can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne
@@ -219,7 +220,7 @@ def run_sets_formula(e: ExpansionOfOne, n: int) -> RunSets:
 
 def run_sets_enumerated(e: ExpansionOfOne, n: int) -> RunSets:
     """Run-length sets from one streamed pass over the lex enumeration."""
-    full, nonfull, _, _, _ = stitch_run_scans([scan_run_lengths(e, n)])
+    full, nonfull = closed_run_sets(scan_run_lengths(e, n))
     return RunSets(tuple(sorted(full)), tuple(sorted(nonfull)), "enumerated")
 
 
@@ -239,7 +240,7 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
 
     Returns (full_set, nonfull_set, first_run, last_run, run_count, total)
     where the sets hold interior closed runs only and first_run/last_run are
-    (is_full, length) pairs open to merging across shard boundaries.
+    (is_full, length) pairs that merge_runs joins across window boundaries.
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
@@ -248,7 +249,7 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
         prefix_stop = prefixes
     remaining = prefix_stop - prefix_start
     if remaining <= 0:
-        return set(), set(), (True, 0), (True, 0), 1, 0
+        return one_run(True, 0)
     if prefix_stop > prefixes:
         raise VerificationError("prefix range exceeds the enumeration")
     aut = automaton(e)
@@ -297,43 +298,47 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     return full, nonfull, first_run, last_run, closed + 1, total
 
 
+def one_run(is_full: bool, length: int):
+    """Run summary of length consecutive words of one kind, in the shape
+    scan_run_lengths returns; length 0 gives the summary of no words."""
+    run = (is_full, length)
+    return set(), set(), run, run, 1, length
+
+
+def merge_runs(a, b):
+    """Run summary of a's words followed by b's; equal-kind runs at the seam
+    coalesce.  The merge is associative and one_run(True, 0) is its
+    identity, so summaries of consecutive windows reduce in any grouping."""
+    if not a[5]:
+        return b
+    if not b[5]:
+        return a
+    a_full, a_nonfull, a_first, a_last, a_count, a_total = a
+    b_full, b_nonfull, b_first, b_last, b_count, b_total = b
+    fused = a_last[0] == b_first[0]
+    seam = [(a_last[0], a_last[1] + b_first[1])] if fused else [a_last, b_first]
+    runs = ([a_first] if a_count > 1 else []) + seam + ([b_last] if b_count > 1 else [])
+    full, nonfull = a_full | b_full, a_nonfull | b_nonfull
+    for kind, length in runs[1:-1]:
+        (full if kind else nonfull).add(length)
+    return full, nonfull, runs[0], runs[-1], a_count + b_count - fused, a_total + b_total
+
+
 def stitch_run_scans(chunks):
-    """Merge ordered scan_run_lengths outputs; boundary runs of equal kind
-    coalesce.  Returns (full_set, nonfull_set, run_count, total, last_run)
-    with last_run the (is_full, length) pair of the final run, or None when
-    there were no words at all."""
-    full: set[int] = set()
-    nonfull: set[int] = set()
-    runs = 0
-    total = 0
-    carry: tuple[bool, int] | None = None
-    for chunk in chunks:
-        c_full, c_nonfull, first, last, nruns, c_total = chunk
-        total += c_total
-        if c_total == 0:
-            continue
-        if carry is not None:
-            if carry[0] == first[0]:
-                first = (first[0], carry[1] + first[1])
-                if nruns == 1:
-                    carry = first
-                    continue
-            else:
-                (full if carry[0] else nonfull).add(carry[1])
-                runs += 1
-        if nruns == 1:
-            carry = first
-            continue
-        (full if first[0] else nonfull).add(first[1])
-        runs += 1
-        full |= c_full
-        nonfull |= c_nonfull
-        runs += nruns - 2
-        carry = last
-    if carry is not None:
-        (full if carry[0] else nonfull).add(carry[1])
-        runs += 1
-    return full, nonfull, runs, total, carry
+    """Merge ordered run summaries, such as scan_run_lengths outputs over
+    consecutive prefix windows, into one summary of the same shape."""
+    return reduce(merge_runs, chunks, one_run(True, 0))
+
+
+def closed_run_sets(summary) -> tuple[set[int], set[int]]:
+    """The (full, nonfull) run-length sets of a run summary, its first and
+    last runs included."""
+    full, nonfull, first, last, _, total = summary
+    full, nonfull = set(full), set(nonfull)
+    if total:
+        for kind, length in (first, last):
+            (full if kind else nonfull).add(length)
+    return full, nonfull
 
 
 def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:

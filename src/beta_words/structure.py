@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import NotAdmissible, VerificationError
 from .expansion import ExpansionOfOne, solve_beta
-from .words import Word, check_alphabet, scan_states, successor
+from .words import Word, _require_admissible, successor
 
 
 class _Undecided:
@@ -39,8 +39,7 @@ def mismatch(w: Word, e: ExpansionOfOne) -> int | None:
     None means w matches eps(1, beta) through its whole length (the drop, if
     any, lies beyond position n).
     """
-    check_alphabet(w.digits, e)
-    scan_states(w.digits, e)
+    _require_admissible(w, e)
     for k, d in enumerate(w.digits, start=1):
         c = e.digit(k)
         if d < c:
@@ -76,8 +75,7 @@ class Decomposition:
 
 def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:
     """Split w into full blocks and a tail by repeated mismatch scanning."""
-    check_alphabet(w.digits, e)
-    scan_states(w.digits, e)
+    _require_admissible(w, e)
     eps = e.digits_prefix(len(w))
     segments: list[tuple[int, int]] = []
     j = 1
@@ -97,8 +95,7 @@ def is_full(w: Word, e: ExpansionOfOne) -> bool:
 
     Equivalent to the block-match scan ending in state 1.
     """
-    check_alphabet(w.digits, e)
-    return scan_states(w.digits, e)[-1] == 1
+    return _require_admissible(w, e)[-1] == 1
 
 
 def tail_cap(e: ExpansionOfOne, n: int) -> int:
@@ -137,8 +134,7 @@ def _tail_matches(w: Word, e: ExpansionOfOne) -> list[int]:
     table.  Linear in n; comparing the two tails for every s would be
     quadratic.
     """
-    check_alphabet(w.digits, e)
-    scan_states(w.digits, e)
+    _require_admissible(w, e)
     n = len(w)
     cap = tail_cap(e, n)
     pattern = e.digits_prefix(cap)

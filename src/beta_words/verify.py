@@ -15,13 +15,15 @@ The same pass tallies the maximal full and non-full runs, so one streamed
 pass per (member, n) gives both the enumerated run sets that the closed
 forms are checked against and the three fullness criteria.
 
-Sweeps shard on prefix-rank ranges for multiprocess verification; stitching
-merges boundary runs and re-anchors the tail-run position counters, so the
-merged result is identical to a single-shard pass.
+Sweeps shard on prefix-rank ranges for multiprocess verification.  One fold
+of runs.merge_runs over the shards' run summaries both merges boundary runs
+and, read before each shard, re-anchors its tail-run position counters, so
+the merged result is identical to a single-shard pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,16 +36,18 @@ from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
 from .runs import (
     FULL,
     classify_last_run,
+    closed_run_sets,
     full_run_lengths_formula,
     max_full_run_length,
     max_nonfull_run_length,
+    merge_runs,
     min_full_run_length,
     min_nonfull_run_length,
     nonfull_run_lengths_formula,
+    one_run,
     prefix_count,
     scan_run_lengths,
     second_nonzero_position,
-    stitch_run_scans,
     tail_run_prediction,
     tau_table,
 )
@@ -86,9 +90,7 @@ def _empty_sweep_chunk() -> dict:
         "sum_lo": 0,
         "sum_hi": 0,
         "deferred": [],
-        "seen_full": False,
-        "trailing_nonfull": 0,
-        "runs": (set(), set(), (True, 0), (True, 0), 1, 0),
+        "runs": one_run(True, 0),
     }
 
 
@@ -106,11 +108,11 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     Every non-last word of a prefix family has cylinder length exactly
     beta^-n by cancellation, so only family boundaries need certified
     arithmetic.  Tail-run positions of words seen before the shard's first
-    full word are deferred to the stitcher, which knows the preceding
-    shard's trailing run.
+    full word are deferred to sweep_fullness, whose running run summary
+    ends with the preceding shards' trailing run.
 
     The chunk's "runs" entry is the shard's run summary in the shape
-    runs.scan_run_lengths returns, ready for runs.stitch_run_scans.  It is
+    runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
     tallied here from the structural verdicts rather than by a second walk;
     the tests hold it against scan_run_lengths.
     """
@@ -258,8 +260,6 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     chunk["undecided"] = undecided
     chunk["sum_lo"] = sum_lo
     chunk["sum_hi"] = sum_hi
-    chunk["seen_full"] = seen_full
-    chunk["trailing_nonfull"] = nonfull_pos
     last_run = (False, nonfull_pos) if nonfull_pos else (True, full_len)
     chunk["runs"] = (full_runs, nonfull_runs, first_run or last_run, last_run, closed + 1, words)
     return chunk
@@ -268,7 +268,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
 @dataclass
 class SweepResult:
     """Aggregated outcome of a full-word sweep at one (e, n); runs is the
-    stitched run summary in the shape runs.stitch_run_scans returns."""
+    run summary of every word, in the shape runs.scan_run_lengths returns."""
 
     words: int
     undecided: int
@@ -295,7 +295,7 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     sum to 1 within n * tol, the visited-word tally must equal the counting
     recursion, and tail-run positions deferred at shard starts must match
     the greedy step counts once the preceding shard's trailing run is known.
-    The shards' run summaries are stitched into the result's runs.
+    The shards' run summaries fold into the result's runs by merge_runs.
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
@@ -310,7 +310,7 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     failures: list[str] = []
     words = undecided = 0
     sum_lo = sum_hi = 0
-    carry = 0
+    runs = one_run(True, 0)
     for chunk in chunks:
         for message in chunk["failures"]:
             _record(failures, message)
@@ -318,11 +318,12 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         undecided += chunk["undecided"]
         sum_lo += chunk["sum_lo"]
         sum_hi += chunk["sum_hi"]
+        carry = 0 if runs[3][0] else runs[3][1]
         for sv, pos in chunk["deferred"]:
             if carry + pos != taus[sv]:
                 _record(failures, f"{case} n={n}: word ending with the first {sv} digits sits "
                                   f"{carry + pos} above the last full word, expected tau({sv}) = {taus[sv]}")
-        carry = chunk["trailing_nonfull"] if chunk["seen_full"] else carry + chunk["trailing_nonfull"]
+        runs = merge_runs(runs, chunk["runs"])
     calc = cylinder_calc(e, n, tol)
     one = calc.one
     slack = n * ((tol.numerator * one) // tol.denominator)
@@ -331,7 +332,6 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
                           f"[{sum_lo / one:.17g}, {sum_hi / one:.17g}], not 1 within {n}*tol")
     if words != count(e, n):
         _record(failures, f"{case} n={n}: sweep visited {words} words, count says {count(e, n)}")
-    runs = stitch_run_scans([chunk["runs"] for chunk in chunks])
     return SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures, runs)
 
 
@@ -345,14 +345,15 @@ def run_sets_check(e: ExpansionOfOne, n: int):
     Returns (report_row, failures); the row carries both provenances and the
     match verdict.
     """
-    return _compare_run_sets(e, n, stitch_run_scans([scan_run_lengths(e, n)]))
+    return _compare_run_sets(e, n, scan_run_lengths(e, n))
 
 
 def _compare_run_sets(e: ExpansionOfOne, n: int, runs):
-    """The report row and failures for stitched enumerated runs at (e, n)
+    """The report row and failures for the run summary of all words at (e, n)
     against every closed form."""
     case = e.text()
-    full, nonfull, _, total, last_run = runs
+    full, nonfull = closed_run_sets(runs)
+    last_run, total = runs[3], runs[5]
     f_enum = sorted(full)
     n_enum = sorted(nonfull)
     f_formula = sorted(full_run_lengths_formula(e, n))
@@ -390,10 +391,9 @@ def _compare_run_sets(e: ExpansionOfOne, n: int, runs):
             _record(failures, f"{case} n={n}: a non-full run of length {max(n_enum)} exceeds "
                               f"the guaranteed bound {bound}")
     expected = classify_last_run(e, n)
-    last_kind_full = last_run is not None and last_run[0]
-    if (expected.kind == FULL) != last_kind_full:
+    if (expected.kind == FULL) != last_run[0]:
         _record(failures, f"{case} n={n}: run at the maximal word is "
-                          f"{'full' if last_kind_full else 'non-full'}, classification says {expected.kind}")
+                          f"{'full' if last_run[0] else 'non-full'}, classification says {expected.kind}")
     elif expected.length is not None and last_run[1] != expected.length:
         _record(failures, f"{case} n={n}: final full run has length {last_run[1]}, "
                           f"classification says {expected.length}")
@@ -718,23 +718,19 @@ def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, shards: int = 1,
 
 def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     """Rows and failures for a whole corpus; shards > 1 uses a process pool
-    of at most one worker per core.
+    of at most one worker per core, and each sweep makes at most one chunk
+    per pool worker.
 
     The rows depend only on (corpus, n_values), never on the shard count, so
     sharded and unsharded runs render byte-identical reports.
     """
     n_values = list(n_values)
+    workers = min(shards, os.cpu_count() or 1)
     rows = []
     failures: list[str] = []
-    if shards > 1:
-        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as executor:
-            for e in corpus:
-                member_rows, member_failures = verify_member(e, n_values, tol, shards, executor)
-                rows.extend(member_rows)
-                failures.extend(member_failures)
-    else:
+    with ProcessPoolExecutor(max_workers=workers) if shards > 1 else contextlib.nullcontext() as executor:
         for e in corpus:
-            member_rows, member_failures = verify_member(e, n_values, tol)
+            member_rows, member_failures = verify_member(e, n_values, tol, workers, executor)
             rows.extend(member_rows)
             failures.extend(member_failures)
     return rows, failures

@@ -165,6 +165,18 @@ def test_runs_has_no_shards_option(capsys):
     assert "--shards" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--seq", "1,1", "--n", "3", "--tol", "1e-9"),
+    ("runs", "--seq", "1,1", "--n", "3", "--tol", "1e-9"),
+    ("tau", "--seq", "1,1", "--n", "3", "--tol", "1e-9"),
+    ("verify", "--n-range", "1..2", "--format", "json"),
+])
+def test_unread_options_are_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert argv[-2] in err
+
+
 # --- runs: one walk, read off the records, against the two-walk path ---
 
 

@@ -1,5 +1,6 @@
 """Run lengths of full and non-full words: formulas against enumeration."""
 
+import random
 from bisect import bisect_right
 
 import pytest
@@ -397,3 +398,84 @@ def test_tail_run_prediction_reports_disagreeing_taus(monkeypatch):
     monkeypatch.setattr(runs, "tau_table", faulty)
     want = ("VerificationError", "tail lengths disagree on the predicted run length")
     assert outcome(tail_run_prediction, w, e) == outcome(oracle_tail_run_prediction, w, e) == want
+
+
+# --- run summaries: one merge, stitching as its reduce ---
+
+
+def stitch_oracle(chunks):
+    """The carry state machine stitch_run_scans used to be.  Returns
+    (full_set, nonfull_set, run_count, total, last_run) with the boundary
+    runs closed, or last_run None when there were no words at all."""
+    full: set[int] = set()
+    nonfull: set[int] = set()
+    runs = 0
+    total = 0
+    carry = None
+    for chunk in chunks:
+        c_full, c_nonfull, first, last, nruns, c_total = chunk
+        total += c_total
+        if c_total == 0:
+            continue
+        if carry is not None:
+            if carry[0] == first[0]:
+                first = (first[0], carry[1] + first[1])
+                if nruns == 1:
+                    carry = first
+                    continue
+            else:
+                (full if carry[0] else nonfull).add(carry[1])
+                runs += 1
+        if nruns == 1:
+            carry = first
+            continue
+        (full if first[0] else nonfull).add(first[1])
+        runs += 1
+        full |= c_full
+        nonfull |= c_nonfull
+        runs += nruns - 2
+        carry = last
+    if carry is not None:
+        (full if carry[0] else nonfull).add(carry[1])
+        runs += 1
+    return full, nonfull, runs, total, carry
+
+
+def seeded_windows(rng, prefixes, k):
+    """k consecutive prefix windows covering [0, prefixes); from three
+    windows on, the second one is empty."""
+    cuts = sorted(rng.randint(0, prefixes) for _ in range(k - 1))
+    if k >= 3:
+        cuts[1] = cuts[0]
+    edges = [0] + cuts + [prefixes]
+    return list(zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("text", ORACLE_MEMBERS)
+def test_stitching_is_a_reduce_over_merge_runs(text):
+    e = ExpansionOfOne.parse(text)
+    empty = runs.one_run(True, 0)
+    empties = 0
+    for n in range(1, 10):
+        whole = runs.scan_run_lengths(e, n)
+        rng = random.Random(f"{text}/{n}")
+        for k in range(1, 7):
+            scans = [runs.scan_run_lengths(e, n, a, b) for a, b in seeded_windows(rng, runs.prefix_count(e, n), k)]
+            empties += sum(scan[5] == 0 for scan in scans)
+            stitched = runs.stitch_run_scans(scans)
+            assert stitched == whole, (n, k)
+            full, nonfull, count_, total, last = stitch_oracle(scans)
+            assert runs.closed_run_sets(stitched) == (full, nonfull), (n, k)
+            assert (stitched[4], stitched[5], stitched[3]) == (count_, total, last), (n, k)
+            cut = rng.randint(0, k)
+            halves = [runs.stitch_run_scans(scans[:cut]), runs.stitch_run_scans(scans[cut:])]
+            assert runs.stitch_run_scans(halves) == stitched, (n, k, cut)
+            for scan in scans + [stitched]:
+                assert runs.merge_runs(empty, scan) == scan == runs.merge_runs(scan, empty)
+    assert empties > 0
+
+
+def test_closed_run_sets_of_no_words():
+    assert runs.stitch_run_scans([]) == runs.one_run(True, 0)
+    assert runs.closed_run_sets(runs.one_run(True, 0)) == (set(), set())
+    assert runs.closed_run_sets(runs.one_run(False, 3)) == (set(), {3})

@@ -2,6 +2,8 @@
 
 import copy
 import hashlib
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,27 @@ def test_pool_size_bounded_by_cores(monkeypatch, cores, shards, expected):
     assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 5))[0])
 
 
+class BatchExecutor(FakeExecutor):
+    batches: list = []
+
+    def map(self, fn, items):
+        items = list(items)
+        BatchExecutor.batches.append(len(items))
+        return super().map(fn, items)
+
+
+def test_chunks_capped_at_pool_workers(monkeypatch):
+    # one chunk per prefix would make count(e, n - 1) chunks for two workers
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(BatchExecutor, "batches", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    rows, failures = verify_report([GOLDEN, PEARL], range(1, 8), shards=10**6)
+    assert failures == [] and FakeExecutor.sizes == [2]
+    assert BatchExecutor.batches and max(BatchExecutor.batches) <= 2
+    assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 8))[0])
+
+
 def test_shard_bounds_capped_at_prefix_count():
     assert verify_mod._shard_bounds(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
     assert verify_mod._shard_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
@@ -299,6 +322,42 @@ def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected,
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     executor = FakeExecutor(shards) if shards > 1 else None
     assert verify_member(GOLDEN, [n], shards=shards, executor=executor)[1] == expected
+
+
+# A deferred tail failure is checked after its shard has run: it names no
+# word and comes after that shard's own failures, so the lists are compared
+# as multisets of (s, distance) pairs.
+TAIL_FAILURE = re.compile(r"word (?:\S+ ends|ending) with the first (\d+) digits (?:but )?sits (\d+) above")
+
+
+def tail_failures(failures):
+    return Counter(m.groups() if (m := TAIL_FAILURE.search(f)) else f for f in failures)
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
+    """Deferred tail positions read their carry off the running run summary:
+    under a tau table off by one, every tail failure is reported with its
+    distance to the last full word, and each shard count reports the same."""
+    tau_off_by_one(monkeypatch)
+    monkeypatch.setattr(verify_mod, "MAX_FAILURES", 10**9)
+    no_full_chunks = []
+    real_merge = verify_mod.merge_runs
+
+    def spy(acc, chunk_runs):
+        if chunk_runs[5] and chunk_runs[4] == 1 and not chunk_runs[2][0]:
+            no_full_chunks.append(chunk_runs)
+        return real_merge(acc, chunk_runs)
+
+    monkeypatch.setattr(verify_mod, "merge_runs", spy)
+    for n in range(1, 9):
+        single = verify_member(e, [n], shards=1)[1]
+        assert any(TAIL_FAILURE.search(f) for f in single), n
+        for shards in range(2, 7):
+            assert tail_failures(verify_member(e, [n], shards=shards)[1]) == tail_failures(single), (n, shards)
+    if e.text() == "3,0,2,0,0,0,0,1":
+        # at n = 2 with 5 shards, the chunk of prefix 3 holds only the non-full word 30
+        assert (set(), set(), (False, 1), (False, 1), 1, 1) in no_full_chunks
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
