@@ -34,7 +34,7 @@ from .structure import (
     smallest_tail_length,
 )
 from .verify import _compare_run_sets, render_report, verify_report
-from .words import Word, count, iter_words, scan_states
+from .words import Word, iter_words, scan_states
 
 OK = 0
 INPUT_ERROR = 2

@@ -11,15 +11,13 @@ beta with certified floors.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidSequence, NotSelfDominant, PrecisionExhausted
 
-ENV_MAX_PRECISION = "BETA_WORDS_MAX_PRECISION"
-DEFAULT_MAX_PRECISION = 4096
+MAX_PRECISION = 4096
 
 # An eventually periodic digit sequence as (preperiod, period); the period of
 # a finite-support sequence is (0,).
@@ -385,27 +383,14 @@ def solve_beta(e: ExpansionOfOne, tol: Fraction | float | str = Fraction(1, 10**
     return _dyadic_bisect(coeffs, base, 0, tol)
 
 
-def _max_precision_limit(max_precision: int | None) -> int:
-    if max_precision is not None:
-        return max_precision
-    env = os.environ.get(ENV_MAX_PRECISION)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidSequence(f"{ENV_MAX_PRECISION} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_PRECISION
-
-
-def expansion_digits_from_beta(beta: BetaInterval, n: int, max_precision: int | None = None) -> list[int]:
+def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
     """First n digits of eps(1, beta) for every beta in the interval.
 
     Each digit's floor is certified over the interval; an ambiguous floor
     triggers refinement (when the interval can refine itself) down to width
-    2^-max_precision, then raises PrecisionExhausted(position).
+    2^-MAX_PRECISION, then raises PrecisionExhausted(position).
     """
-    limit = _max_precision_limit(max_precision)
-    floor_width = Fraction(1, 2**limit)
+    floor_width = Fraction(1, 2**MAX_PRECISION)
     while True:
         digits, ambiguous_at = _extract_digits(beta, n, commit_boundary=False)
         if ambiguous_at is None:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotAdmissible, VerificationError
+from .errors import VerificationError
 from .expansion import ExpansionOfOne, solve_beta
-from .words import Word, _require_admissible, successor
+from .words import Word, scan_states, successor
 
 
 class _Undecided:
@@ -37,16 +37,11 @@ def mismatch(w: Word, e: ExpansionOfOne) -> int | None:
     """First position where w drops strictly below eps(1, beta).
 
     None means w matches eps(1, beta) through its whole length (the drop, if
-    any, lies beyond position n).
+    any, lies beyond position n).  It is where the first block closes: the
+    first position after which the block-match scan is back in state 1.
     """
-    _require_admissible(w, e)
-    for k, d in enumerate(w.digits, start=1):
-        c = e.digit(k)
-        if d < c:
-            return k
-        if d > c:
-            raise NotAdmissible(f"digit at position {k} exceeds the expansion digit")
-    return None
+    states = scan_states(w.digits, e)
+    return next((k for k in range(1, len(states)) if states[k] == 1), None)
 
 
 @dataclass(frozen=True)
@@ -74,20 +69,24 @@ class Decomposition:
 
 
 def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:
-    """Split w into full blocks and a tail by repeated mismatch scanning."""
-    _require_admissible(w, e)
-    eps = e.digits_prefix(len(w))
+    """Split w into full blocks and a tail, read off its block-match scan.
+
+    A block closes at position k exactly when the scan is in state 1 after
+    k digits: no extension leads back to state 1, since a purely periodic
+    expansion is never self-dominant.  The tail is the last block when the
+    word ends in state 1, and the digits after the last cut otherwise.
+    """
+    digits = w.digits
+    states = scan_states(digits, e)
     segments: list[tuple[int, int]] = []
-    j = 1
-    for d in w.digits:
-        if d < eps[j - 1]:
-            segments.append((j, d))
-            j = 1
-        else:
-            j += 1
-    if j == 1:
+    cut = 0
+    for k in range(1, len(states)):
+        if states[k] == 1:
+            segments.append((k - cut, digits[k - 1]))
+            cut = k
+    if cut == len(digits):
         return Decomposition(tuple(segments[:-1]), segments[-1])
-    return Decomposition(tuple(segments), (j - 1, w.digits[-1]))
+    return Decomposition(tuple(segments), (len(digits) - cut, digits[-1]))
 
 
 def is_full(w: Word, e: ExpansionOfOne) -> bool:
@@ -95,7 +94,7 @@ def is_full(w: Word, e: ExpansionOfOne) -> bool:
 
     Equivalent to the block-match scan ending in state 1.
     """
-    return _require_admissible(w, e)[-1] == 1
+    return scan_states(w.digits, e)[-1] == 1
 
 
 def tail_cap(e: ExpansionOfOne, n: int) -> int:
@@ -105,52 +104,47 @@ def tail_cap(e: ExpansionOfOne, n: int) -> int:
     return n if not e.is_finite else min(e.finite_length - 1, n)
 
 
-def _kmp_failure(pattern: tuple[int, ...]) -> list[int]:
-    """fail[k]: the longest proper border of pattern[:k] (KMP failure table)."""
-    fail = [0] * (len(pattern) + 1)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i + 1] = k
-    return fail
+@lru_cache(maxsize=64)
+def tail_automaton(e: ExpansionOfOne, cap: int) -> tuple[tuple, tuple]:
+    """(trans, chains): the KMP automaton of eps_1..eps_cap, for every user
+    of the tail criterion.
 
-
-def _kmp_chains(fail: list[int]) -> list[tuple[int, ...]]:
-    """chains[k] = all match lengths ending here: k and its proper borders."""
-    chains: list[tuple[int, ...]] = [()]
-    for k in range(1, len(fail)):
-        chains.append((k,) + chains[fail[k]])
-    return chains
+    trans[k][d] is the longest suffix-prefix match after appending digit d
+    in match state k; chains[k] lists every match length ending there, k
+    and then its proper borders, descending.
+    """
+    pattern = e.digits_prefix(cap)
+    trans: list[tuple[int, ...]] = []
+    chains: list[tuple[int, ...]] = []
+    border = 0  # the longest proper border of eps|_k, KMP's failure link
+    for k in range(cap + 1):
+        # state k moves as its border does, except on the digit that extends it
+        row = list(trans[border]) if k else [0] * (e.alphabet_max + 1)
+        chains.append((k,) + chains[border] if k else ())
+        if k < cap:
+            row[pattern[k]] = k + 1
+            if k:
+                border = trans[border][pattern[k]]
+        trans.append(tuple(row))
+    return tuple(trans), tuple(chains)
 
 
 def _tail_matches(w: Word, e: ExpansionOfOne) -> list[int]:
     """Lengths s <= tail_cap, ascending, for which w ends with eps_1..eps_s.
 
-    One KMP pass over the last tail_cap digits of w against eps_1..eps_cap
-    finds the longest such s; the others are its borders, down the failure
-    table.  Linear in n; comparing the two tails for every s would be
-    quadratic.
+    The KMP automaton of eps_1..eps_cap reads the last tail_cap digits of w
+    and stops in the longest such s; its chain lists the others.  Linear in
+    n, with the automaton built once per (e, cap); comparing the two tails
+    for every s would be quadratic.
     """
-    _require_admissible(w, e)
+    scan_states(w.digits, e)
     n = len(w)
     cap = tail_cap(e, n)
-    pattern = e.digits_prefix(cap)
-    fail = _kmp_failure(pattern)
+    trans, chains = tail_automaton(e, cap)
     k = 0
-    # k <= the digits read so far, so k < cap until the last digit is read
     for d in w.digits[n - cap:]:
-        while k and pattern[k] != d:
-            k = fail[k]
-        if pattern[k] == d:
-            k += 1
-    matches = []
-    while k:
-        matches.append(k)
-        k = fail[k]
-    return matches[::-1]
+        k = trans[k][d]
+    return list(chains[k][::-1])
 
 
 def is_full_by_tail(w: Word, e: ExpansionOfOne) -> bool:

@@ -29,7 +29,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
@@ -51,7 +50,7 @@ from .runs import (
     tail_run_prediction,
     tau_table,
 )
-from .structure import DEFAULT_TOL, _kmp_chains, _kmp_failure, cylinder_calc, decompose, is_full, tail_cap
+from .structure import DEFAULT_TOL, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
 from .words import Word, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
 
 MAX_FAILURES = 24
@@ -60,26 +59,6 @@ MAX_FAILURES = 24
 def _record(failures: list[str], message: str) -> None:
     if len(failures) < MAX_FAILURES:
         failures.append(message)
-
-
-# --- KMP matcher for "ends with a prefix of eps(1, beta)" ---
-
-
-def _kmp_transitions(pattern: tuple[int, ...], alphabet: int):
-    """(fail, trans): trans[k][d] is the longest suffix-prefix match after
-    appending digit d in match state k."""
-    fail = _kmp_failure(pattern)
-    size = len(pattern)
-    trans = []
-    for k in range(size + 1):
-        row = []
-        for d in range(alphabet + 1):
-            j = fail[k] if k == size else k
-            while j and pattern[j] != d:
-                j = fail[j]
-            row.append(j + 1 if j < size and pattern[j] == d else 0)
-        trans.append(row)
-    return fail, trans
 
 
 def _empty_sweep_chunk() -> dict:
@@ -101,6 +80,13 @@ def _word_text(e: ExpansionOfOne, n: int, rank: int, digit: int) -> str:
     return Word(head + (digit,)).text()
 
 
+def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, pos: int, tau: int) -> str:
+    """The failure of a word, named as in _word_text, that ends with eps|_s
+    but sits pos words above the last full word instead of tau(s)."""
+    return (f"{e.text()} n={n}: word {_word_text(e, n, rank, digit)} ends with the first {s} digits "
+            f"but sits {pos} above the last full word, expected tau({s}) = {tau}")
+
+
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: int) -> dict:
     """Check the three fullness criteria and the tail-run prediction on all
     words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop).
@@ -109,7 +95,10 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     beta^-n by cancellation, so only family boundaries need certified
     arithmetic.  Tail-run positions of words seen before the shard's first
     full word are deferred to sweep_fullness, whose running run summary
-    ends with the preceding shards' trailing run.
+    ends with the preceding shards' trailing run; each is kept as (s,
+    position, prefix rank, last digit), so the failure can name its word.
+    The tail criterion reads structure.tail_automaton, the block-match
+    states words.automaton; the two share no table.
 
     The chunk's "runs" entry is the shard's run summary in the shape
     runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
@@ -125,9 +114,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     aut = automaton(e)
     cmp_, adv_, maxdig, zero = aut.cmp, aut.adv, aut.maxdig, aut.zero
     s_cap = tail_cap(e, n)
-    pattern = e.digits_prefix(s_cap)
-    fail_tbl, trans = _kmp_transitions(pattern, e.alphabet_max)
-    chains = _kmp_chains(fail_tbl)
+    trans, chains = tail_automaton(e, s_cap)
     kmp_nonzero = [[d for d, k in enumerate(row) if k] for row in trans]
     taus = tau_table(e, s_cap)
     calc = cylinder_calc(e, n, tol)
@@ -197,11 +184,9 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
             for sv in chains[k_adv]:
                 if seen_full:
                     if nonfull_pos != taus[sv]:
-                        _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, c)} ends with "
-                                          f"the first {sv} digits but sits {nonfull_pos} above the "
-                                          f"last full word, expected tau({sv}) = {taus[sv]}")
+                        _record(failures, _tail_run_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
                 else:
-                    deferred.append((sv, nonfull_pos))
+                    deferred.append((sv, nonfull_pos, rank, c))
             last_digit = c
             last_full = False
         else:
@@ -296,6 +281,10 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     recursion, and tail-run positions deferred at shard starts must match
     the greedy step counts once the preceding shard's trailing run is known.
     The shards' run summaries fold into the result's runs by merge_runs.
+
+    A deferred failure reads as the in-shard one and names its word, so
+    every shard count reports the same failures.  Their order depends on
+    the shards: deferred failures follow their own shard's failures.
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
@@ -319,10 +308,9 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         sum_lo += chunk["sum_lo"]
         sum_hi += chunk["sum_hi"]
         carry = 0 if runs[3][0] else runs[3][1]
-        for sv, pos in chunk["deferred"]:
+        for sv, pos, rank, digit in chunk["deferred"]:
             if carry + pos != taus[sv]:
-                _record(failures, f"{case} n={n}: word ending with the first {sv} digits sits "
-                                  f"{carry + pos} above the last full word, expected tau({sv}) = {taus[sv]}")
+                _record(failures, _tail_run_failure(e, n, rank, digit, sv, carry + pos, taus[sv]))
         runs = merge_runs(runs, chunk["runs"])
     calc = cylinder_calc(e, n, tol)
     one = calc.one
@@ -463,13 +451,6 @@ def _full_words_upto(e: ExpansionOfOne, cap: int) -> list[tuple[int, ...]]:
     return fulls
 
 
-def _prefix_ends(w: tuple[int, ...], prefix: tuple[int, ...], top: int) -> Iterator[int]:
-    """Lengths s <= top, ascending, with w ending in the first s digits of prefix."""
-    for s in range(1, min(top, len(w)) + 1):
-        if w[-s:] == prefix[:s]:
-            yield s
-
-
 def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
     """A full word followed by a full word is admissible and full.
 
@@ -480,25 +461,36 @@ def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> No
     ends with eps|_t and v is eps_(t+1..t+|v|).  So each v keeps its
     smallest inside match and its straddle offsets t, each u its tail
     offsets, and only pairs that share an offset or have an inside match
-    are visited: O(|F| * s_top) slice comparisons, not one per pair.
+    are visited: O(|F| * s_top) slice comparisons, not one per pair.  The
+    tail matches of each word are the chain of its state in
+    structure.tail_automaton.
     """
     case = e.text()
     fulls = _full_words_upto(e, cap)
     s_top = tail_cap(e, 2 * cap)
     prefix = e.digits_prefix(s_top)
+    trans, chains = tail_automaton(e, s_top)
+
+    def tail_ends(w: tuple[int, ...]) -> tuple[int, ...]:
+        k = 0
+        for d in w:
+            k = trans[k][d]
+        return chains[k]
+
     inside: dict[int, int] = {}
     straddles: dict[int, list[tuple[int, int]]] = {}
     for i, v in enumerate(fulls):
-        s = next(_prefix_ends(v, prefix, s_top), None)
-        if s is not None:
-            inside[i] = s
+        ends = tail_ends(v)
+        if ends:
+            inside[i] = ends[-1]
         m = len(v)
         for t in range(1, s_top - m + 1):
             if prefix[t:t + m] == v:
                 straddles.setdefault(t, []).append((i, t + m))
     for u in fulls:
         hits = dict(inside)
-        for t in _prefix_ends(u, prefix, s_top - 1):
+        # no straddle offset reaches s_top, so the full match never pairs
+        for t in reversed(tail_ends(u)):
             for i, s in straddles.get(t, ()):
                 hits.setdefault(i, s)
         for i in sorted(hits):

@@ -102,7 +102,11 @@ def check_alphabet(digits: Sequence[int], e: ExpansionOfOne) -> None:
 def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     """States after each digit (length n + 1, starting at 1).
 
-    Raises NotAdmissible at the first offending digit.
+    The one admissibility pass of the point API.  No state admits a digit
+    above eps_1, so a digit outside 0..eps_1 fails the scan at or before its
+    own position; the failure branch then checks the alphabet of the whole
+    word.  So the scan raises AlphabetMismatch when any digit lies outside
+    0..eps_1, and otherwise NotAdmissible at the first offending digit.
     """
     aut = automaton(e)
     cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
@@ -110,6 +114,7 @@ def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     s = 1
     for t, d in enumerate(digits):
         if d > maxdig[s] or d < 0:
+            check_alphabet(digits, e)
             raise NotAdmissible(f"digit {d} at position {t + 1} is not admissible")
         s = adv[s] if d == cmp[s] else 1
         states[t + 1] = s
@@ -137,15 +142,10 @@ def _check_n(n: int) -> None:
         raise ValueError("word length n must be >= 1")
 
 
-def _require_admissible(w: Word, e: ExpansionOfOne) -> list[int]:
-    check_alphabet(w.digits, e)
-    return scan_states(w.digits, e)
-
-
 def successor(w: Word, e: ExpansionOfOne) -> Word | None:
     """The next admissible word of the same length; None at the maximum."""
     digits = list(w.digits)
-    steps = walk(e, digits, _require_admissible(w, e))
+    steps = walk(e, digits, scan_states(w.digits, e))
     next(steps)
     return None if next(steps, None) is None else Word(tuple(digits))
 
@@ -157,7 +157,7 @@ def predecessor(w: Word, e: ExpansionOfOne) -> Word | None:
     ending in zero drops its last nonzero digit by one and continues with
     eps*(1, beta) from there.
     """
-    _require_admissible(w, e)
+    scan_states(w.digits, e)
     digits = list(w.digits)
     n = len(digits)
     if all(d == 0 for d in digits):
@@ -228,7 +228,7 @@ def iter_words(
     else:
         if len(start) != n:
             raise ValueError("start word has the wrong length")
-        states = _require_admissible(start, e)
+        states = scan_states(start.digits, e)
         digits = list(start.digits)
     stop_digits = None
     if stop is not None:
@@ -309,7 +309,7 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
 
 def rank_of(w: Word, e: ExpansionOfOne) -> int:
     """0-based position of w in the lex enumeration of its length."""
-    _require_admissible(w, e)
+    scan_states(w.digits, e)
     n = len(w)
     table = _count_table(e, n)
     rank = 0

@@ -174,14 +174,21 @@ def test_digits_wide_interval_exhausts():
 def test_round_trip_digits(corpus_members):
     for e in corpus_members:
         beta = solve_beta(e, Fraction(1, 10**15))
-        got = expansion_digits_from_beta(beta, 30, max_precision=512)
+        got = expansion_digits_from_beta(beta, 30)
         assert got == eps_prefix(e, 30), e.text()
 
 
-def test_env_precision_cap(monkeypatch):
-    monkeypatch.setenv("BETA_WORDS_MAX_PRECISION", "not-a-number")
-    with pytest.raises(InvalidSequence):
-        expansion_digits_from_beta(BetaInterval.from_decimal("2.5"), 2)
+def test_precision_env_variable_is_ignored(monkeypatch):
+    # refinement stops at the fixed 4096-bit cap; a 1-bit cap would give
+    # wrong digits for 1,1 and exhaust on 2;1, so no variable may set one
+    members = [ExpansionOfOne.parse(text) for text in ("1,1", "2;1")]
+    cases = [(solve_beta(e, Fraction(1, 2**8)), 40) for e in members]
+    cases.append((BetaInterval.from_decimal("2.5"), 2))
+    want = [eps_prefix(e, 40) for e in members] + [[2, 1]]
+    assert [expansion_digits_from_beta(beta, n) for beta, n in cases] == want
+    for value in ("not-a-number", "1"):
+        monkeypatch.setenv("BETA_WORDS_MAX_PRECISION", value)
+        assert [expansion_digits_from_beta(beta, n) for beta, n in cases] == want
 
 
 # --- certified Newton steps against the plain bisection they replace ---

@@ -1,19 +1,25 @@
 """Randomized invariants over the enumeration and decomposition machinery."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from beta_words import (
     ExpansionOfOne,
+    InvalidSequence,
     Word,
     count,
     decompose,
     is_admissible,
     is_full,
+    is_full_by_length,
+    is_full_by_tail,
+    mismatch,
     nonzero_sequence,
     rank_of,
     tau,
     word_at,
 )
+from beta_words.structure import _tail_matches
+from test_structure import decompose_oracle, mismatch_oracle, tail_matches_oracle
 
 MEMBERS = [
     ExpansionOfOne.parse("1,1"),
@@ -65,3 +71,31 @@ def test_tau_greedy_recursion(e, s):
         assert steps == 1
     else:
         assert steps == tau(e, s - largest) + 1
+
+
+@st.composite
+def expansions(draw):
+    """Finite and eventually periodic digit strings of length <= 8: eps_1 <= 5
+    first, the other digits in 0..eps_1, kept when they expand 1."""
+    top = draw(st.integers(1, 5))
+    digits = [top] + draw(st.lists(st.integers(0, top), max_size=7))
+    split = draw(st.integers(1, len(digits)))
+    try:
+        if split == len(digits):
+            return ExpansionOfOne.finite(digits)
+        return ExpansionOfOne.eventually_periodic(digits[:split], digits[split:])
+    except InvalidSequence:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expansions(), st.integers(1, 8), st.integers(0, 10**9))
+def test_random_expansions_match_oracles(e, n, seed):
+    total = count(e, n)
+    for rank in {0, seed % total, (seed // 7) % total, total - 1}:
+        w = word_at(e, n, rank)
+        assert decompose(w, e) == decompose_oracle(w, e)
+        assert mismatch(w, e) == mismatch_oracle(w, e)
+        matches = _tail_matches(w, e)
+        assert matches == tail_matches_oracle(w, e)
+        assert is_full(w, e) == is_full_by_tail(w, e) == (is_full_by_length(w, e) is True) == (not matches)

@@ -1,5 +1,6 @@
 """Structural decomposition, fullness criteria, and cylinder geometry."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,14 +19,23 @@ from beta_words import (
     iter_words,
     max_word,
     mismatch,
+    predecessor,
     rank_of,
     smallest_tail_length,
     successor,
     word_at,
 )
-from beta_words import AlphabetMismatch, NotAdmissible
+from beta_words import AlphabetMismatch, BetaWordsError, NotAdmissible
 from beta_words.runs import matched_tail_lengths
-from beta_words.structure import DEFAULT_TOL, Decomposition, _cylinder_ends, _tail_matches, cylinder_calc, tail_cap
+from beta_words.structure import (
+    DEFAULT_TOL,
+    Decomposition,
+    _cylinder_ends,
+    _tail_matches,
+    cylinder_calc,
+    tail_automaton,
+    tail_cap,
+)
 from beta_words.words import check_alphabet, scan_states
 
 GOLDEN = ExpansionOfOne.parse("1,1")
@@ -272,3 +282,102 @@ def test_tail_route_error_messages(call):
         call(Word((1, 1, 0)), GOLDEN)
     with pytest.raises(NotAdmissible, match=r"^digit 1 at position 8 is not admissible$"):
         call(Word((3, 0, 2, 0, 0, 0, 0, 1)), PEARL)
+
+
+# --- one admissibility pass: the per-call checks it replaced as oracles ---
+#
+# Before scan_states checked the alphabet on its failure branch, every point
+# call ran check_alphabet and then scan_states, and decompose and mismatch
+# compared the word against the expansion digits once more.
+
+EXTRA = ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
+
+
+def require_admissible_oracle(w, e):
+    check_alphabet(w.digits, e)
+    return scan_states(w.digits, e)
+
+
+def mismatch_oracle(w, e):
+    require_admissible_oracle(w, e)
+    for k, d in enumerate(w.digits, start=1):
+        c = e.digit(k)
+        if d < c:
+            return k
+        if d > c:
+            raise NotAdmissible(f"digit at position {k} exceeds the expansion digit")
+    return None
+
+
+def decompose_oracle(w, e):
+    require_admissible_oracle(w, e)
+    eps = e.digits_prefix(len(w))
+    segments = []
+    j = 1
+    for d in w.digits:
+        if d < eps[j - 1]:
+            segments.append((j, d))
+            j = 1
+        else:
+            j += 1
+    if j == 1:
+        return Decomposition(tuple(segments[:-1]), segments[-1])
+    return Decomposition(tuple(segments), (j - 1, w.digits[-1]))
+
+
+def outcome(call, w, e):
+    """The value of call(w, e), or the type and message of its error."""
+    try:
+        return call(w, e)
+    except BetaWordsError as exc:
+        return type(exc), str(exc)
+
+
+POINT_CALLS = [is_full, _tail_matches, rank_of, successor, predecessor]
+
+
+@pytest.mark.parametrize("text", list(DEFAULT_CORPUS) + EXTRA)
+def test_one_pass_matches_per_call_checks(text):
+    """Every word over -1..eps_1+1 up to length 5: the same values, or the
+    same error type and message, as the checks the one pass replaced."""
+    e = ExpansionOfOne.parse(text)
+    for n in range(1, 6):
+        for digits in itertools.product(range(-1, e.alphabet_max + 2), repeat=n):
+            w = Word(digits)
+            gate = outcome(require_admissible_oracle, w, e)
+            assert outcome(scan_states, digits, e) == gate
+            assert outcome(decompose, w, e) == outcome(decompose_oracle, w, e)
+            assert outcome(mismatch, w, e) == outcome(mismatch_oracle, w, e)
+            if isinstance(gate, list):
+                assert is_full(w, e) == (gate[-1] == 1)
+            else:
+                for call in POINT_CALLS:
+                    assert outcome(call, w, e) == gate, call.__name__
+
+
+@pytest.mark.parametrize("call", [decompose, mismatch, *POINT_CALLS])
+def test_alphabet_error_wins_over_an_earlier_inadmissible_digit(call):
+    # 1,1 is inadmissible at position 2 for 1,1; the digit 2 comes after it
+    with pytest.raises(AlphabetMismatch, match=r"^digit 2 outside alphabet 0\.\.1$"):
+        call(Word((1, 1, 2)), GOLDEN)
+    with pytest.raises(AlphabetMismatch, match=r"^digit -1 outside alphabet 0\.\.1$"):
+        call(Word((1, 0, 1, 1, -1)), GOLDEN)
+    with pytest.raises(NotAdmissible, match=r"^digit 1 at position 2 is not admissible$"):
+        call(Word((1, 1, 0)), GOLDEN)
+
+
+def test_tail_automaton_cache_is_bounded():
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-entry cache
+    tail_automaton.cache_clear()
+    members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
+    first = tail_automaton(members[0], 1)
+    assert first == (((0, 0, 1), (0, 0, 1)), ((), (1,)))
+    for e in members[1:]:
+        tail_automaton(e, 1)
+    assert tail_automaton.cache_info().currsize == 64
+    misses = tail_automaton.cache_info().misses
+    again = tail_automaton(members[0], 1)
+    assert tail_automaton.cache_info().misses == misses + 1
+    assert again == first and again is not first
+    assert tail_automaton(members[-1], 1) is tail_automaton(members[-1], 1)
+    assert tail_automaton.cache_info().misses == misses + 1

@@ -266,13 +266,13 @@ def tau_off_by_one(monkeypatch):
 
 def kmp_first_row(value):
     def inject(monkeypatch):
-        real = verify_mod._kmp_transitions
+        real = verify_mod.tail_automaton
 
-        def fake(pattern, alphabet):
-            fail, trans = real(pattern, alphabet)
-            return fail, [[value] * len(trans[0])] + trans[1:]
+        def fake(e, cap):
+            trans, chains = real(e, cap)
+            return ((value,) * len(trans[0]),) + trans[1:], chains
 
-        monkeypatch.setattr(verify_mod, "_kmp_transitions", fake)
+        monkeypatch.setattr(verify_mod, "tail_automaton", fake)
     return inject
 
 
@@ -324,9 +324,9 @@ def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected,
     assert verify_member(GOLDEN, [n], shards=shards, executor=executor)[1] == expected
 
 
-# A deferred tail failure is checked after its shard has run: it names no
-# word and comes after that shard's own failures, so the lists are compared
-# as multisets of (s, distance) pairs.
+# A deferred tail failure is checked after its shard has run, so it comes
+# after that shard's own failures and the lists are compared as multisets:
+# of (s, distance) pairs here, of whole failure strings below.
 TAIL_FAILURE = re.compile(r"word (?:\S+ ends|ending) with the first (\d+) digits (?:but )?sits (\d+) above")
 
 
@@ -358,6 +358,19 @@ def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
     if e.text() == "3,0,2,0,0,0,0,1":
         # at n = 2 with 5 shards, the chunk of prefix 3 holds only the non-full word 30
         assert (set(), set(), (False, 1), (False, 1), 1, 1) in no_full_chunks
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_sharded_failures_name_the_same_words(monkeypatch, e):
+    """A deferred tail failure names its word as the in-shard check does, so
+    under a tau table off by one every shard count reports the failure
+    strings of one shard, in a shard-dependent order."""
+    tau_off_by_one(monkeypatch)
+    monkeypatch.setattr(verify_mod, "MAX_FAILURES", 10**9)
+    for n in range(1, 9):
+        single = Counter(verify_member(e, [n], shards=1)[1])
+        for shards in range(2, 7):
+            assert Counter(verify_member(e, [n], shards=shards)[1]) == single, (n, shards)
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
