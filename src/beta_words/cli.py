@@ -16,6 +16,7 @@ from fractions import Fraction
 from .corpus import default_corpus, load_corpus
 from .errors import BetaWordsError, IntegerBeta, VerificationError
 from .expansion import (
+    MAX_PRECISION,
     BetaInterval,
     ExpansionOfOne,
     expansion_digits_from_beta,
@@ -108,6 +109,8 @@ def _parse_tol(args) -> Fraction:
         raise BetaWordsError(f"cannot parse tolerance {args.tol!r}")
     if tol <= 0:
         raise BetaWordsError("tolerance must be positive")
+    if tol < Fraction(1, 2**MAX_PRECISION):
+        raise BetaWordsError(f"tolerance {args.tol} is below the floor 2^-{MAX_PRECISION}")
     return tol
 
 

@@ -10,7 +10,8 @@ exactly when its longest suffix that is a prefix of eps(1, beta) is
 nonempty), and a certified fixed-point enclosure of the word's cylinder
 left endpoint (length criterion).  Within one prefix family, consecutive
 cylinders differ by exactly beta^-n, so only the last word of each family
-needs a computed length; that keeps the sweep linear with tiny constants.
+needs a computed length, and its test is two subtractions against
+thresholds built once per block state.
 The same pass tallies the maximal full and non-full runs, so one streamed
 pass per (member, n) gives both the enumerated run sets that the closed
 forms are checked against and the three fullness criteria.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +58,9 @@ from .words import Word, automaton, count, iter_words, max_word, scan_states, st
 MAX_FAILURES = 24
 
 
-def _record(failures: list[str], message: str) -> None:
-    if len(failures) < MAX_FAILURES:
-        failures.append(message)
+def _record(failures: list[str], message: str | Callable[[], str]) -> None:
+    if len(failures) < MAX_FAILURES:  # a callable message is formatted only when kept
+        failures.append(message() if callable(message) else message)
 
 
 def _empty_sweep_chunk() -> dict:
@@ -89,16 +91,20 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
 
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: int) -> dict:
     """Check the three fullness criteria and the tail-run prediction on all
-    words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop).
+    words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop),
+    a window inside [0, prefix_count(e, n)] (else VerificationError).
 
     Every non-last word of a prefix family has cylinder length exactly
-    beta^-n by cancellation, so only family boundaries need certified
-    arithmetic.  Tail-run positions of words seen before the shard's first
-    full word are deferred to sweep_fullness, whose running run summary
-    ends with the preceding shards' trailing run; each is kept as (s,
-    position, prefix rank, last digit), so the failure can name its word.
-    The tail criterion reads structure.tail_automaton, the block-match
-    states words.automaton; the two share no table.
+    beta^-n by cancellation.  The last, with last digit d, has the gap from
+    its prefix's endpoint to the next prefix's less d * beta^-n, so the gap
+    is held against (d + 1) * beta^-n with and without the tolerance: four
+    thresholds per block state, exact integer rearrangements of comparing
+    the cylinder with beta^-n.  Tail-run positions of words seen before the
+    shard's first full word are deferred to sweep_fullness, whose running
+    run summary ends with the preceding shards' trailing run; each is kept
+    as (s, position, prefix rank, last digit), so the failure can name its
+    word.  Lengths read structure.cylinder_calc, tails structure.tail_automaton
+    and block states words.automaton only.
 
     The chunk's "runs" entry is the shard's run summary in the shape
     runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
@@ -107,6 +113,9 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     """
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
+    pcount = prefix_count(e, n)
+    if prefix_start < 0 or prefix_stop > pcount:
+        raise VerificationError("prefix range exceeds the enumeration")
     if prefix_stop <= prefix_start:
         return chunk
     failures = chunk["failures"]
@@ -115,14 +124,16 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     cmp_, adv_, maxdig, zero = aut.cmp, aut.adv, aut.maxdig, aut.zero
     s_cap = tail_cap(e, n)
     trans, chains = tail_automaton(e, s_cap)
-    kmp_nonzero = [[d for d, k in enumerate(row) if k] for row in trans]
+    kmin = [next((d for d, k in enumerate(row) if k), len(row)) for row in trans]  # least digit into a match
     taus = tau_table(e, s_cap)
     calc = cylinder_calc(e, n, tol)
     pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
     one = calc.one
     xn_lo, xn_hi = pow_lo[n], pow_hi[n]
     slack = (tol.numerator * one) // tol.denominator
-    pcount = prefix_count(e, n)
+    # per block state: c full words, then a non-full word if a, the last digit and verdict, thresholds
+    families = [(c, a, d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack,
+                 (d + 1) * xn_lo + slack) for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
     words = 0
     undecided = 0
     sum_lo = sum_hi = 0
@@ -145,17 +156,15 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     last = n - 1
     last_rank = prefix_stop - 1
     for rank in range(prefix_start, prefix_stop):
-        s = states[last]
-        c = cmp_[s]
-        a = adv_[s]
+        c, a, last_digit, last_full, short_hi, long_lo, full_lo, full_hi = families[states[last]]
         kp = kstates[last]
-        krow = trans[kp]
-        children = c + (1 if a else 0)
-        words += children
-        for d in kmp_nonzero[kp]:
-            if d < c:
-                _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, d)} is structurally "
-                                  "full but ends with a prefix of the expansion")
+        words += last_digit + 1
+        if kmin[kp] < c:
+            krow = trans[kp]
+            for d in range(kmin[kp], c):
+                if krow[d]:
+                    _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
+                                              "structurally full but ends with a prefix of the expansion")
         if c:
             seen_full = True
             if nonfull_pos:
@@ -177,74 +186,77 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
                 closed += 1
                 full_len = 0
             nonfull_pos += 1
-            k_adv = krow[c]
+            k_adv = trans[kp][c]
             if k_adv == 0:
-                _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
-                                  "non-full but ends with no prefix of the expansion")
+                _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
+                                          "non-full but ends with no prefix of the expansion")
             for sv in chains[k_adv]:
                 if seen_full:
                     if nonfull_pos != taus[sv]:
-                        _record(failures, _tail_run_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
+                        _record(failures, lambda: _tail_run_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
                 else:
                     deferred.append((sv, nonfull_pos, rank, c))
-            last_digit = c
-            last_full = False
-        else:
-            last_digit = c - 1
-            last_full = True
-        cur_lo = pl[last] + last_digit * pow_lo[n]
-        cur_hi = ph[last] + last_digit * pow_hi[n]
+        left_lo, left_hi = pl[last], ph[last]
         if rank != last_rank:
-            # words.walk's step, inlined: on the walker this sweep ran 1.2x slower.
-            for t in range(last, 0, -1):
-                st = states[t - 1]
-                d = prefix[t - 1]
-                if d < maxdig[st]:
-                    nd = d + 1
-                    prefix[t - 1] = nd
-                    states[t] = adv_[st] if nd == cmp_[st] else 1
-                    kstates[t] = trans[kstates[t - 1]][nd]
-                    pl[t] = pl[t - 1] + nd * pow_lo[t]
-                    ph[t] = ph[t - 1] + nd * pow_hi[t]
-                    s2 = states[t]
-                    for u in range(t, last):
-                        prefix[u] = 0
-                        s2 = zero[s2]
-                        states[u + 1] = s2
-                        kstates[u + 1] = trans[kstates[u]][0]
-                        pl[u + 1] = pl[u]
-                        ph[u + 1] = ph[u]
-                    break
-            else:
-                raise VerificationError("prefix range exceeds the enumeration")
+            st = states[last - 1]
+            nd = prefix[last - 1] + 1
+            if nd <= maxdig[st]:  # the common advance: only the last prefix digit steps up
+                prefix[last - 1] = nd
+                states[last] = adv_[st] if nd == cmp_[st] else 1
+                kstates[last] = trans[kstates[last - 1]][nd]
+                pl[last] += pow_lo[last]
+                ph[last] += pow_hi[last]
+            else:  # words.walk's step, inlined: on the walker this sweep ran 1.2x slower.
+                for t in range(last - 1, 0, -1):
+                    st = states[t - 1]
+                    d = prefix[t - 1]
+                    if d < maxdig[st]:
+                        nd = d + 1
+                        prefix[t - 1] = nd
+                        states[t] = adv_[st] if nd == cmp_[st] else 1
+                        kstates[t] = trans[kstates[t - 1]][nd]
+                        pl[t] = pl[t - 1] + nd * pow_lo[t]
+                        ph[t] = ph[t - 1] + nd * pow_hi[t]
+                        s2 = states[t]
+                        for u in range(t, last):
+                            prefix[u] = 0
+                            s2 = zero[s2]
+                            states[u + 1] = s2
+                            kstates[u + 1] = trans[kstates[u]][0]
+                            pl[u + 1] = pl[u]
+                            ph[u + 1] = ph[u]
+                        break
+                else:
+                    raise VerificationError("prefix range exceeds the enumeration")
             next_lo, next_hi = pl[last], ph[last]
         elif prefix_stop == pcount:
             next_lo = next_hi = one
         else:
             next_lo, next_hi = calc.pi_bounds(word_at(e, n - 1, prefix_stop).digits)
-        len_lo = next_lo - cur_hi
-        len_hi = next_hi - cur_lo
-        sum_lo += (children - 1) * pow_lo[n] + len_lo
-        sum_hi += (children - 1) * pow_hi[n] + len_hi
-        if len_hi - xn_lo < 0:
+        diff_lo = next_lo - left_hi
+        diff_hi = next_hi - left_lo
+        sum_lo += diff_lo
+        sum_hi += diff_hi
+        if diff_hi < short_hi:
             length_full = False
-        elif len_lo - xn_hi > 0:
-            _record(failures, f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
-                              "certified longer than beta^-n")
+        elif diff_lo > long_lo:
+            _record(failures, lambda: f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
+                                      "certified longer than beta^-n")
             length_full = None
-        elif max(xn_hi - len_lo, len_hi - xn_lo) <= slack:
+        elif diff_lo >= full_lo and diff_hi <= full_hi:
             length_full = True
         else:
             undecided += 1
             length_full = None
         if length_full is not None and length_full != last_full:
-            _record(failures, f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
-                              f"{'full' if last_full else 'non-full'} structurally but the "
-                              "cylinder-length criterion disagrees")
+            _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
+                                      f"{'full' if last_full else 'non-full'} structurally but the "
+                                      "cylinder-length criterion disagrees")
+    spare = words - (prefix_stop - prefix_start)  # the last digits' sum: a family has last digit + 1 words
     chunk["words"] = words
     chunk["undecided"] = undecided
-    chunk["sum_lo"] = sum_lo
-    chunk["sum_hi"] = sum_hi
+    chunk["sum_lo"] = sum_lo + spare * (xn_lo - xn_hi)
+    chunk["sum_hi"] = sum_hi + spare * (xn_hi - xn_lo)
     last_run = (False, nonfull_pos) if nonfull_pos else (True, full_len)
     chunk["runs"] = (full_runs, nonfull_runs, first_run or last_run, last_run, closed + 1, words)
     return chunk
@@ -310,7 +322,7 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         carry = 0 if runs[3][0] else runs[3][1]
         for sv, pos, rank, digit in chunk["deferred"]:
             if carry + pos != taus[sv]:
-                _record(failures, _tail_run_failure(e, n, rank, digit, sv, carry + pos, taus[sv]))
+                _record(failures, lambda: _tail_run_failure(e, n, rank, digit, sv, carry + pos, taus[sv]))
         runs = merge_runs(runs, chunk["runs"])
     calc = cylinder_calc(e, n, tol)
     one = calc.one

@@ -177,6 +177,18 @@ def test_unread_options_are_rejected(capsys, argv):
     assert argv[-2] in err
 
 
+@pytest.mark.parametrize("command", [("verify", "--n-range", "1..3"), ("classify", "--seq", "1,1", "--n", "3")])
+def test_tol_floor(capsys, command):
+    """--tol stops at 2^-MAX_PRECISION: below it the precision it asks for
+    has no limit, so the command exits 2 and names the floor."""
+    for tol in ("1e-1234", "1e-8000", f"1/{2**4096 + 1}"):
+        code, out, err = run_cli(capsys, *command, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "below the floor 2^-4096" in err
+    code, _, err = run_cli(capsys, *command, "--tol", f"1/{2**4096}")
+    assert (code, err) == (0, "")
+
+
 # --- runs: one walk, read off the records, against the two-walk path ---
 
 

@@ -15,11 +15,14 @@ from beta_words import (
     mismatch,
     nonzero_sequence,
     rank_of,
+    sweep_fullness,
     tau,
     word_at,
 )
+from beta_words.runs import scan_run_lengths
 from beta_words.structure import _tail_matches
 from test_structure import decompose_oracle, mismatch_oracle, tail_matches_oracle
+from test_verify import FakeExecutor
 
 MEMBERS = [
     ExpansionOfOne.parse("1,1"),
@@ -99,3 +102,16 @@ def test_random_expansions_match_oracles(e, n, seed):
         matches = _tail_matches(w, e)
         assert matches == tail_matches_oracle(w, e)
         assert is_full(w, e) == is_full_by_tail(w, e) == (is_full_by_length(w, e) is True) == (not matches)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansions(), st.integers(1, 7))
+def test_random_expansions_sweep_clean(e, n):
+    """The three fullness criteria agree on every word, one shard or two,
+    and the sweep's run summary is the run scan's."""
+    for shards in (1, 2):
+        res = sweep_fullness(e, n, shards=shards, executor=FakeExecutor(shards) if shards > 1 else None)
+        assert res.runs == scan_run_lengths(e, n)
+        assert res.words == count(e, n)
+        assert res.undecided == 0
+        assert res.failures == []

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,7 @@ from beta_words import cli
 from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
-from beta_words.errors import NotAdmissible
+from beta_words.errors import NotAdmissible, VerificationError
 from beta_words.structure import DEFAULT_TOL, Decomposition, is_full, tail_cap
 from beta_words.words import Automaton, Word, iter_words, word_at
 
@@ -290,10 +291,34 @@ def scaled_beta_n(factor):
     return inject
 
 
+def shifted_beta_n(side, tolerances):
+    """Move one end of the enclosure of beta^-n by a multiple of the
+    tolerance, which puts the full last words of families just across one
+    threshold of the length test.  Widened by 1.5 tolerances they are
+    undecided, not True; a threshold that allowed twice the tolerance would
+    still certify a one-word family.  With the upper end half a tolerance
+    low they are certified longer, with the lower end half a tolerance high
+    certified shorter, than beta^-n."""
+    def inject(monkeypatch):
+        real = verify_mod.cylinder_calc
+
+        def fake(e, n, tol):
+            calc = copy.copy(real(e, n, tol))
+            tol = Fraction(tol)
+            step = int(Fraction(tolerances) * tol.numerator * calc.one / tol.denominator)
+            ends = calc.pow_lo if side == "lo" else calc.pow_hi
+            setattr(calc, f"pow_{side}", ends[:-1] + [ends[-1] + step])
+            return calc
+
+        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+    return inject
+
+
 TAU_1 = "ends with the first 1 digits but sits 1 above the last full word, expected tau(1) = 2"
 NO_PREFIX = "is structurally non-full but ends with no prefix of the expansion"
 PREFIX = "is structurally full but ends with a prefix of the expansion"
 DISAGREES = "is full structurally but the cylinder-length criterion disagrees"
+UNDECIDED = "words undecided by the length criterion at tol 1/1000000000000"
 
 
 @pytest.mark.parametrize("inject, n, expected", [
@@ -313,6 +338,11 @@ DISAGREES = "is full structurally but the cylinder-length criterion disagrees"
                              "1,1 n=3: cylinder of 101 certified longer than beta^-n"]),
     (scaled_beta_n(2), 2, [f"1,1 n=2: word 10 {DISAGREES}"]),
     (scaled_beta_n(2), 4, [f"1,1 n=4: word 0010 {DISAGREES}", f"1,1 n=4: word 1010 {DISAGREES}"]),
+    (shifted_beta_n("lo", -1.5), 3, [f"1,1 n=3: 1 {UNDECIDED}"]),
+    (shifted_beta_n("hi", 1.5), 5, [f"1,1 n=5: 3 {UNDECIDED}"]),
+    (shifted_beta_n("hi", -0.5), 3, ["1,1 n=3: cylinder of 010 certified longer than beta^-n",
+                                     "1,1 n=3: cylinder lengths sum to [1.0000000000010001, "
+                                     "0.99999999999900002], not 1 within 3*tol"]),
 ])
 @pytest.mark.parametrize("shards", [1, 2])
 def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected, shards):
@@ -371,6 +401,191 @@ def test_sharded_failures_name_the_same_words(monkeypatch, e):
         single = Counter(verify_member(e, [n], shards=1)[1])
         for shards in range(2, 7):
             assert Counter(verify_member(e, [n], shards=shards)[1]) == single, (n, shards)
+
+
+# --- the table-driven sweep against the sweep it replaced ---
+
+
+def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
+    """sweep_shard as it was before the length test moved onto per-state
+    thresholds: ten big-integer operations per prefix family.  It reads
+    tail_automaton, tau_table and cylinder_calc off the verify module at
+    call time, so an injected fault reaches the oracle and the sweep alike.
+    Its messages are formatted only when kept, as the sweep's are."""
+    tol = Fraction(tol)
+    chunk = verify_mod._empty_sweep_chunk()
+    if prefix_stop <= prefix_start:
+        return chunk
+    failures = chunk["failures"]
+    record, word_text, tail_failure = verify_mod._record, verify_mod._word_text, verify_mod._tail_run_failure
+    case = e.text()
+    aut = words_mod.automaton(e)
+    cmp_, adv_, maxdig, zero = aut.cmp, aut.adv, aut.maxdig, aut.zero
+    s_cap = tail_cap(e, n)
+    trans, chains = verify_mod.tail_automaton(e, s_cap)
+    kmp_nonzero = [[d for d, k in enumerate(row) if k] for row in trans]
+    taus = verify_mod.tau_table(e, s_cap)
+    calc = verify_mod.cylinder_calc(e, n, tol)
+    pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
+    one = calc.one
+    xn_lo, xn_hi = pow_lo[n], pow_hi[n]
+    slack = (tol.numerator * one) // tol.denominator
+    pcount = runs_mod.prefix_count(e, n)
+    words = undecided = sum_lo = sum_hi = 0
+    deferred = chunk["deferred"]
+    seen_full = False
+    nonfull_pos = full_len = closed = 0
+    full_runs, nonfull_runs = set(), set()
+    first_run = None
+    prefix, states = words_mod.start_at(e, n - 1, prefix_start)
+    kstates, pl, ph = [0] * n, [0] * n, [0] * n
+    for i, d in enumerate(prefix):
+        kstates[i + 1] = trans[kstates[i]][d]
+        pl[i + 1] = pl[i] + d * pow_lo[i + 1]
+        ph[i + 1] = ph[i] + d * pow_hi[i + 1]
+    last = n - 1
+    for rank in range(prefix_start, prefix_stop):
+        s = states[last]
+        c, a = cmp_[s], adv_[s]
+        kp = kstates[last]
+        krow = trans[kp]
+        children = c + (1 if a else 0)
+        words += children
+        for d in kmp_nonzero[kp]:
+            if d < c:
+                record(failures, lambda: f"{case} n={n}: word {word_text(e, n, rank, d)} is structurally "
+                                 "full but ends with a prefix of the expansion")
+        if c:
+            seen_full = True
+            if nonfull_pos:
+                if first_run is None:
+                    first_run = (False, nonfull_pos)
+                else:
+                    nonfull_runs.add(nonfull_pos)
+                closed += 1
+                nonfull_pos = 0
+                full_len = c
+            else:
+                full_len += c
+        if a:
+            if full_len:
+                if first_run is None:
+                    first_run = (True, full_len)
+                else:
+                    full_runs.add(full_len)
+                closed += 1
+                full_len = 0
+            nonfull_pos += 1
+            k_adv = krow[c]
+            if k_adv == 0:
+                record(failures, lambda: f"{case} n={n}: word {word_text(e, n, rank, c)} is structurally "
+                                 "non-full but ends with no prefix of the expansion")
+            for sv in chains[k_adv]:
+                if seen_full:
+                    if nonfull_pos != taus[sv]:
+                        record(failures, lambda: tail_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
+                else:
+                    deferred.append((sv, nonfull_pos, rank, c))
+            last_digit, last_full = c, False
+        else:
+            last_digit, last_full = c - 1, True
+        cur_lo = pl[last] + last_digit * pow_lo[n]
+        cur_hi = ph[last] + last_digit * pow_hi[n]
+        if rank != prefix_stop - 1:
+            for t in range(last, 0, -1):
+                st = states[t - 1]
+                d = prefix[t - 1]
+                if d < maxdig[st]:
+                    nd = d + 1
+                    prefix[t - 1] = nd
+                    states[t] = adv_[st] if nd == cmp_[st] else 1
+                    kstates[t] = trans[kstates[t - 1]][nd]
+                    pl[t] = pl[t - 1] + nd * pow_lo[t]
+                    ph[t] = ph[t - 1] + nd * pow_hi[t]
+                    s2 = states[t]
+                    for u in range(t, last):
+                        prefix[u] = 0
+                        s2 = zero[s2]
+                        states[u + 1] = s2
+                        kstates[u + 1] = trans[kstates[u]][0]
+                        pl[u + 1] = pl[u]
+                        ph[u + 1] = ph[u]
+                    break
+            next_lo, next_hi = pl[last], ph[last]
+        elif prefix_stop == pcount:
+            next_lo = next_hi = one
+        else:
+            next_lo, next_hi = calc.pi_bounds(word_at(e, n - 1, prefix_stop).digits)
+        len_lo = next_lo - cur_hi
+        len_hi = next_hi - cur_lo
+        sum_lo += (children - 1) * pow_lo[n] + len_lo
+        sum_hi += (children - 1) * pow_hi[n] + len_hi
+        if len_hi - xn_lo < 0:
+            length_full = False
+        elif len_lo - xn_hi > 0:
+            record(failures, lambda: f"{case} n={n}: cylinder of {word_text(e, n, rank, last_digit)} "
+                             "certified longer than beta^-n")
+            length_full = None
+        elif max(xn_hi - len_lo, len_hi - xn_lo) <= slack:
+            length_full = True
+        else:
+            undecided += 1
+            length_full = None
+        if length_full is not None and length_full != last_full:
+            record(failures, lambda: f"{case} n={n}: word {word_text(e, n, rank, last_digit)} is "
+                             f"{'full' if last_full else 'non-full'} structurally but the "
+                             "cylinder-length criterion disagrees")
+    chunk.update(words=words, undecided=undecided, sum_lo=sum_lo, sum_hi=sum_hi)
+    last_run = (False, nonfull_pos) if nonfull_pos else (True, full_len)
+    chunk["runs"] = (full_runs, nonfull_runs, first_run or last_run, last_run, closed + 1, words)
+    return chunk
+
+
+SWEEP_CASES = [*default_corpus(), *map(ExpansionOfOne.parse, ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"])]
+SWEEP_FAULTS = {
+    "none": None, "tau_off_by_one": tau_off_by_one, "kmp_first_row(0)": kmp_first_row(0),
+    "kmp_first_row(1)": kmp_first_row(1), "scaled_beta_n(0.5)": scaled_beta_n(0.5),
+    "scaled_beta_n(2)": scaled_beta_n(2), "shifted_beta_n(lo,-1.5)": shifted_beta_n("lo", -1.5),
+    "shifted_beta_n(hi,1.5)": shifted_beta_n("hi", 1.5), "shifted_beta_n(hi,-0.5)": shifted_beta_n("hi", -0.5),
+    "shifted_beta_n(lo,0.5)": shifted_beta_n("lo", 0.5),
+}
+
+
+def seeded_windows(rng, prefixes):
+    """A seeded split of [0, prefixes) into 1..4 windows, empty ones included."""
+    cuts = sorted(rng.randint(0, prefixes) for _ in range(rng.randint(0, 3)))
+    points = [0, *cuts, prefixes]
+    return list(zip(points, points[1:])) + [(rng.randint(0, prefixes),) * 2]
+
+
+@pytest.mark.parametrize("name", SWEEP_FAULTS)
+def test_sweep_shard_matches_unrolled_oracle(monkeypatch, name):
+    """Every chunk entry of the threshold sweep equals the old sweep's:
+    sums, deferred tails, runs, undecided counts and failure strings.  The
+    faulted runs stop at n = 8, where 4;2 has a fifth of its n = 9 words."""
+    fault = SWEEP_FAULTS[name]
+    if fault is not None:
+        fault(monkeypatch)
+    rng = random.Random(9)
+    undecided = 0
+    for e in SWEEP_CASES:
+        for n in range(1, 10 if fault is None else 9):
+            for a, b in seeded_windows(rng, runs_mod.prefix_count(e, n)):
+                got = verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)
+                assert got == sweep_shard_oracle(e, n, DEFAULT_TOL, a, b), (e.text(), n, a, b)
+                undecided += got["undecided"]
+    # only the widened enclosures leave a length undecided
+    assert (undecided > 0) == name.endswith("1.5)")
+
+
+def test_sweep_shard_rejects_windows_outside_the_prefixes():
+    prefixes = runs_mod.prefix_count(PEARL, 11)
+    with pytest.raises(VerificationError, match="exceeds the enumeration"):
+        runs_mod.scan_run_lengths(PEARL, 11, 0, prefixes + 1)
+    for a, b in ((0, prefixes + 1), (-1, 5), (-3, -1), (prefixes + 1, prefixes + 2)):
+        with pytest.raises(VerificationError, match="exceeds the enumeration"):
+            verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, a, b)
+    assert verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, prefixes, prefixes)["words"] == 0
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
