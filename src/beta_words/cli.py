@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .corpus import default_corpus, load_corpus
@@ -103,14 +104,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tol(args) -> Fraction:
+    """--tol as a Fraction in [2^-MAX_PRECISION, 2^MAX_PRECISION].  Decimal
+    text is screened by its exponent first: Fraction would build 10^|exp|."""
+    text = args.tol
+    digits = len(str(2**MAX_PRECISION)) - 1  # 10^digits < 2^MAX_PRECISION < 10^(digits + 1)
     try:
-        tol = Fraction(args.tol)
+        screen = Decimal(text) if "/" not in text else None
+    except ArithmeticError:
+        raise BetaWordsError(f"cannot parse tolerance {text!r}")
+    if screen is not None and screen.is_finite():
+        if screen <= 0:
+            raise BetaWordsError("tolerance must be positive")
+        if screen.adjusted() < -digits - 1:
+            raise BetaWordsError(f"tolerance {text} is below the floor 2^-{MAX_PRECISION}")
+        if screen.adjusted() > digits:
+            raise BetaWordsError(f"tolerance {text} is above the ceiling 2^{MAX_PRECISION}")
+    try:
+        tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise BetaWordsError(f"cannot parse tolerance {args.tol!r}")
+        raise BetaWordsError(f"cannot parse tolerance {text!r}")
     if tol <= 0:
         raise BetaWordsError("tolerance must be positive")
     if tol < Fraction(1, 2**MAX_PRECISION):
-        raise BetaWordsError(f"tolerance {args.tol} is below the floor 2^-{MAX_PRECISION}")
+        raise BetaWordsError(f"tolerance {text} is below the floor 2^-{MAX_PRECISION}")
+    if tol > 2**MAX_PRECISION:
+        raise BetaWordsError(f"tolerance {text} is above the ceiling 2^{MAX_PRECISION}")
     return tol
 
 

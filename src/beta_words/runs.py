@@ -230,8 +230,8 @@ def prefix_count(e: ExpansionOfOne, n: int) -> int:
 
 
 def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_stop: int | None = None):
-    """Stream the words with prefixes in [prefix_start, prefix_stop) and
-    reduce their fullness pattern to run data.
+    """Stream the words with prefixes in [prefix_start, prefix_stop), a window
+    in [0, prefix_count(e, n)] (else VerificationError), into run data.
 
     Words sharing a length-(n-1) prefix split as eps_j full words (digits
     below the match digit) followed by at most one non-full word (the match
@@ -247,11 +247,11 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     prefixes = prefix_count(e, n)
     if prefix_stop is None:
         prefix_stop = prefixes
+    if not (0 <= prefix_start <= prefixes and 0 <= prefix_stop <= prefixes):
+        raise VerificationError("prefix range exceeds the enumeration")
     remaining = prefix_stop - prefix_start
     if remaining <= 0:
         return one_run(True, 0)
-    if prefix_stop > prefixes:
-        raise VerificationError("prefix range exceeds the enumeration")
     aut = automaton(e)
     cmp, adv = aut.cmp, aut.adv
     full: set[int] = set()

@@ -11,7 +11,9 @@ nonempty), and a certified fixed-point enclosure of the word's cylinder
 left endpoint (length criterion).  Within one prefix family, consecutive
 cylinders differ by exactly beta^-n, so only the last word of each family
 needs a computed length, and its test is two subtractions against
-thresholds built once per block state.
+thresholds built once per block state.  A length-(n-2) prefix in state j
+starts maxdig[j] state-1 families exactly beta^-(n-1) apart; when tables
+show none can fail, they are tallied in O(1) and the walk jumps past them.
 The same pass tallies the maximal full and non-full runs, so one streamed
 pass per (member, n) gives both the enumerated run sets that the closed
 forms are checked against and the three fullness criteria.
@@ -31,6 +33,8 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import and_
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
@@ -110,11 +114,17 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
     tallied here from the structural verdicts rather than by a second walk;
     the tests hold it against scan_run_lengths.
+
+    The families q0..qm of a length-(n-2) prefix q (state j, KMP state kq,
+    enclosure width W, m = maxdig[j]) form a super-family.  Families e' < m
+    are state-1 families with gaps pow[n-1] -/+ (W + e' * delta).  If q lies
+    in the window, clean_upto[kq][m] and W < wsafe[m], they record nothing
+    and are tallied at once; the chunk equals the family-by-family walk's.
     """
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
     pcount = prefix_count(e, n)
-    if prefix_start < 0 or prefix_stop > pcount:
+    if not (0 <= prefix_start <= pcount and 0 <= prefix_stop <= pcount):
         raise VerificationError("prefix range exceeds the enumeration")
     if prefix_stop <= prefix_start:
         return chunk
@@ -134,6 +144,17 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     # per block state: c full words, then a non-full word if a, the last digit and verdict, thresholds
     families = [(c, a, d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack,
                  (d + 1) * xn_lo + slack) for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
+    # super-families: the first maxdig[j] families of a prefix in state j are state-1 families
+    eps1, lead, jump = cmp_[1], n - 2, n > 1
+    p_lo, p_hi = pow_lo[n - 1], pow_hi[n - 1]
+    delta = p_hi - p_lo
+    # tail route: a state-1 family in KMP state k records no failure (never for an integer beta: no match)
+    ok = [kmin[k] >= eps1 and row[eps1] > 0 and all(taus[sv] == 1 for sv in chains[row[eps1]])
+          for k, row in enumerate(trans)]
+    clean_upto = [[False, *accumulate((ok[row[d]] for d in range(eps1)), and_)] for row in trans]
+    # length route: the widest of the m gaps is certified short; sums: the m gaps at W = 0
+    wsafe = [families[1][4] - p_hi - (m - 1) * delta for m in range(eps1 + 1)]
+    sums = [(m * p_lo - delta * (m * m - m) // 2, m * p_hi + delta * (m * m - m) // 2) for m in range(eps1 + 1)]
     words = 0
     undecided = 0
     sum_lo = sum_hi = 0
@@ -155,7 +176,37 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
         ph[i + 1] = ph[i] + d * pow_hi[i + 1]
     last = n - 1
     last_rank = prefix_stop - 1
-    for rank in range(prefix_start, prefix_stop):
+    rank = prefix_start
+    while rank < prefix_stop:
+        if jump and not prefix[lead]:
+            j, kq = states[lead], kstates[lead]
+            m = maxdig[j]
+            if rank + m <= last_rank and clean_upto[kq][m] and (w := ph[lead] - pl[lead]) < wsafe[m]:
+                # families 0..m-1 would record nothing: tally their words, sums and runs at once
+                words += m * (eps1 + 1)
+                sum_lo += sums[m][0] - m * w
+                sum_hi += sums[m][1] + m * w
+                closed += 2 * m - (0 if nonfull_pos else 1)
+                if nonfull_pos:
+                    if first_run is None:
+                        first_run = (False, nonfull_pos)
+                    else:
+                        nonfull_runs.add(nonfull_pos)
+                full_len += eps1
+                if first_run is None:
+                    first_run = (True, full_len)
+                else:
+                    full_runs.add(full_len)
+                if m > 1:
+                    nonfull_runs.add(1)
+                    full_runs.add(eps1)
+                seen_full, nonfull_pos, full_len = True, 1, 0
+                rank += m
+                prefix[lead] = m
+                states[last] = adv_[j] if m == cmp_[j] else 1
+                kstates[last] = trans[kq][m]
+                pl[last] = pl[lead] + m * p_lo
+                ph[last] = ph[lead] + m * p_hi
         c, a, last_digit, last_full, short_hi, long_lo, full_lo, full_hi = families[states[last]]
         kp = kstates[last]
         words += last_digit + 1
@@ -252,6 +303,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
             _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
                                       f"{'full' if last_full else 'non-full'} structurally but the "
                                       "cylinder-length criterion disagrees")
+        rank += 1
     spare = words - (prefix_stop - prefix_start)  # the last digits' sum: a family has last digit + 1 words
     chunk["words"] = words
     chunk["undecided"] = undecided

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import csv
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from beta_words import cli
 from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
 from beta_words import verify as verify_mod
+from beta_words.errors import BetaWordsError
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +191,32 @@ def test_tol_floor(capsys, command):
         assert "below the floor 2^-4096" in err
     code, _, err = run_cli(capsys, *command, "--tol", f"1/{2**4096}")
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("tol, bound", [("1e-5000000", "below the floor 2^-4096"),
+                                        ("1e+999999999", "above the ceiling 2^4096"),
+                                        ("-1e+999999999", "must be positive"),
+                                        ("0e-5000000", "must be positive")])
+def test_tol_far_past_the_bounds_exits_at_once(capsys, tol, bound):
+    """A decimal exponent is read, not expanded: 10^|exp| is never built."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--seq", "1,1", "--n", "3", f"--tol={tol}")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "") and bound in err
+
+
+def test_tol_ceiling_and_accepted_values():
+    for tol in ("1e1234", f"{2**4096 + 1}", f"{2**4096 + 1}/1"):
+        with pytest.raises(BetaWordsError, match="above the ceiling 2\\^4096"):
+            cli._parse_tol(argparse.Namespace(tol=tol))
+    accepted = ["1e-12", "1/1000000000000", "0.5", " 2.5e-7 ", "3", "1_000", "+.5E-3", "5.", "1e-1233",
+                f"1/{2**4096}", f"{2**4096}", "9.99e1232", "1e1233", "7/3", "１e-3",
+                "9.6e-1234", "1.04e1233"]  # 2^-4096 = 9.58...e-1234, 2^4096 = 1.044...e1233
+    for tol in accepted:
+        assert cli._parse_tol(argparse.Namespace(tol=tol)) == Fraction(tol), tol
+    for tol in ("nan", "inf", "1/0", "1__0", "0x10", "1e-99999999999999999999999"):
+        with pytest.raises(BetaWordsError, match="cannot parse"):
+            cli._parse_tol(argparse.Namespace(tol=tol))
 
 
 # --- runs: one walk, read off the records, against the two-walk path ---

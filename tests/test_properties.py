@@ -19,10 +19,12 @@ from beta_words import (
     tau,
     word_at,
 )
-from beta_words.runs import scan_run_lengths
-from beta_words.structure import _tail_matches
+from beta_words.runs import prefix_count, scan_run_lengths
+from beta_words.structure import DEFAULT_TOL, _tail_matches
+from beta_words.verify import sweep_shard
+from beta_words.words import automaton, scan_states
 from test_structure import decompose_oracle, mismatch_oracle, tail_matches_oracle
-from test_verify import FakeExecutor
+from test_verify import FakeExecutor, sweep_shard_oracle
 
 MEMBERS = [
     ExpansionOfOne.parse("1,1"),
@@ -115,3 +117,22 @@ def test_random_expansions_sweep_clean(e, n):
         assert res.words == count(e, n)
         assert res.undecided == 0
         assert res.failures == []
+
+
+def inside_super_family(e, n, seed):
+    """A prefix rank inside the super-family of a seeded length-(n-2)
+    prefix q, the length-(n-1) prefixes q0, q1, ..., at a nonzero offset
+    when q has more than one of them."""
+    q = word_at(e, n - 2, seed % count(e, n - 2)).digits if n > 2 else ()
+    m = automaton(e).maxdig[scan_states(q, e)[-1]]
+    return rank_of(Word(q + (0,)), e) + (1 + seed % m if m else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions(), st.integers(2, 7), st.integers(0, 10**9), st.integers(0, 10**9))
+def test_windows_cut_inside_super_families_match_oracle(e, n, seed_a, seed_b):
+    """Windows whose ends cut through super-families leave partial ones to
+    the per-family body; every chunk still equals the unrolled oracle's."""
+    a, b = sorted((inside_super_family(e, n, seed_a), inside_super_family(e, n, seed_b)))
+    for start, stop in ((0, a), (a, b), (b, prefix_count(e, n))):
+        assert sweep_shard(e, n, DEFAULT_TOL, start, stop) == sweep_shard_oracle(e, n, DEFAULT_TOL, start, stop)

@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import inspect
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -314,6 +316,49 @@ def shifted_beta_n(side, tolerances):
     return inject
 
 
+def kmp_eps1_column(monkeypatch):
+    """Send the digit eps_1 from every KMP state k >= 1 back to state 0, and
+    nothing else: a state-1 family reached in such a state names its
+    non-full word, so the super-family shortcut has to refuse it."""
+    real = verify_mod.tail_automaton
+
+    def fake(e, cap):
+        trans, chains = real(e, cap)
+        top = e.alphabet_max
+        return (trans[0],) + tuple(row[:top] + (0,) for row in trans[1:]), chains
+
+    monkeypatch.setattr(verify_mod, "tail_automaton", fake)
+
+
+def widened_pow_hi_n1(monkeypatch):
+    """Raise the upper end of beta^-(n-1) by beta^-n: the widest gap of a
+    super-family no longer certifies short, so its shortcut is refused."""
+    real = verify_mod.cylinder_calc
+
+    def fake(e, n, tol):
+        calc = copy.copy(real(e, n, tol))
+        calc.pow_hi = [*calc.pow_hi[:n - 1], calc.pow_hi[n - 1] + calc.pow_hi[n], calc.pow_hi[n]]
+        return calc
+
+    monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+
+
+def pinned_pow_hi_n1(monkeypatch):
+    """Put the upper end of beta^-(n-1) half a tolerance above the state-1
+    short threshold (eps_1 + 1) * beta^-n: a super-family with one state-1
+    family then has a gap that is not certified short, though within the
+    tolerance of it, so a length guard that allowed the tolerance fails."""
+    real = verify_mod.cylinder_calc
+
+    def fake(e, n, tol):
+        calc = copy.copy(real(e, n, tol))
+        half = int(Fraction(tol) * calc.one / 2)
+        calc.pow_hi = [*calc.pow_hi[:n - 1], (e.alphabet_max + 1) * calc.pow_lo[n] + half, calc.pow_hi[n]]
+        return calc
+
+    monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+
+
 TAU_1 = "ends with the first 1 digits but sits 1 above the last full word, expected tau(1) = 2"
 NO_PREFIX = "is structurally non-full but ends with no prefix of the expansion"
 PREFIX = "is structurally full but ends with a prefix of the expansion"
@@ -541,13 +586,15 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
     return chunk
 
 
-SWEEP_CASES = [*default_corpus(), *map(ExpansionOfOne.parse, ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"])]
+SWEEP_CASES = [*default_corpus(), *map(ExpansionOfOne.parse, ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1",
+                                                               "5,4,3", "9,9,1", "2,2;0,1", "1;1,0", "2,0,1"])]
 SWEEP_FAULTS = {
     "none": None, "tau_off_by_one": tau_off_by_one, "kmp_first_row(0)": kmp_first_row(0),
     "kmp_first_row(1)": kmp_first_row(1), "scaled_beta_n(0.5)": scaled_beta_n(0.5),
     "scaled_beta_n(2)": scaled_beta_n(2), "shifted_beta_n(lo,-1.5)": shifted_beta_n("lo", -1.5),
     "shifted_beta_n(hi,1.5)": shifted_beta_n("hi", 1.5), "shifted_beta_n(hi,-0.5)": shifted_beta_n("hi", -0.5),
-    "shifted_beta_n(lo,0.5)": shifted_beta_n("lo", 0.5),
+    "shifted_beta_n(lo,0.5)": shifted_beta_n("lo", 0.5), "kmp_eps1_column": kmp_eps1_column,
+    "widened_pow_hi_n1": widened_pow_hi_n1, "pinned_pow_hi_n1": pinned_pow_hi_n1,
 }
 
 
@@ -562,30 +609,78 @@ def seeded_windows(rng, prefixes):
 def test_sweep_shard_matches_unrolled_oracle(monkeypatch, name):
     """Every chunk entry of the threshold sweep equals the old sweep's:
     sums, deferred tails, runs, undecided counts and failure strings.  The
-    faulted runs stop at n = 8, where 4;2 has a fifth of its n = 9 words."""
+    faulted runs stop at n = 8, where 4;2 has a fifth of its n = 9 words.
+    A case stops once its prefixes outnumber those of 4;2 at that last n,
+    so the wide alphabets of 5,4,3 and 9,9,1 stop at n = 7 and 6 (5 faulted)."""
     fault = SWEEP_FAULTS[name]
     if fault is not None:
         fault(monkeypatch)
     rng = random.Random(9)
     undecided = 0
+    n_top = 9 if fault is None else 8
+    prefix_cap = runs_mod.prefix_count(ExpansionOfOne.parse("4;2"), n_top)
     for e in SWEEP_CASES:
-        for n in range(1, 10 if fault is None else 9):
-            for a, b in seeded_windows(rng, runs_mod.prefix_count(e, n)):
+        for n in range(1, n_top + 1):
+            prefixes = runs_mod.prefix_count(e, n)
+            if prefixes > prefix_cap:
+                break
+            for a, b in seeded_windows(rng, prefixes):
                 got = verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)
                 assert got == sweep_shard_oracle(e, n, DEFAULT_TOL, a, b), (e.text(), n, a, b)
                 undecided += got["undecided"]
     # only the widened enclosures leave a length undecided
-    assert (undecided > 0) == name.endswith("1.5)")
+    assert (undecided > 0) == (name.endswith("1.5)") or name.endswith("pow_hi_n1"))
+
+
+def body_runs(e, n):
+    """How many times sweep_shard's per-family body runs over all prefixes,
+    counted by a line tracer on the body's first line."""
+    lines, first = inspect.getsourcelines(verify_mod.sweep_shard)
+    target = first + next(i for i, line in enumerate(lines) if "= families[states[last]]" in line)
+    code = verify_mod.sweep_shard.__code__
+    hits = 0
+
+    def local(frame, event, arg):
+        nonlocal hits
+        hits += event == "line" and frame.f_lineno == target
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n))
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
+@pytest.mark.parametrize("e", SWEEP_CASES, ids=lambda e: e.text())
+def test_sweep_body_runs_once_per_super_family(e):
+    """On a clean sweep every super-family is tallied at once up to its last
+    family, so the body runs once per length-(n-2) prefix, not once per
+    length-(n-1) prefix.  A sweep that never took the shortcut would still
+    pass every oracle test."""
+    for n in range(1, 8):
+        if runs_mod.prefix_count(e, n) > 20_000:
+            break
+        assert body_runs(e, n) == (count(e, n - 2) if n > 2 else 1), n
 
 
 def test_sweep_shard_rejects_windows_outside_the_prefixes():
     prefixes = runs_mod.prefix_count(PEARL, 11)
     with pytest.raises(VerificationError, match="exceeds the enumeration"):
         runs_mod.scan_run_lengths(PEARL, 11, 0, prefixes + 1)
-    for a, b in ((0, prefixes + 1), (-1, 5), (-3, -1), (prefixes + 1, prefixes + 2)):
+    for a, b in ((0, prefixes + 1), (-1, 5), (-3, -1), (-1, -1), (prefixes + 1, prefixes + 2),
+                 (prefixes + 1, prefixes), (0, -1)):
         with pytest.raises(VerificationError, match="exceeds the enumeration"):
             verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, a, b)
-    assert verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, prefixes, prefixes)["words"] == 0
+        with pytest.raises(VerificationError, match="exceeds the enumeration"):
+            runs_mod.scan_run_lengths(PEARL, 11, a, b)
+    with pytest.raises(VerificationError, match="exceeds the enumeration"):
+        runs_mod.scan_run_lengths(GOLDEN, 5, -1, 3)
+    for a in (0, 5, prefixes):
+        assert verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, a, a)["words"] == 0
+        assert runs_mod.scan_run_lengths(PEARL, 11, a, a) == runs_mod.one_run(True, 0)
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
