@@ -153,9 +153,6 @@ def _parse_n_range(text: str) -> range:
 
 
 def _expansion(args) -> ExpansionOfOne:
-    if getattr(args, "beta", None) is not None:
-        raise BetaWordsError("--beta is only supported by expand and validate; "
-                             "use --seq with exact digits")
     if args.seq is None:
         raise BetaWordsError("--seq is required")
     return ExpansionOfOne.parse(args.seq)

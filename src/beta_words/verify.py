@@ -18,10 +18,11 @@ The same pass tallies the maximal full and non-full runs, so one streamed
 pass per (member, n) gives both the enumerated run sets that the closed
 forms are checked against and the three fullness criteria.
 
-Sweeps shard on prefix-rank ranges for multiprocess verification.  One fold
-of runs.merge_runs over the shards' run summaries both merges boundary runs
-and, read before each shard, re-anchors its tail-run position counters, so
-the merged result is identical to a single-shard pass.
+Sweeps shard on prefix-rank ranges for multiprocess verification.  A shard
+steps back over the families before its window for the non-full run it
+starts inside, so it checks every tail-run position itself, and one fold of
+runs.merge_runs joins the shards' run summaries: the result and the failures,
+in word order, are those of a single-shard pass.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def _empty_sweep_chunk() -> dict:
         "undecided": 0,
         "sum_lo": 0,
         "sum_hi": 0,
-        "deferred": [],
         "runs": one_run(True, 0),
     }
 
@@ -103,12 +103,12 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     its prefix's endpoint to the next prefix's less d * beta^-n, so the gap
     is held against (d + 1) * beta^-n with and without the tolerance: four
     thresholds per block state, exact integer rearrangements of comparing
-    the cylinder with beta^-n.  Tail-run positions of words seen before the
-    shard's first full word are deferred to sweep_fullness, whose running
-    run summary ends with the preceding shards' trailing run; each is kept
-    as (s, position, prefix rank, last digit), so the failure can name its
-    word.  Lengths read structure.cylinder_calc, tails structure.tail_automaton
-    and block states words.automaton only.
+    the cylinder with beta^-n.  Before the walk, the families before the
+    window are stepped back over, as the window's right edge looks ahead, to
+    get carry, the length of the non-full run that ends just before it; a
+    tail-run position before the shard's first full word counts from there.
+    Lengths read structure.cylinder_calc, tails structure.tail_automaton and
+    block states words.automaton only.
 
     The chunk's "runs" entry is the shard's run summary in the shape
     runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
@@ -117,9 +117,11 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
 
     The families q0..qm of a length-(n-2) prefix q (state j, KMP state kq,
     enclosure width W, m = maxdig[j]) form a super-family.  Families e' < m
-    are state-1 families with gaps pow[n-1] -/+ (W + e' * delta).  If q lies
-    in the window, clean_upto[kq][m] and W < wsafe[m], they record nothing
-    and are tallied at once; the chunk equals the family-by-family walk's.
+    are state-1 families with gaps pow[n-1] -/+ (W + e' * delta), and W is
+    at most wmax = eps_1 * sum(pow_hi[i] - pow_lo[i], i <= n - 2).  If q lies
+    in the window and clean_upto[kq][m], which holds both guards, they record
+    nothing and are tallied at once; the chunk equals the family-by-family
+    walk's.
     """
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
@@ -151,15 +153,22 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     # tail route: a state-1 family in KMP state k records no failure (never for an integer beta: no match)
     ok = [kmin[k] >= eps1 and row[eps1] > 0 and all(taus[sv] == 1 for sv in chains[row[eps1]])
           for k, row in enumerate(trans)]
-    clean_upto = [[False, *accumulate((ok[row[d]] for d in range(eps1)), and_)] for row in trans]
-    # length route: the widest of the m gaps is certified short; sums: the m gaps at W = 0
-    wsafe = [families[1][4] - p_hi - (m - 1) * delta for m in range(eps1 + 1)]
+    # length route: the widest of the m gaps is short at every W <= wmax; sums: the m gaps at W = 0
+    wmax = eps1 * (sum(pow_hi[:n - 1]) - sum(pow_lo[:n - 1]))
+    short = [families[1][4] - p_hi - (m - 1) * delta > wmax for m in range(1, eps1 + 1)]
+    clean_upto = [[False, *map(and_, accumulate((ok[row[d]] for d in range(eps1)), and_), short)] for row in trans]
     sums = [(m * p_lo - delta * (m * m - m) // 2, m * p_hi + delta * (m * m - m) // 2) for m in range(eps1 + 1)]
     words = 0
     undecided = 0
     sum_lo = sum_hi = 0
-    deferred = chunk["deferred"]
+    carry = 0  # length of the non-full run that ends just before the window
+    for r in range(prefix_start - 1, -1, -1):
+        s = scan_states(word_at(e, n - 1, r).digits, e)[-1]
+        carry += adv_[s] > 0
+        if cmp_[s]:
+            break
     seen_full = False
+    interior = False  # a shortcut closed runs of eps_1 full words and of one non-full word inside it
     nonfull_pos = 0  # length of the current non-full run
     full_len = 0  # length of the current full run
     full_runs: set[int] = set()
@@ -181,7 +190,8 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
         if jump and not prefix[lead]:
             j, kq = states[lead], kstates[lead]
             m = maxdig[j]
-            if rank + m <= last_rank and clean_upto[kq][m] and (w := ph[lead] - pl[lead]) < wsafe[m]:
+            if rank + m <= last_rank and clean_upto[kq][m]:
+                w = ph[lead] - pl[lead]
                 # families 0..m-1 would record nothing: tally their words, sums and runs at once
                 words += m * (eps1 + 1)
                 sum_lo += sums[m][0] - m * w
@@ -197,9 +207,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
                     first_run = (True, full_len)
                 else:
                     full_runs.add(full_len)
-                if m > 1:
-                    nonfull_runs.add(1)
-                    full_runs.add(eps1)
+                interior |= m > 1
                 seen_full, nonfull_pos, full_len = True, 1, 0
                 rank += m
                 prefix[lead] = m
@@ -245,8 +253,8 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
                 if seen_full:
                     if nonfull_pos != taus[sv]:
                         _record(failures, lambda: _tail_run_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
-                else:
-                    deferred.append((sv, nonfull_pos, rank, c))
+                elif carry + nonfull_pos != taus[sv]:
+                    _record(failures, lambda: _tail_run_failure(e, n, rank, c, sv, carry + nonfull_pos, taus[sv]))
         left_lo, left_hi = pl[last], ph[last]
         if rank != last_rank:
             st = states[last - 1]
@@ -304,6 +312,9 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
                                       f"{'full' if last_full else 'non-full'} structurally but the "
                                       "cylinder-length criterion disagrees")
         rank += 1
+    if interior:
+        full_runs.add(eps1)
+        nonfull_runs.add(1)
     spare = words - (prefix_stop - prefix_start)  # the last digits' sum: a family has last digit + 1 words
     chunk["words"] = words
     chunk["undecided"] = undecided
@@ -340,15 +351,11 @@ def _sweep_worker(args):
 def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, executor=None) -> SweepResult:
     """Run the word sweep over the whole enumeration, optionally sharded.
 
-    Adds the global checks that need all shards: the cylinder lengths must
-    sum to 1 within n * tol, the visited-word tally must equal the counting
-    recursion, and tail-run positions deferred at shard starts must match
-    the greedy step counts once the preceding shard's trailing run is known.
-    The shards' run summaries fold into the result's runs by merge_runs.
-
-    A deferred failure reads as the in-shard one and names its word, so
-    every shard count reports the same failures.  Their order depends on
-    the shards: deferred failures follow their own shard's failures.
+    Folds the shards' chunks in order, their run summaries by merge_runs,
+    so every shard count gives the same result and the same failures in word
+    order.  Adds the global checks that need all shards: the cylinder lengths
+    must sum to 1 within n * tol, and the visited-word tally must equal the
+    counting recursion.
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
@@ -358,7 +365,6 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         chunks = list(executor.map(_sweep_worker, [(e, n, tol, a, b) for a, b in bounds]))
     else:
         chunks = [sweep_shard(e, n, tol, a, b) for a, b in bounds]
-    taus = tau_table(e, tail_cap(e, n))
     case = e.text()
     failures: list[str] = []
     words = undecided = 0
@@ -371,10 +377,6 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         undecided += chunk["undecided"]
         sum_lo += chunk["sum_lo"]
         sum_hi += chunk["sum_hi"]
-        carry = 0 if runs[3][0] else runs[3][1]
-        for sv, pos, rank, digit in chunk["deferred"]:
-            if carry + pos != taus[sv]:
-                _record(failures, lambda: _tail_run_failure(e, n, rank, digit, sv, carry + pos, taus[sv]))
         runs = merge_runs(runs, chunk["runs"])
     calc = cylinder_calc(e, n, tol)
     one = calc.one

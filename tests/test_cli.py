@@ -181,6 +181,14 @@ def test_unread_options_are_rejected(capsys, argv):
     assert argv[-2] in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "classify", "runs", "tau"])
+def test_beta_only_for_expand_and_validate(capsys, command):
+    """Only expand and validate define --beta; the parser refuses it elsewhere."""
+    code, out, err = run_cli(capsys, command, "--seq", "1,1", "--n", "3", "--beta", "1.5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --beta 1.5" in err
+
+
 @pytest.mark.parametrize("command", [("verify", "--n-range", "1..3"), ("classify", "--seq", "1,1", "--n", "3")])
 def test_tol_floor(capsys, command):
     """--tol stops at 2^-MAX_PRECISION: below it the precision it asks for

@@ -6,8 +6,8 @@ import inspect
 import random
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,8 +28,8 @@ from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
 from beta_words.errors import NotAdmissible, VerificationError
-from beta_words.structure import DEFAULT_TOL, Decomposition, is_full, tail_cap
-from beta_words.words import Automaton, Word, iter_words, word_at
+from beta_words.structure import DEFAULT_TOL, Decomposition, cylinder_calc, is_full, tail_cap
+from beta_words.words import Automaton, Word, iter_words, rank_of, word_at
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -399,23 +399,18 @@ def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected,
     assert verify_member(GOLDEN, [n], shards=shards, executor=executor)[1] == expected
 
 
-# A deferred tail failure is checked after its shard has run, so it comes
-# after that shard's own failures and the lists are compared as multisets:
-# of (s, distance) pairs here, of whole failure strings below.
-TAIL_FAILURE = re.compile(r"word (?:\S+ ends|ending) with the first (\d+) digits (?:but )?sits (\d+) above")
-
-
-def tail_failures(failures):
-    return Counter(m.groups() if (m := TAIL_FAILURE.search(f)) else f for f in failures)
+TAIL_FAILURE = re.compile(r"word \S+ ends with the first \d+ digits but sits \d+ above")
+FAILED_WORD = re.compile(r"(?:word|cylinder of) (\S+) (?:is|ends|certified)")
+CAPS_SHARDED = (verify_mod.MAX_FAILURES, 10**9)  # the default failure cap, and none
 
 
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
-    """Deferred tail positions read their carry off the running run summary:
+    """A shard that starts inside a non-full run steps back for its carry:
     under a tau table off by one, every tail failure is reported with its
-    distance to the last full word, and each shard count reports the same."""
+    distance to the last full word, and each shard count reports the list
+    of one shard, order included, at the default failure cap and without."""
     tau_off_by_one(monkeypatch)
-    monkeypatch.setattr(verify_mod, "MAX_FAILURES", 10**9)
     no_full_chunks = []
     real_merge = verify_mod.merge_runs
 
@@ -425,11 +420,12 @@ def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
         return real_merge(acc, chunk_runs)
 
     monkeypatch.setattr(verify_mod, "merge_runs", spy)
-    for n in range(1, 9):
+    for cap, n in product(CAPS_SHARDED, range(1, 9)):
+        monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
         single = verify_member(e, [n], shards=1)[1]
-        assert any(TAIL_FAILURE.search(f) for f in single), n
+        assert any(TAIL_FAILURE.search(f) for f in single), (cap, n)
         for shards in range(2, 7):
-            assert tail_failures(verify_member(e, [n], shards=shards)[1]) == tail_failures(single), (n, shards)
+            assert verify_member(e, [n], shards=shards)[1] == single, (cap, n, shards)
     if e.text() == "3,0,2,0,0,0,0,1":
         # at n = 2 with 5 shards, the chunk of prefix 3 holds only the non-full word 30
         assert (set(), set(), (False, 1), (False, 1), 1, 1) in no_full_chunks
@@ -437,15 +433,20 @@ def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
 
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 def test_sharded_failures_name_the_same_words(monkeypatch, e):
-    """A deferred tail failure names its word as the in-shard check does, so
-    under a tau table off by one every shard count reports the failure
-    strings of one shard, in a shard-dependent order."""
+    """Under a tau table off by one, every shard count run through a pool's
+    map reports the failure strings of one shard, in the same order, at the
+    default failure cap and without, and the words they name come in lex
+    order."""
     tau_off_by_one(monkeypatch)
-    monkeypatch.setattr(verify_mod, "MAX_FAILURES", 10**9)
-    for n in range(1, 9):
-        single = Counter(verify_member(e, [n], shards=1)[1])
-        for shards in range(2, 7):
-            assert Counter(verify_member(e, [n], shards=shards)[1]) == single, (n, shards)
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    for cap, n in product(CAPS_SHARDED, range(1, 9)):
+        monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
+        single = verify_member(e, [n], shards=1)[1]
+        ranks = [rank_of(Word.parse(m.group(1)), e) for f in single if (m := FAILED_WORD.search(f))]
+        assert ranks and ranks == sorted(ranks), (cap, n)
+        for shards in range(1, 7):
+            got = verify_member(e, [n], shards=shards, executor=FakeExecutor(shards))[1]
+            assert got == single, (cap, n, shards)
 
 
 # --- the table-driven sweep against the sweep it replaced ---
@@ -456,7 +457,9 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
     thresholds: ten big-integer operations per prefix family.  It reads
     tail_automaton, tau_table and cylinder_calc off the verify module at
     call time, so an injected fault reaches the oracle and the sweep alike.
-    Its messages are formatted only when kept, as the sweep's are."""
+    Its messages are formatted only when kept, as the sweep's are.  The
+    non-full run it enters the window in is read off scan_run_lengths over
+    the prefixes before the window, not stepped back over as the sweep does."""
     tol = Fraction(tol)
     chunk = verify_mod._empty_sweep_chunk()
     if prefix_stop <= prefix_start:
@@ -477,7 +480,8 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
     slack = (tol.numerator * one) // tol.denominator
     pcount = runs_mod.prefix_count(e, n)
     words = undecided = sum_lo = sum_hi = 0
-    deferred = chunk["deferred"]
+    entry = runs_mod.scan_run_lengths(e, n, 0, prefix_start)[3]
+    carry = 0 if entry[0] else entry[1]
     seen_full = False
     nonfull_pos = full_len = closed = 0
     full_runs, nonfull_runs = set(), set()
@@ -526,11 +530,9 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
                 record(failures, lambda: f"{case} n={n}: word {word_text(e, n, rank, c)} is structurally "
                                  "non-full but ends with no prefix of the expansion")
             for sv in chains[k_adv]:
-                if seen_full:
-                    if nonfull_pos != taus[sv]:
-                        record(failures, lambda: tail_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
-                else:
-                    deferred.append((sv, nonfull_pos, rank, c))
+                pos = nonfull_pos if seen_full else carry + nonfull_pos
+                if pos != taus[sv]:
+                    record(failures, lambda: tail_failure(e, n, rank, c, sv, pos, taus[sv]))
             last_digit, last_full = c, False
         else:
             last_digit, last_full = c - 1, True
@@ -608,10 +610,11 @@ def seeded_windows(rng, prefixes):
 @pytest.mark.parametrize("name", SWEEP_FAULTS)
 def test_sweep_shard_matches_unrolled_oracle(monkeypatch, name):
     """Every chunk entry of the threshold sweep equals the old sweep's:
-    sums, deferred tails, runs, undecided counts and failure strings.  The
-    faulted runs stop at n = 8, where 4;2 has a fifth of its n = 9 words.
-    A case stops once its prefixes outnumber those of 4;2 at that last n,
-    so the wide alphabets of 5,4,3 and 9,9,1 stop at n = 7 and 6 (5 faulted)."""
+    sums, runs, undecided counts and failure strings, tail failures before
+    the window's first full word included.  The faulted runs stop at n = 8,
+    where 4;2 has a fifth of its n = 9 words.  A case stops once its
+    prefixes outnumber those of 4;2 at that last n, so the wide alphabets of
+    5,4,3 and 9,9,1 stop at n = 7 and 6 (5 faulted)."""
     fault = SWEEP_FAULTS[name]
     if fault is not None:
         fault(monkeypatch)
@@ -632,12 +635,13 @@ def test_sweep_shard_matches_unrolled_oracle(monkeypatch, name):
     assert (undecided > 0) == (name.endswith("1.5)") or name.endswith("pow_hi_n1"))
 
 
-def body_runs(e, n):
-    """How many times sweep_shard's per-family body runs over all prefixes,
-    counted by a line tracer on the body's first line."""
+def body_runs(e, n, prefix_start=0, prefix_stop=None):
+    """How many times sweep_shard's per-family body runs over a window, all
+    prefixes by default, counted by a line tracer on the body's first line."""
     lines, first = inspect.getsourcelines(verify_mod.sweep_shard)
     target = first + next(i for i, line in enumerate(lines) if "= families[states[last]]" in line)
     code = verify_mod.sweep_shard.__code__
+    stop = runs_mod.prefix_count(e, n) if prefix_stop is None else prefix_stop
     hits = 0
 
     def local(frame, event, arg):
@@ -648,7 +652,7 @@ def body_runs(e, n):
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n))
+        verify_mod.sweep_shard(e, n, DEFAULT_TOL, prefix_start, stop)
     finally:
         sys.settrace(previous)
     return hits
@@ -664,6 +668,59 @@ def test_sweep_body_runs_once_per_super_family(e):
         if runs_mod.prefix_count(e, n) > 20_000:
             break
         assert body_runs(e, n) == (count(e, n - 2) if n > 2 else 1), n
+
+
+def width_bound(e, n):
+    """wmax and wsafe[1..eps_1] of sweep_shard, from its formulas: every
+    length-(n-2) prefix's enclosure width must be at most wmax, and a
+    super-family of m state-1 families is tallied at once only if wmax < wsafe[m]."""
+    calc = cylinder_calc(e, n, DEFAULT_TOL)
+    pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
+    eps1 = e.alphabet_max
+    wmax = eps1 * sum(pow_hi[i] - pow_lo[i] for i in range(n - 1))
+    delta = pow_hi[n - 1] - pow_lo[n - 1]
+    return wmax, [(eps1 + 1) * pow_lo[n] - pow_hi[n - 1] - (m - 1) * delta for m in range(1, eps1 + 1)]
+
+
+@pytest.mark.parametrize("e", SWEEP_CASES, ids=lambda e: e.text())
+def test_super_family_width_bound_holds_and_keeps_the_shortcut(e):
+    """The shortcut's length guard is decided once per call from wmax: wmax
+    bounds the width of every length-(n-2) prefix's enclosure at n <= 7, and
+    lies below every wsafe[m] at n = 12, 50 and 200, where a window's sweep
+    still tallies super-families at once."""
+    assert words_mod.automaton(e).adv[1], "the state-1 family ends with a non-full word"
+    for n in range(3, 8):
+        calc = cylinder_calc(e, n, DEFAULT_TOL)
+        wmax = width_bound(e, n)[0]
+        assert all(hi - lo <= wmax for lo, hi in map(calc.pi_bounds, iter_words(e, n - 2))), n
+    for n in (12, 50, 200):
+        wmax, wsafe = width_bound(e, n)
+        assert all(wmax < w for w in wsafe), n
+    assert body_runs(e, 50, 0, 64) < 64
+
+
+@pytest.mark.parametrize("e", map(ExpansionOfOne.parse, ["1,1", "2;1", "2,1,1"]), ids=lambda e: e.text())
+def test_width_guard_sits_at_wmax(monkeypatch, e):
+    """Put the upper end of beta^-(n-1) so that wsafe[1] = wmax + 1, then
+    wmax: super-families of one state-1 family (each case has a state with
+    maxdig 1) are tallied at once in the first case and in no case in the
+    second, and both chunks equal the oracle's, so the guard is exact at
+    the bound it is decided from."""
+    real = verify_mod.cylinder_calc
+
+    def fake(e, n, tol):  # reads offset from the loop below
+        calc = copy.copy(real(e, n, tol))
+        short_hi = (e.alphabet_max + 1) * calc.pow_lo[n]
+        calc.pow_hi = [*calc.pow_hi[:n - 1], short_hi - width_bound(e, n)[0] - offset, calc.pow_hi[n]]
+        return calc
+
+    monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+    for n in range(3, 8):
+        prefixes = runs_mod.prefix_count(e, n)
+        for offset in (1, 0):
+            assert (body_runs(e, n) < prefixes) == (offset == 1), (n, offset)
+            chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
+            assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes), (n, offset)
 
 
 def test_sweep_shard_rejects_windows_outside_the_prefixes():
