@@ -13,6 +13,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterator
 
 from .corpus import default_corpus, load_corpus
 from .errors import BetaWordsError, IntegerBeta, VerificationError
@@ -36,7 +37,7 @@ from .structure import (
     smallest_tail_length,
 )
 from .verify import _compare_run_sets, render_report, verify_report
-from .words import Word, iter_words, scan_states
+from .words import Word, count, start_at, walk
 
 OK = 0
 INPUT_ERROR = 2
@@ -52,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, beta_ok=False, n_default=None, shards=False, check=False, corpus=False, tol=False):
+    def add_common(p, beta_ok=False, n_default=None, shards=False, check=False, corpus=False, tol=False,
+                   window=False):
         if corpus:
             p.add_argument("--corpus", metavar="FILE",
                            help="file with one digit-sequence spec per line (# comments)")
@@ -69,6 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if n_default == "range-only" or check:
             p.add_argument("--n-range", dest="n_range", metavar="A..B",
                            help="inclusive range of word lengths")
+        if window:
+            p.add_argument("--start", type=int, metavar="I",
+                           help="lex rank of the first word listed (default 0; with --n only)")
+            p.add_argument("--limit", type=int, metavar="K",
+                           help="list at most K words (default all; with --n only)")
         if shards:
             p.add_argument("--shards", type=int, default=1, metavar="K",
                            help="number of enumeration shards, run on at most one "
@@ -87,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, beta_ok=True, n_default=16, tol=True)
 
     p = sub.add_parser("enumerate", help="admissible words of length n in lex order")
-    add_common(p)
+    add_common(p, window=True)
 
     p = sub.add_parser("classify", help="fullness of every admissible word of length n")
-    add_common(p, check=True, tol=True)
+    add_common(p, check=True, tol=True, window=True)
 
     p = sub.add_parser("runs", help="maximal runs and run-length sets at length n")
     add_common(p)
@@ -150,6 +157,21 @@ def _parse_n_range(text: str) -> range:
     if lo < 1 or hi < lo:
         raise BetaWordsError(f"invalid n-range {text!r}")
     return range(lo, hi + 1)
+
+
+def _word_window(e: ExpansionOfOne, n: int, args) -> Iterator[tuple[Word, bool]]:
+    """The words of length n in the --start/--limit window, in lex order,
+    each with its structural verdict."""
+    start = args.start or 0
+    total = count(e, n)
+    if not 0 <= start <= total:
+        raise BetaWordsError(f"--start {start} outside 0..{total}")
+    if args.limit is not None and args.limit < 0:
+        raise BetaWordsError("--limit must be >= 0")
+    if start == total:
+        return iter(())
+    digits, states = start_at(e, n, start)
+    return ((Word(tuple(digits)), states[-1] == 1) for _ in walk(e, digits, states, args.limit))
 
 
 def _expansion(args) -> ExpansionOfOne:
@@ -244,10 +266,7 @@ def cmd_validate(args, out) -> int:
 def cmd_enumerate(args, out) -> int:
     e = _expansion(args)
     n = _parse_n(args)
-    rows = [
-        (i, w.text(), int(scan_states(w.digits, e)[-1] == 1))
-        for i, w in enumerate(iter_words(e, n))
-    ]
+    rows = [(i, w.text(), int(full)) for i, (w, full) in enumerate(_word_window(e, n, args), args.start or 0)]
     _emit_rows(args.format, ["index", "word", "full"], rows, out)
     return OK
 
@@ -256,6 +275,8 @@ def cmd_classify(args, out, err) -> int:
     e = _expansion(args)
     tol = _parse_tol(args)
     if args.n_range is not None:
+        if args.start is not None or args.limit is not None:
+            raise BetaWordsError("--start and --limit need --n, not --n-range")
         n_values = _parse_n_range(args.n_range)
     else:
         n_values = [_parse_n(args)]
@@ -263,8 +284,7 @@ def cmd_classify(args, out, err) -> int:
     disagreements = 0
     rows = []
     for n in n_values:
-        for w in iter_words(e, n):
-            full = scan_states(w.digits, e)[-1] == 1
+        for w, full in _word_window(e, n, args):
             if not args.check:
                 rows.append((w.text(), int(full)))
                 continue

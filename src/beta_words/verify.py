@@ -3,20 +3,24 @@
 Each check recomputes a quantity along two independent routes (closed form
 versus exhaustive enumeration, or one fullness criterion versus another) and
 reports mismatches as human-readable failure strings.  The word-level sweep
-streams the lex enumeration grouped by length-(n-1) prefixes and carries,
-per prefix, the block-match state (structural criterion), a KMP match state
+descends the tree of length-(n-1) prefixes in lex order and carries, per
+node, the block-match state (structural criterion), a KMP match state
 against the digits of eps(1, beta) (tail criterion: a word is non-full
 exactly when its longest suffix that is a prefix of eps(1, beta) is
-nonempty), and a certified fixed-point enclosure of the word's cylinder
-left endpoint (length criterion).  Within one prefix family, consecutive
+nonempty), and a certified fixed-point enclosure of the cylinder left
+endpoint (length criterion).  Within one prefix family, consecutive
 cylinders differ by exactly beta^-n, so only the last word of each family
 needs a computed length, and its test is two subtractions against
-thresholds built once per block state.  A length-(n-2) prefix in state j
-starts maxdig[j] state-1 families exactly beta^-(n-1) apart; when tables
-show none can fail, they are tallied in O(1) and the walk jumps past them.
-The same pass tallies the maximal full and non-full runs, so one streamed
-pass per (member, n) gives both the enumerated run sets that the closed
-forms are checked against and the three fullness criteria.
+thresholds built once per block state.  Words in lex order follow the
+recursion S(m, j) = S(m-1, 1)^cmp[j] . S(m-1, adv[j]) (Lecomte and Rigo's
+numeration systems on a regular language), so a subtree that records no
+failure is memoized on (block state, KMP state, depth) and reused, with
+its gap sums shifted by the node's enclosure width, wherever its verdicts
+provably hold.  A clean sweep runs about n * pairs * (eps_1 + 1) family
+bodies, pairs being the (block, KMP) states reachable at one depth, not
+one per family.  The same pass tallies the maximal full and non-full runs,
+so one sweep per (member, n) gives both the run sets that the closed forms
+are checked against and the three fullness criteria.
 
 Sweeps shard on prefix-rank ranges for multiprocess verification.  A shard
 steps back over the families before its window for the non-full run it
@@ -34,8 +38,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import and_
+from math import inf
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
@@ -58,9 +61,10 @@ from .runs import (
     tau_table,
 )
 from .structure import DEFAULT_TOL, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
-from .words import Word, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
+from .words import Word, _count_table, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
 
 MAX_FAILURES = 24
+NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean: none
 
 
 def _record(failures: list[str], message: str | Callable[[], str]) -> None:
@@ -98,30 +102,38 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop),
     a window inside [0, prefix_count(e, n)] (else VerificationError).
 
-    Every non-last word of a prefix family has cylinder length exactly
-    beta^-n by cancellation.  The last, with last digit d, has the gap from
-    its prefix's endpoint to the next prefix's less d * beta^-n, so the gap
-    is held against (d + 1) * beta^-n with and without the tolerance: four
-    thresholds per block state, exact integer rearrangements of comparing
-    the cylinder with beta^-n.  Before the walk, the families before the
-    window are stepped back over, as the window's right edge looks ahead, to
-    get carry, the length of the non-full run that ends just before it; a
-    tail-run position before the shard's first full word counts from there.
-    Lengths read structure.cylinder_calc, tails structure.tail_automaton and
-    block states words.automaton only.
+    The sweep descends the prefix tree in lex order.  A node at depth t
+    carries its block state j, its KMP state k and the enclosure [pl, ph]
+    of its left endpoint, of width W = ph - pl; its subtree's families are
+    the length-(n-1) prefixes that extend it.  Every non-last word of a
+    family has cylinder length exactly beta^-n by cancellation.  The last,
+    with last digit d, has the gap from its prefix's endpoint to the next
+    prefix's less d * beta^-n, so the gap is held against (d + 1) * beta^-n
+    with and without the tolerance: four thresholds per block state, exact
+    integer rearrangements of comparing the cylinder with beta^-n.  A
+    family's gap is closed when the next family's left endpoint is known,
+    so each subtree leaves its last family open for the caller.
+
+    A subtree that lies inside the window and records no failure and no
+    undecided word is clean, and it is memoized on (j, k, t) for the rest
+    of the call: its run summary, its gap sums (each gap moves by exactly
+    -W and +W), the range of W over which every closed gap keeps its
+    verdict, the non-full run length it was entered with when it starts
+    with a non-full word (its leading tail-run positions count from
+    there), and its open last family.  A later subtree with the same key
+    reuses the entry when its W lies in that range and its entry run length
+    matches; the chunk is then the family-by-family result exactly.
+    Otherwise, and at the window's edges, the sweep descends, so failures
+    name their words by rank and come in word order.  Before the descent,
+    the families before the window are stepped back over, as the window's
+    right edge looks ahead, to get the length of the non-full run that ends
+    just before it.  Lengths read structure.cylinder_calc, tails
+    structure.tail_automaton and block states words.automaton only.
 
     The chunk's "runs" entry is the shard's run summary in the shape
-    runs.scan_run_lengths returns, ready for runs.merge_runs.  It is
-    tallied here from the structural verdicts rather than by a second walk;
-    the tests hold it against scan_run_lengths.
-
-    The families q0..qm of a length-(n-2) prefix q (state j, KMP state kq,
-    enclosure width W, m = maxdig[j]) form a super-family.  Families e' < m
-    are state-1 families with gaps pow[n-1] -/+ (W + e' * delta), and W is
-    at most wmax = eps_1 * sum(pow_hi[i] - pow_lo[i], i <= n - 2).  If q lies
-    in the window and clean_upto[kq][m], which holds both guards, they record
-    nothing and are tallied at once; the chunk equals the family-by-family
-    walk's.
+    runs.scan_run_lengths returns, ready for runs.merge_runs: the
+    subtrees' summaries folded by merge_runs.  The tests hold it against
+    scan_run_lengths.
     """
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
@@ -133,195 +145,155 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     failures = chunk["failures"]
     case = e.text()
     aut = automaton(e)
-    cmp_, adv_, maxdig, zero = aut.cmp, aut.adv, aut.maxdig, aut.zero
+    cmp_, adv_, maxdig = aut.cmp, aut.adv, aut.maxdig
     s_cap = tail_cap(e, n)
     trans, chains = tail_automaton(e, s_cap)
     kmin = [next((d for d, k in enumerate(row) if k), len(row)) for row in trans]  # least digit into a match
     taus = tau_table(e, s_cap)
     calc = cylinder_calc(e, n, tol)
     pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
-    one = calc.one
     xn_lo, xn_hi = pow_lo[n], pow_hi[n]
-    slack = (tol.numerator * one) // tol.denominator
-    # per block state: c full words, then a non-full word if a, the last digit and verdict, thresholds
-    families = [(c, a, d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack,
-                 (d + 1) * xn_lo + slack) for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
-    # super-families: the first maxdig[j] families of a prefix in state j are state-1 families
-    eps1, lead, jump = cmp_[1], n - 2, n > 1
-    p_lo, p_hi = pow_lo[n - 1], pow_hi[n - 1]
-    delta = p_hi - p_lo
-    # tail route: a state-1 family in KMP state k records no failure (never for an integer beta: no match)
-    ok = [kmin[k] >= eps1 and row[eps1] > 0 and all(taus[sv] == 1 for sv in chains[row[eps1]])
-          for k, row in enumerate(trans)]
-    # length route: the widest of the m gaps is short at every W <= wmax; sums: the m gaps at W = 0
-    wmax = eps1 * (sum(pow_hi[:n - 1]) - sum(pow_lo[:n - 1]))
-    short = [families[1][4] - p_hi - (m - 1) * delta > wmax for m in range(1, eps1 + 1)]
-    clean_upto = [[False, *map(and_, accumulate((ok[row[d]] for d in range(eps1)), and_), short)] for row in trans]
-    sums = [(m * p_lo - delta * (m * m - m) // 2, m * p_hi + delta * (m * m - m) // 2) for m in range(eps1 + 1)]
-    words = 0
-    undecided = 0
-    sum_lo = sum_hi = 0
-    carry = 0  # length of the non-full run that ends just before the window
+    slack = (tol.numerator * calc.one) // tol.denominator
+    # per block state: the last digit and verdict, thresholds
+    families = [(d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack, (d + 1) * xn_lo + slack)
+                for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
+    family_runs = [merge_runs(one_run(True, c), one_run(False, 1 if a else 0)) for c, a in zip(cmp_, adv_)]
+    last = n - 1
+    sizes = _count_table(e, last)  # sizes[m][j]: families below a state-j node m digits above them
+    memo: dict[tuple[int, int, int], tuple] = {}
+    faults = undecided = sum_lo = sum_hi = 0
+    run_len = 0  # the current non-full run, counted from before the window until its first full word
     for r in range(prefix_start - 1, -1, -1):
-        s = scan_states(word_at(e, n - 1, r).digits, e)[-1]
-        carry += adv_[s] > 0
+        s = scan_states(word_at(e, last, r).digits, e)[-1]
+        run_len += adv_[s] > 0
         if cmp_[s]:
             break
-    seen_full = False
-    interior = False  # a shortcut closed runs of eps_1 full words and of one non-full word inside it
-    nonfull_pos = 0  # length of the current non-full run
-    full_len = 0  # length of the current full run
-    full_runs: set[int] = set()
-    nonfull_runs: set[int] = set()
-    first_run: tuple[bool, int] | None = None
-    closed = 0
-    prefix, states = start_at(e, n - 1, prefix_start)
-    kstates = [0] * n
-    pl = [0] * n
-    ph = [0] * n
-    for i, d in enumerate(prefix):
-        kstates[i + 1] = trans[kstates[i]][d]
-        pl[i + 1] = pl[i] + d * pow_lo[i + 1]
-        ph[i + 1] = ph[i] + d * pow_hi[i + 1]
-    last = n - 1
-    last_rank = prefix_stop - 1
-    rank = prefix_start
-    while rank < prefix_stop:
-        if jump and not prefix[lead]:
-            j, kq = states[lead], kstates[lead]
-            m = maxdig[j]
-            if rank + m <= last_rank and clean_upto[kq][m]:
-                w = ph[lead] - pl[lead]
-                # families 0..m-1 would record nothing: tally their words, sums and runs at once
-                words += m * (eps1 + 1)
-                sum_lo += sums[m][0] - m * w
-                sum_hi += sums[m][1] + m * w
-                closed += 2 * m - (0 if nonfull_pos else 1)
-                if nonfull_pos:
-                    if first_run is None:
-                        first_run = (False, nonfull_pos)
-                    else:
-                        nonfull_runs.add(nonfull_pos)
-                full_len += eps1
-                if first_run is None:
-                    first_run = (True, full_len)
-                else:
-                    full_runs.add(full_len)
-                interior |= m > 1
-                seen_full, nonfull_pos, full_len = True, 1, 0
-                rank += m
-                prefix[lead] = m
-                states[last] = adv_[j] if m == cmp_[j] else 1
-                kstates[last] = trans[kq][m]
-                pl[last] = pl[lead] + m * p_lo
-                ph[last] = ph[lead] + m * p_hi
-        c, a, last_digit, last_full, short_hi, long_lo, full_lo, full_hi = families[states[last]]
-        kp = kstates[last]
-        words += last_digit + 1
-        if kmin[kp] < c:
-            krow = trans[kp]
-            for d in range(kmin[kp], c):
-                if krow[d]:
-                    _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
-                                              "structurally full but ends with a prefix of the expansion")
-        if c:
-            seen_full = True
-            if nonfull_pos:
-                if first_run is None:
-                    first_run = (False, nonfull_pos)
-                else:
-                    nonfull_runs.add(nonfull_pos)
-                closed += 1
-                nonfull_pos = 0
-                full_len = c
-            else:
-                full_len += c
-        if a:
-            if full_len:
-                if first_run is None:
-                    first_run = (True, full_len)
-                else:
-                    full_runs.add(full_len)
-                closed += 1
-                full_len = 0
-            nonfull_pos += 1
-            k_adv = trans[kp][c]
-            if k_adv == 0:
-                _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
-                                          "non-full but ends with no prefix of the expansion")
-            for sv in chains[k_adv]:
-                if seen_full:
-                    if nonfull_pos != taus[sv]:
-                        _record(failures, lambda: _tail_run_failure(e, n, rank, c, sv, nonfull_pos, taus[sv]))
-                elif carry + nonfull_pos != taus[sv]:
-                    _record(failures, lambda: _tail_run_failure(e, n, rank, c, sv, carry + nonfull_pos, taus[sv]))
-        left_lo, left_hi = pl[last], ph[last]
-        if rank != last_rank:
-            st = states[last - 1]
-            nd = prefix[last - 1] + 1
-            if nd <= maxdig[st]:  # the common advance: only the last prefix digit steps up
-                prefix[last - 1] = nd
-                states[last] = adv_[st] if nd == cmp_[st] else 1
-                kstates[last] = trans[kstates[last - 1]][nd]
-                pl[last] += pow_lo[last]
-                ph[last] += pow_hi[last]
-            else:  # words.walk's step, inlined: on the walker this sweep ran 1.2x slower.
-                for t in range(last - 1, 0, -1):
-                    st = states[t - 1]
-                    d = prefix[t - 1]
-                    if d < maxdig[st]:
-                        nd = d + 1
-                        prefix[t - 1] = nd
-                        states[t] = adv_[st] if nd == cmp_[st] else 1
-                        kstates[t] = trans[kstates[t - 1]][nd]
-                        pl[t] = pl[t - 1] + nd * pow_lo[t]
-                        ph[t] = ph[t - 1] + nd * pow_hi[t]
-                        s2 = states[t]
-                        for u in range(t, last):
-                            prefix[u] = 0
-                            s2 = zero[s2]
-                            states[u + 1] = s2
-                            kstates[u + 1] = trans[kstates[u]][0]
-                            pl[u + 1] = pl[u]
-                            ph[u + 1] = ph[u]
-                        break
-                else:
-                    raise VerificationError("prefix range exceeds the enumeration")
-            next_lo, next_hi = pl[last], ph[last]
-        elif prefix_stop == pcount:
-            next_lo = next_hi = one
-        else:
-            next_lo, next_hi = calc.pi_bounds(word_at(e, n - 1, prefix_stop).digits)
-        diff_lo = next_lo - left_hi
-        diff_hi = next_hi - left_lo
+    pending = None  # (rank, block state, left enclosure) of the family whose gap is open
+
+    def fail(message) -> None:
+        nonlocal faults
+        faults += 1
+        _record(failures, message)
+
+    def close(next_lo: int, next_hi: int) -> tuple:
+        """Decide the open family's length from the next family's left
+        endpoint; return the shifts of W that keep a clean verdict."""
+        nonlocal pending, sum_lo, sum_hi, undecided, faults
+        rank, j, left_lo, left_hi = pending
+        pending = None
+        last_digit, last_full, short_hi, long_lo, full_lo, full_hi = families[j]
+        diff_lo = next_lo - left_hi  # moves by -W
+        diff_hi = next_hi - left_lo  # moves by +W
         sum_lo += diff_lo
         sum_hi += diff_hi
         if diff_hi < short_hi:
-            length_full = False
+            if not last_full:
+                return -inf, short_hi - 1 - diff_hi
         elif diff_lo > long_lo:
-            _record(failures, lambda: f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
-                                      "certified longer than beta^-n")
-            length_full = None
+            fail(lambda: f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
+                         "certified longer than beta^-n")
+            return NO_SHIFT
         elif diff_lo >= full_lo and diff_hi <= full_hi:
-            length_full = True
+            if last_full:
+                return max(short_hi - diff_hi, diff_lo - long_lo), min(diff_lo - full_lo, full_hi - diff_hi)
         else:
             undecided += 1
-            length_full = None
-        if length_full is not None and length_full != last_full:
-            _record(failures, lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
-                                      f"{'full' if last_full else 'non-full'} structurally but the "
-                                      "cylinder-length criterion disagrees")
-        rank += 1
-    if interior:
-        full_runs.add(eps1)
-        nonfull_runs.add(1)
+            faults += 1
+            return NO_SHIFT
+        fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
+                     f"{'full' if last_full else 'non-full'} structurally but the "
+                     "cylinder-length criterion disagrees")
+        return NO_SHIFT
+
+    def reuse(t: int, rank: int, size: int, j: int, k: int, pl: int, ph: int):
+        """Apply the memo entry of (j, k, t) to the subtree at this node, or
+        return None when there is none or it does not hold here."""
+        nonlocal pending, run_len, sum_lo, sum_hi
+        entry = memo.get((j, k, t))
+        if entry is None:
+            return None
+        runs, gaps, base_lo, base_hi, w_lo, w_hi, entry_run, j_last, off_lo, off_hi = entry
+        w = ph - pl
+        if not w_lo <= w <= w_hi or entry_run is not None and entry_run != run_len:
+            return None
+        sum_lo += base_lo - gaps * w
+        sum_hi += base_hi + gaps * w
+        if runs[4] == 1 and not runs[2][0]:  # no full word
+            run_len += runs[5]
+        else:
+            run_len = 0 if runs[3][0] else runs[3][1]
+        pending = (rank + size - 1, j_last, pl + off_lo, ph + off_hi)
+        return runs, w_lo - w, w_hi - w
+
+    def visit(t: int, rank: int, j: int, k: int, pl: int, ph: int, whole: bool):
+        """Sweep the families below a depth-t node whose first family has
+        the given rank, all of them when whole, else those in the window.
+        Returns their run summary and the shifts of W that keep every gap
+        closed inside the subtree clean; leaves the last family open."""
+        nonlocal pending, run_len
+        if t == last:  # the family body
+            c, a = cmp_[j], adv_[j]
+            krow = trans[k]
+            for d in range(kmin[k], c):
+                if krow[d]:
+                    fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
+                                 "structurally full but ends with a prefix of the expansion")
+            if c:
+                run_len = 0
+            if a:
+                run_len += 1
+                k_adv = krow[c]
+                if k_adv == 0:
+                    fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
+                                 "non-full but ends with no prefix of the expansion")
+                for sv in chains[k_adv]:
+                    if run_len != taus[sv]:
+                        fail(lambda: _tail_run_failure(e, n, rank, c, sv, run_len, taus[sv]))
+            pending = (rank, j, pl, ph)
+            return family_runs[j], -inf, inf
+        entry_faults, entry_lo, entry_hi, entry_run = faults, sum_lo, sum_hi, run_len
+        runs = one_run(True, 0)
+        down, up = -inf, inf
+        below = sizes[last - t - 1]
+        p_lo, p_hi = pow_lo[t + 1], pow_hi[t + 1]
+        first = rank
+        for d in range(maxdig[j] + 1):
+            cj = adv_[j] if d == cmp_[j] else 1
+            size = below[cj]
+            inside = whole or prefix_start <= rank and rank + size <= prefix_stop
+            if not inside and (rank + size <= prefix_start or rank >= prefix_stop):
+                rank += size
+                continue
+            cl, ch = pl + d * p_lo, ph + d * p_hi
+            if pending is not None:
+                lo, hi = close(cl, ch)
+                down, up = max(down, lo), min(up, hi)
+            ck = trans[k][d]
+            sub = inside and reuse(t + 1, rank, size, cj, ck, cl, ch) or visit(t + 1, rank, cj, ck, cl, ch, inside)
+            runs = merge_runs(runs, sub[0])
+            down, up = max(down, sub[1]), min(up, sub[2])
+            rank += size
+        if whole and faults == entry_faults:
+            w = ph - pl
+            gaps = rank - first - 1
+            _, j_last, left_lo, left_hi = pending
+            memo[j, k, t] = (runs, gaps, sum_lo - entry_lo + gaps * w, sum_hi - entry_hi - gaps * w, w + down,
+                             w + up, None if runs[2][0] else entry_run, j_last, left_lo - pl, left_hi - ph)
+        return runs, down, up
+
+    runs = visit(0, 0, 1, 0, 0, 0, prefix_start == 0 and prefix_stop == pcount)[0]
+    del visit  # it calls itself through its closure: break that cycle, so the memo is freed with this call
+    if prefix_stop == pcount:
+        close(calc.one, calc.one)
+    else:
+        close(*calc.pi_bounds(word_at(e, last, prefix_stop).digits))
+    words = runs[5]
     spare = words - (prefix_stop - prefix_start)  # the last digits' sum: a family has last digit + 1 words
     chunk["words"] = words
     chunk["undecided"] = undecided
     chunk["sum_lo"] = sum_lo + spare * (xn_lo - xn_hi)
     chunk["sum_hi"] = sum_hi + spare * (xn_hi - xn_lo)
-    last_run = (False, nonfull_pos) if nonfull_pos else (True, full_len)
-    chunk["runs"] = (full_runs, nonfull_runs, first_run or last_run, last_run, closed + 1, words)
+    chunk["runs"] = runs
     return chunk
 
 

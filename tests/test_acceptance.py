@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks with pinned tolerances.
+"""Acceptance gate: eleven end-to-end checks with pinned tolerances.
 
 Each test prints one `acceptance NN: PASS|FAIL` line (visible with
 --capture=tee-sys) and fails hard on any violation.
@@ -28,6 +28,7 @@ from beta_words import (
     tau_table,
     verify_theorems,
 )
+from beta_words.runs import closed_run_sets
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -198,3 +199,18 @@ def test_acceptance_10_sharded_verify_is_byte_identical(capsys):
     ok = code1 == code4 == 0 and out1 == out4 and out1.strip()
     report("10 verify --shards 4 byte-identical to --shards 1", bool(ok),
            f"{len(out1)} bytes")
+
+
+def test_acceptance_11_sweep_run_sets_match_enumeration_at_n13_14(corpus, enumerated_sets):
+    """The memoized sweep against the enumerated run sets that criterion 3
+    computed, at the two lengths past criterion 6's n <= 12."""
+    data, _ = enumerated_sets
+    bad = []
+    for e, n in product(corpus, (13, 14)):
+        res = sweep_fullness(e, n, tol=TOL)
+        full, nonfull = closed_run_sets(res.runs)
+        enum = data[(e.text(), n)]
+        if ((tuple(sorted(full)), tuple(sorted(nonfull))) != (enum.full, enum.nonfull) or res.words != count(e, n)
+                or res.failures or res.undecided):
+            bad.append((e.text(), n, res.failures[:2], res.undecided))
+    report("11 sweep run sets = enumeration at n 13..14, every word decided", not bad, str(bad[:2]))

@@ -2,10 +2,15 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +71,41 @@ def test_enumerate_csv(capsys):
     assert rows[0] == ["index", "word", "full"]
     assert rows[1:] == [["0", "000", "1"], ["1", "001", "0"], ["2", "010", "1"],
                         ["3", "100", "1"], ["4", "101", "0"]]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+def test_start_limit_window_is_a_slice(capsys, command):
+    """--start 5 --limit 3 lists rows 5..7 of the full listing; a window
+    that runs past the last word stops there, and --limit 0 and
+    --start count(e, n) list none."""
+    argv = (command, "--seq", "1,1", "--n", "5", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    header, *rows = out.splitlines()
+    assert code == 0 and len(rows) == 13
+    for window, expected in [(("--start", "5", "--limit", "3"), rows[5:8]), (("--start", "11", "--limit", "5"), rows[11:]),
+                             (("--limit", "0"), []), (("--start", "13"), [])]:
+        code, out, _ = run_cli(capsys, *argv, *window)
+        assert code == 0 and out.splitlines() == [header, *expected], window
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--start", "-1"), "--start -1 outside 0..13"),
+    (("enumerate", "--start", "14"), "--start 14 outside 0..13"),
+    (("classify", "--start", "14"), "--start 14 outside 0..13"),
+    (("enumerate", "--limit", "-1"), "--limit must be >= 0"),
+    (("classify", "--limit", "-2"), "--limit must be >= 0"),
+])
+def test_start_limit_out_of_range_exits_2(capsys, argv, message):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--seq", "1,1", "--n", "5", *rest)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_classify_window_needs_n(capsys):
+    code, out, err = run_cli(capsys, "classify", "--seq", "1,1", "--n-range", "1..3", "--limit", "2")
+    assert (code, out) == (2, "")
+    assert "--start and --limit need --n" in err
 
 
 def test_classify_plain_flags(capsys):
@@ -292,3 +332,26 @@ def test_runs_failures_match_two_walk_path(capsys, monkeypatch):
             want = run_cli(capsys, *argv)
         assert got == want
         assert got[0] == 3 and "differ from enumerated" in got[2]
+
+
+PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
+
+
+@pytest.mark.parametrize("n_range, shards", [("1..5", 1), ("1..5", 2), ("1..12", 1)])
+def test_verify_report_matches_benchmark_pins(capsys, n_range, shards):
+    """The verify report's sha256 equals the benchmark's pin, which the
+    benchmark checks on every run; the file is only read here."""
+    code, out, err = run_cli(capsys, "verify", "--n-range", n_range, "--shards", str(shards))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["verify_report_sha256"][n_range]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m beta_words` is the beta-words entry point."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["tau", "--seq", "1,1", "--n", "3"]
+    done = subprocess.run([sys.executable, "-m", "beta_words", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(capsys, *argv)[1]

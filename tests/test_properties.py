@@ -131,8 +131,10 @@ def inside_super_family(e, n, seed):
 @settings(max_examples=100, deadline=None)
 @given(expansions(), st.integers(2, 7), st.integers(0, 10**9), st.integers(0, 10**9))
 def test_windows_cut_inside_super_families_match_oracle(e, n, seed_a, seed_b):
-    """Windows whose ends cut through super-families leave partial ones to
-    the per-family body; every chunk still equals the unrolled oracle's."""
+    """Windows whose ends cut through super-families, the families of one
+    length-(n-2) prefix, make the sweep descend into the subtrees they cut
+    instead of reusing a memo entry; every chunk still equals the unrolled
+    oracle's."""
     a, b = sorted((inside_super_family(e, n, seed_a), inside_super_family(e, n, seed_b)))
     for start, stop in ((0, a), (a, b), (b, prefix_count(e, n))):
         assert sweep_shard(e, n, DEFAULT_TOL, start, stop) == sweep_shard_oracle(e, n, DEFAULT_TOL, start, stop)

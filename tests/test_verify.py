@@ -639,8 +639,7 @@ def body_runs(e, n, prefix_start=0, prefix_stop=None):
     """How many times sweep_shard's per-family body runs over a window, all
     prefixes by default, counted by a line tracer on the body's first line."""
     lines, first = inspect.getsourcelines(verify_mod.sweep_shard)
-    target = first + next(i for i, line in enumerate(lines) if "= families[states[last]]" in line)
-    code = verify_mod.sweep_shard.__code__
+    target = first + next(i for i, line in enumerate(lines) if "c, a = cmp_[j], adv_[j]" in line)
     stop = runs_mod.prefix_count(e, n) if prefix_stop is None else prefix_stop
     hits = 0
 
@@ -650,7 +649,7 @@ def body_runs(e, n, prefix_start=0, prefix_stop=None):
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == verify_mod.__file__ else None)
     try:
         verify_mod.sweep_shard(e, n, DEFAULT_TOL, prefix_start, stop)
     finally:
@@ -658,69 +657,179 @@ def body_runs(e, n, prefix_start=0, prefix_stop=None):
     return hits
 
 
+def reachable_pairs(e, n):
+    """The most (block state, KMP state) pairs that the length-m prefixes
+    reach at any one m <= n - 1: the memo's keys per depth."""
+    aut = words_mod.automaton(e)
+    trans = verify_mod.tail_automaton(e, tail_cap(e, n))[0]
+    level = {(1, 0)}
+    most = 1
+    for _ in range(n - 1):
+        level = {(aut.adv[j] if d == aut.cmp[j] else 1, trans[k][d])
+                 for j, k in level for d in range(aut.maxdig[j] + 1)}
+        most = max(most, len(level))
+    return most
+
+
+def body_bound(e, n):
+    """n * pairs * (eps_1 + 1): each key is descended once, into at most
+    eps_1 + 1 children, when every subtree is clean."""
+    return n * reachable_pairs(e, n) * (e.alphabet_max + 1)
+
+
 @pytest.mark.parametrize("e", SWEEP_CASES, ids=lambda e: e.text())
 def test_sweep_body_runs_once_per_super_family(e):
-    """On a clean sweep every super-family is tallied at once up to its last
-    family, so the body runs once per length-(n-2) prefix, not once per
-    length-(n-1) prefix.  A sweep that never took the shortcut would still
-    pass every oracle test."""
-    for n in range(1, 8):
-        if runs_mod.prefix_count(e, n) > 20_000:
-            break
-        assert body_runs(e, n) == (count(e, n - 2) if n > 2 else 1), n
+    """A clean whole-range sweep reuses its memoized subtrees at every depth,
+    so the body runs at most n * pairs * (eps_1 + 1) times, and at n = 12
+    fewer times than the count(e, 10) super-families (the families of one
+    length-(n-2) prefix) it ran once each when only they were tallied at
+    once.  A sweep that never reused an entry would still pass every oracle
+    test."""
+    for n in range(1, 13):
+        assert body_runs(e, n) <= body_bound(e, n), n
+    assert body_runs(e, 12) < count(e, 10)
 
 
-def width_bound(e, n):
-    """wmax and wsafe[1..eps_1] of sweep_shard, from its formulas: every
-    length-(n-2) prefix's enclosure width must be at most wmax, and a
-    super-family of m state-1 families is tallied at once only if wmax < wsafe[m]."""
-    calc = cylinder_calc(e, n, DEFAULT_TOL)
-    pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
-    eps1 = e.alphabet_max
-    wmax = eps1 * sum(pow_hi[i] - pow_lo[i] for i in range(n - 1))
-    delta = pow_hi[n - 1] - pow_lo[n - 1]
-    return wmax, [(eps1 + 1) * pow_lo[n] - pow_hi[n - 1] - (m - 1) * delta for m in range(1, eps1 + 1)]
+def test_verify_runs_few_bodies():
+    """`verify --n-range 1..12` over the corpus ran the family body 387,431
+    times before the memo; it must stay under 10,000."""
+    assert sum(body_runs(e, n) for e in default_corpus() for n in range(1, 13)) < 10_000
 
 
 @pytest.mark.parametrize("e", SWEEP_CASES, ids=lambda e: e.text())
 def test_super_family_width_bound_holds_and_keeps_the_shortcut(e):
-    """The shortcut's length guard is decided once per call from wmax: wmax
-    bounds the width of every length-(n-2) prefix's enclosure at n <= 7, and
-    lies below every wsafe[m] at n = 12, 50 and 200, where a window's sweep
-    still tallies super-families at once."""
+    """The memo's width ranges hold far from the prefixes they were built
+    on, as the one width bound of the super-family tally did: whole-range
+    sweeps at n = 12, 50 and 120 are clean, count every word and stay under
+    the body bound, and a window of 64 prefixes at n = 50 runs fewer than
+    64 bodies."""
     assert words_mod.automaton(e).adv[1], "the state-1 family ends with a non-full word"
-    for n in range(3, 8):
-        calc = cylinder_calc(e, n, DEFAULT_TOL)
-        wmax = width_bound(e, n)[0]
-        assert all(hi - lo <= wmax for lo, hi in map(calc.pi_bounds, iter_words(e, n - 2))), n
-    for n in (12, 50, 200):
-        wmax, wsafe = width_bound(e, n)
-        assert all(wmax < w for w in wsafe), n
+    for n in (12, 50, 120):
+        chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n))
+        assert chunk["failures"] == [] and chunk["undecided"] == 0, n
+        assert chunk["words"] == count(e, n), n
+        assert body_runs(e, n) <= body_bound(e, n), n
     assert body_runs(e, 50, 0, 64) < 64
+
+
+def reused_width(e, n, calc):
+    """The widest depth-(n-2) prefix with two or more families whose
+    (block state, KMP state) key first came up at a narrower prefix: the
+    sweep meets it with that key memoized."""
+    aut = words_mod.automaton(e)
+    trans = verify_mod.tail_automaton(e, tail_cap(e, n))[0]
+    first, widest = {}, 0
+    for w in iter_words(e, n - 2):
+        j = words_mod.scan_states(w.digits, e)[-1]
+        if aut.maxdig[j]:
+            k = 0
+            for d in w.digits:
+                k = trans[k][d]
+            lo, hi = calc.pi_bounds(w.digits)
+            if first.setdefault((j, k), hi - lo) < hi - lo:
+                widest = max(widest, hi - lo)
+    return widest
 
 
 @pytest.mark.parametrize("e", map(ExpansionOfOne.parse, ["1,1", "2;1", "2,1,1"]), ids=lambda e: e.text())
 def test_width_guard_sits_at_wmax(monkeypatch, e):
-    """Put the upper end of beta^-(n-1) so that wsafe[1] = wmax + 1, then
-    wmax: super-families of one state-1 family (each case has a state with
-    maxdig 1) are tallied at once in the first case and in no case in the
-    second, and both chunks equal the oracle's, so the guard is exact at
-    the bound it is decided from."""
+    """Put both ends of beta^-(n-1) at X = short - Wt - offset, where short
+    is the state-1 threshold (eps_1 + 1) * beta^-n and Wt = reused_width.
+    Every gap between two families of one depth-(n-2) prefix q is then
+    W(q) + X, certified short exactly when W(q) < short - X.  At offset 1
+    the prefix of width Wt has a margin of Wt + 1 and its subtree is
+    reused from the entry of a narrower one; at offset 0 it has a margin of
+    Wt and the sweep descends into it, running the bodies of its families.
+    Both chunks equal the oracle's, so the memo's width range is exact at
+    its edge."""
     real = verify_mod.cylinder_calc
 
-    def fake(e, n, tol):  # reads offset from the loop below
+    def fake(e, n, tol):  # reads offset and widest from the loop below
         calc = copy.copy(real(e, n, tol))
-        short_hi = (e.alphabet_max + 1) * calc.pow_lo[n]
-        calc.pow_hi = [*calc.pow_hi[:n - 1], short_hi - width_bound(e, n)[0] - offset, calc.pow_hi[n]]
+        x = (e.alphabet_max + 1) * calc.pow_lo[n] - widest - offset
+        calc.pow_lo = [*calc.pow_lo[:n - 1], x, calc.pow_lo[n]]
+        calc.pow_hi = [*calc.pow_hi[:n - 1], x, calc.pow_hi[n]]
         return calc
 
-    monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
-    for n in range(3, 8):
+    for n in range(4, 9):
         prefixes = runs_mod.prefix_count(e, n)
+        widest = reused_width(e, n, real(e, n, DEFAULT_TOL))
+        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+        bodies = {}
         for offset in (1, 0):
-            assert (body_runs(e, n) < prefixes) == (offset == 1), (n, offset)
+            bodies[offset] = body_runs(e, n)
             chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
             assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes), (n, offset)
+        monkeypatch.setattr(verify_mod, "cylinder_calc", real)
+        assert widest and bodies[0] > bodies[1], (n, bodies)
+
+
+def widened_full_gap(e, n, calc):
+    """The largest diff_hi (the next prefix's upper left end less the
+    prefix's lower one) of a full family's gap that closes below a depth-s
+    node whose (block state, KMP state, s) key first came up, with the same
+    gap at the same place in its subtree, at a narrower node: the sweep
+    meets that gap in a subtree it reuses from a smaller W."""
+    aut = words_mod.automaton(e)
+    trans = verify_mod.tail_automaton(e, tail_cap(e, n))[0]
+    prefixes = [w.digits for w in iter_words(e, n - 1)]
+    first, widest = {}, None
+    for p, q in zip(prefixes, prefixes[1:]):
+        s = next(i for i in range(n - 1) if p[i] != q[i])
+        j, k = 1, 0
+        for d in p[:s]:
+            j, k = aut.adv[j] if d == aut.cmp[j] else 1, trans[k][d]
+        lo, hi = calc.pi_bounds(p[:s])
+        diff_hi = calc.pi_bounds(q)[1] - calc.pi_bounds(p)[0]
+        full = not aut.adv[words_mod.scan_states(p, e)[-1]]
+        if first.setdefault((j, k, s, diff_hi - (hi - lo)), hi - lo) < hi - lo and full:
+            widest = max(widest or diff_hi, diff_hi)
+    return widest
+
+
+@pytest.mark.parametrize("e", map(ExpansionOfOne.parse, ["1,1", "2,1,1", "1,1,1"]), ids=lambda e: e.text())
+def test_full_verdict_width_edge(monkeypatch, e):
+    """The upper end of a full verdict's width range.  Each case ends its
+    expansion with the digit 1, so a family whose last word is full holds
+    that one word; put the lower end of beta^-n so that the gap bound of
+    such a family, beta^-n + tol, is D - 1 + offset, with
+    D = widened_full_gap.  At offset 1
+    that gap is certified full in a subtree reused from a narrower one; at
+    offset 0 it is undecided, and the sweep descends to count it.  Both
+    chunks equal the oracle's."""
+    real = verify_mod.cylinder_calc
+    assert e.digit(e.finite_length) == 1
+
+    def fake(e, n, tol):  # reads gap and offset from the loop below
+        calc = copy.copy(real(e, n, tol))
+        slack = DEFAULT_TOL.numerator * calc.one // DEFAULT_TOL.denominator
+        calc.pow_lo = [*calc.pow_lo[:n], gap - slack - 1 + offset]
+        return calc
+
+    for n in range(6, 10):
+        prefixes = runs_mod.prefix_count(e, n)
+        gap = widened_full_gap(e, n, real(e, n, DEFAULT_TOL))
+        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+        undecided = {}
+        for offset in (1, 0):
+            chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
+            assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes), (n, offset)
+            undecided[offset] = chunk["undecided"]
+        monkeypatch.setattr(verify_mod, "cylinder_calc", real)
+        assert undecided[0] > undecided[1], (n, undecided)
+
+
+def test_no_memo_survives_between_calls(monkeypatch):
+    """The memo lives inside one call: a fault injected between two calls
+    shows up in the second, and is gone again once it is lifted."""
+    prefixes = runs_mod.prefix_count(GOLDEN, 9)
+    clean = verify_mod.sweep_shard(GOLDEN, 9, DEFAULT_TOL, 0, prefixes)
+    assert clean["failures"] == []
+    tau_off_by_one(monkeypatch)
+    faulted = verify_mod.sweep_shard(GOLDEN, 9, DEFAULT_TOL, 0, prefixes)
+    assert faulted["failures"] and faulted == sweep_shard_oracle(GOLDEN, 9, DEFAULT_TOL, 0, prefixes)
+    monkeypatch.undo()
+    assert verify_mod.sweep_shard(GOLDEN, 9, DEFAULT_TOL, 0, prefixes) == clean
 
 
 def test_sweep_shard_rejects_windows_outside_the_prefixes():
