@@ -17,7 +17,7 @@ from functools import reduce
 from .errors import IntegerBeta, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne
 from .structure import _tail_matches, is_full, tail_cap
-from .words import Word, automaton, count, predecessor, start_at, walk
+from .words import Word, _cached_rows, automaton, count, predecessor, start_at, walk
 
 FULL = "full"
 NONFULL = "nonfull"
@@ -37,21 +37,29 @@ def tau(e: ExpansionOfOne, s: int) -> int:
     return tau_table(e, s)[s]
 
 
+# Per expansion: the tau row so far and the last nonzero digit position in it.
+_TAU_ROWS: dict[ExpansionOfOne, list] = {}
+
+
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
     """tau(e, s) for s = 1..bound; index 0 holds tau(0) = 0.
 
     The greedy walk from s first subtracts P(s), the largest nonzero digit
     position <= s, and then walks on from s - P(s), so
-    tau(s) = 1 + tau(s - P(s)).  One pass over the first bound digits fills
-    the table in increasing s.
+    tau(s) = 1 + tau(s - P(s)).  One row per expansion (words._cached_rows)
+    is extended in increasing s as far as the largest bound asked for; each
+    call gets a copy of its first bound + 1 entries.
     """
-    table = [0] * (bound + 1)
-    last = 0
-    for s, d in enumerate(e.digits_prefix(bound), start=1):
-        if d:
-            last = s
-        table[s] = table[s - last] + 1
-    return table
+    entry = _cached_rows(_TAU_ROWS, e, lambda: [[0], 0])
+    table, last = entry
+    start = len(table)
+    if start <= bound:
+        for s, d in enumerate(e.digits_prefix(bound)[start - 1:], start=start):
+            if d:
+                last = s
+            table.append(table[s - last] + 1)
+        entry[1] = last
+    return table[:bound + 1]
 
 
 def second_nonzero_position(e: ExpansionOfOne) -> int:
@@ -170,7 +178,7 @@ def _range_set(top: int) -> tuple[int, ...]:
 def _with_low_range(e: ExpansionOfOne, n: int, n2: int) -> tuple[int, ...]:
     taus = tau_table(e, n)
     values = set(range(1, min(n2 - 1, n - n2 + 1) + 1))
-    values.update(taus[s] for s in range(n2 - 1, n + 1))
+    values.update(taus[n2 - 1:])
     return tuple(sorted(values))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import VerificationError
 from .expansion import ExpansionOfOne, solve_beta
@@ -180,6 +181,7 @@ class CylinderCalc:
             pow_lo.append((pow_lo[-1] * self.x_lo) >> bits)
             pow_hi.append(-((-pow_hi[-1] * self.x_hi) >> bits))
         self.pow_lo, self.pow_hi = pow_lo, pow_hi
+        self.pow_width = [h - l for l, h in zip(pow_lo, pow_hi)]  # small integers
         self.one = one
 
     def pi_bounds(self, digits, offset: int = 0) -> tuple[int, int]:
@@ -203,7 +205,7 @@ class CylinderCalc:
             return False
         if diff_lo > 0:
             raise VerificationError("cylinder longer than beta^-n; inconsistent input")
-        if max(-diff_lo, diff_hi) <= tol * self.one:
+        if max(-diff_lo, diff_hi) * tol.denominator <= tol.numerator * self.one:
             return True
         return UNDECIDED
 
@@ -240,13 +242,18 @@ class CylinderInterval:
         return (max(Fraction(0), self.right[0] - self.left[1]), self.right[1] - self.left[0])
 
 
-def _cylinder_ends(w: Word, e: ExpansionOfOne, tol) -> tuple[CylinderCalc, tuple[int, int], tuple[int, int]]:
+def _cylinder_ends(w: Word, e: ExpansionOfOne, tol,
+                   shifted: bool = False) -> tuple[CylinderCalc, tuple[int, int], tuple[int, int]]:
     """The calculator for (e, |w|) and the scaled enclosures of the left
     endpoint of w and of its successor (1 for the maximal word).
 
     The successor agrees with w before its last nonzero digit, at index t,
     so the first t digits are summed once and shared.  Both enclosures are
-    the same integer sums that a full pass over each word gives.
+    the same integer sums that a full pass over each word gives.  When
+    shifted, both ends are moved down by the lower sum of that shared
+    prefix, so the prefix enters only through its width
+    sum_i w_i (pow_hi[i] - pow_lo[i]), a sum of small integers; the
+    differences of the ends, and so the length, are unchanged.
     """
     calc = cylinder_calc(e, len(w), tol)
     nxt = successor(w, e)
@@ -256,7 +263,10 @@ def _cylinder_ends(w: Word, e: ExpansionOfOne, tol) -> tuple[CylinderCalc, tuple
     t = len(succ) - 1
     while not succ[t]:
         t -= 1
-    lo, hi = calc.pi_bounds(w.digits[:t])
+    if shifted:
+        lo, hi = 0, sum(map(mul, w.digits[:t], calc.pow_width[1:]))
+    else:
+        lo, hi = calc.pi_bounds(w.digits[:t])
     rest_lo, rest_hi = calc.pi_bounds(w.digits[t:], t)
     d = succ[t]
     return calc, (lo + rest_lo, hi + rest_hi), (lo + d * calc.pow_lo[t + 1], hi + d * calc.pow_hi[t + 1])
@@ -279,5 +289,5 @@ def is_full_by_length(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = 
     loosely for the requested tolerance.
     """
     tol = Fraction(tol)
-    calc, left, right = _cylinder_ends(w, e, tol)
+    calc, left, right = _cylinder_ends(w, e, tol, shifted=True)
     return calc.compare_length(left, right, tol)

@@ -34,13 +34,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .errors import NotAdmissible, TailMismatch, VerificationError
+from .errors import BetaWordsError, NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
 from .runs import (
     FULL,
@@ -65,6 +66,12 @@ from .words import Word, _count_table, automaton, count, iter_words, max_word, s
 
 MAX_FAILURES = 24
 NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean: none
+# Frames a family body may open below the deepest node of the sweep's
+# descent: a failure message's chain close, fail, _record, the message,
+# _word_text, word_at, _count_table and the automaton takes about ten,
+# and the rest is room for calls that count against the recursion limit
+# without a Python frame of their own.
+BODY_FRAMES = 32
 
 
 def _record(failures: list[str], message: str | Callable[[], str]) -> None:
@@ -95,6 +102,23 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
     but sits pos words above the last full word instead of tau(s)."""
     return (f"{e.text()} n={n}: word {_word_text(e, n, rank, digit)} ends with the first {s} digits "
             f"but sits {pos} above the last full word, expected tau({s}) = {tau}")
+
+
+def _check_depth(n: int, above: int) -> None:
+    """Refuse an n whose sweep descent would pass the recursion limit.  The
+    descent begins `above` frames below the caller, opens one frame per
+    digit and at most BODY_FRAMES below its deepest node; raises
+    BetaWordsError, naming the largest n that fits, before any work."""
+    depth = above
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    deepest = limit - depth - BODY_FRAMES
+    if n > deepest:
+        raise BetaWordsError(f"n = {n} is too deep for the verify sweep, which recurses once per digit: "
+                             f"at recursion limit {limit} it reaches n <= {deepest}")
 
 
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: int) -> dict:
@@ -135,6 +159,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     subtrees' summaries folded by merge_runs.  The tests hold it against
     scan_run_lengths.
     """
+    _check_depth(n, 0)
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
     pcount = prefix_count(e, n)
@@ -331,12 +356,11 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     """
     if n < 1:
         raise ValueError("word length n must be >= 1")
+    _check_depth(n, 2)  # _sweep_worker and sweep_shard
     tol = Fraction(tol)
     bounds = _shard_bounds(prefix_count(e, n), shards)
-    if executor is not None and len(bounds) > 1:
-        chunks = list(executor.map(_sweep_worker, [(e, n, tol, a, b) for a, b in bounds]))
-    else:
-        chunks = [sweep_shard(e, n, tol, a, b) for a, b in bounds]
+    pool_map = executor.map if executor is not None and len(bounds) > 1 else map
+    chunks = list(pool_map(_sweep_worker, [(e, n, tol, a, b) for a, b in bounds]))
     case = e.text()
     failures: list[str] = []
     words = undecided = 0

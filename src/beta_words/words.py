@@ -10,10 +10,11 @@ expansion) is inadmissible.  A word is full exactly when its scan ends on a
 closed block, i.e. in state 1.
 
 Every lex-order walk goes through ``walk``: it takes a word's digit list and
-its state list (from ``start_at`` or ``scan_states``), rewrites both in place
-to each successor in turn, and yields for every word visited the number of
-leading digits it shares with the previous one (0 for the first word).  It
-stops after the lex-largest word or after a given number of words.
+its state list (from ``start_at``, or a copy of what ``scan_states``
+returns), rewrites both in place to each successor in turn, and yields for
+every word visited the number of leading digits it shares with the previous
+one (0 for the first word).  It stops after the lex-largest word or after a
+given number of words.
 """
 
 from __future__ import annotations
@@ -99,6 +100,13 @@ def check_alphabet(digits: Sequence[int], e: ExpansionOfOne) -> None:
             raise AlphabetMismatch(f"digit {d} outside alphabet 0..{bound}")
 
 
+# The last successful scan of a digit tuple, as one (digits, automaton,
+# states) entry replaced whole, so a reader never pairs one scan's keys with
+# another's states.  It holds both keys, so neither identity can be reused
+# while it is stored.
+_LAST_SCAN: list[tuple] = [(None, None, None)]
+
+
 def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     """States after each digit (length n + 1, starting at 1).
 
@@ -107,8 +115,17 @@ def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     own position; the failure branch then checks the alphabet of the whole
     word.  So the scan raises AlphabetMismatch when any digit lies outside
     0..eps_1, and otherwise NotAdmissible at the first offending digit.
+
+    The point queries on one Word (rank_of, is_full, is_full_by_tail,
+    successor) share one scan: a one-slot memo keeps the last successful
+    scan of a tuple, keyed on the identity of the tuple and of automaton(e).
+    So the returned list may be the memo's own: read it, and copy it before
+    rewriting it, as successor and iter_words do before they walk.
     """
     aut = automaton(e)
+    last = _LAST_SCAN[0]
+    if digits is last[0] and aut is last[1]:
+        return last[2]
     cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
     states = [1] * (len(digits) + 1)
     s = 1
@@ -118,6 +135,8 @@ def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
             raise NotAdmissible(f"digit {d} at position {t + 1} is not admissible")
         s = adv[s] if d == cmp[s] else 1
         states[t + 1] = s
+    if type(digits) is tuple:
+        _LAST_SCAN[0] = digits, aut, states
     return states
 
 
@@ -145,7 +164,7 @@ def _check_n(n: int) -> None:
 def successor(w: Word, e: ExpansionOfOne) -> Word | None:
     """The next admissible word of the same length; None at the maximum."""
     digits = list(w.digits)
-    steps = walk(e, digits, scan_states(w.digits, e))
+    steps = walk(e, digits, scan_states(w.digits, e)[:])
     next(steps)
     return None if next(steps, None) is None else Word(tuple(digits))
 
@@ -228,7 +247,7 @@ def iter_words(
     else:
         if len(start) != n:
             raise ValueError("start word has the wrong length")
-        states = scan_states(start.digits, e)
+        states = scan_states(start.digits, e)[:]
         digits = list(start.digits)
     stop_digits = None
     if stop is not None:
@@ -248,20 +267,28 @@ _COUNT_ROWS: dict[ExpansionOfOne, list[tuple[int, ...]]] = {}
 _COUNT_ROWS_MAX = 64
 
 
+def _cached_rows(cache: dict, e: ExpansionOfOne, new):
+    """The rows cache holds for e, or new() stored there when it holds none.
+
+    Each call marks e as most recently used; a new expansion past
+    _COUNT_ROWS_MAX evicts the least recently used one.
+    """
+    rows = cache.pop(e, None)
+    if rows is None:
+        while len(cache) >= _COUNT_ROWS_MAX:
+            del cache[next(iter(cache))]
+        rows = new()
+    cache[e] = rows
+    return rows
+
+
 def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
     """table[m][j] = number of admissible length-m continuations from state j.
 
-    One row list per expansion, extended on demand, so it holds at least
-    rows 0..n and never more rows than the largest n asked for.  Each call
-    marks e as most recently used; a new expansion past _COUNT_ROWS_MAX
-    evicts the least recently used one.
+    One row list per expansion (_cached_rows), extended on demand, so it holds
+    at least rows 0..n and never more rows than the largest n asked for.
     """
-    table = _COUNT_ROWS.pop(e, None)
-    if table is None:
-        while len(_COUNT_ROWS) >= _COUNT_ROWS_MAX:
-            del _COUNT_ROWS[next(iter(_COUNT_ROWS))]
-        table = [(0,) + (1,) * (len(automaton(e).cmp) - 1)]
-    _COUNT_ROWS[e] = table
+    table = _cached_rows(_COUNT_ROWS, e, lambda: [(0,) + (1,) * (len(automaton(e).cmp) - 1)])
     if len(table) <= n:
         aut = automaton(e)
         cmp, adv = aut.cmp, aut.adv
@@ -290,20 +317,13 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
     table = _count_table(e, n)
     if not 0 <= index < table[n][1]:
         raise ValueError(f"index {index} out of range for {table[n][1]} words")
-    aut = automaton(e)
-    cmp, adv = aut.cmp, aut.adv
+    # rank_of sums w_t * table[n - t][1].  The terms after position t sum to
+    # the rank of an admissible suffix of length m = n - t, which is below
+    # table[m][1], so one divmod per digit, in order, reads the digits back.
     digits = []
-    s = 1
     for m in range(n - 1, -1, -1):
-        block = table[m][1]
-        if cmp[s] and index < cmp[s] * block:
-            digits.append(index // block)
-            index %= block
-            s = 1
-        else:
-            index -= cmp[s] * block
-            digits.append(cmp[s])
-            s = adv[s]
+        d, index = divmod(index, table[m][1])
+        digits.append(d)
     return Word(tuple(digits))
 
 

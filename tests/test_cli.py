@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -355,3 +356,31 @@ def test_python_dash_m_runs_the_cli(capsys):
                           timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == run_cli(capsys, *argv)[1]
+
+
+def test_classify_check_window_bytes_pinned(capsys):
+    """Four point queries per word at n = 64 (structural, tail, length and
+    the cylinder's ends); the bytes were measured before the queries shared
+    one admissibility scan and the length test dropped the shared prefix."""
+    code, out, err = run_cli(capsys, "classify", "--seq", "3,0,2,0,0,0,0,1", "--n", "64", "--start", "123456789",
+                             "--limit", "50", "--check", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "87a3a4742f7e9ec0cdde18aef6971c6014790dd5feec085a3ac6227fd22e4702")
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_verify_past_the_deepest_sweep_is_an_input_error(tmp_path, shards):
+    """At n = 1000 the sweep's descent would pass the recursion limit; the
+    command refuses n in one line and exits 2, with no traceback."""
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("1,1\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["verify", "--n-range", "1000..1000", "--corpus", str(corpus), "--shards", shards]
+    done = subprocess.run([sys.executable, "-m", "beta_words", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert re.fullmatch(r"error: n = 1000 is too deep for the verify sweep, which recurses once per digit: "
+                        r"at recursion limit \d+ it reaches n <= \d+\n", done.stderr)

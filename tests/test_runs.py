@@ -479,3 +479,42 @@ def test_closed_run_sets_of_no_words():
     assert runs.stitch_run_scans([]) == runs.one_run(True, 0)
     assert runs.closed_run_sets(runs.one_run(True, 0)) == (set(), set())
     assert runs.closed_run_sets(runs.one_run(False, 3)) == (set(), {3})
+
+
+# --- one cached tau row per expansion ---
+
+
+@pytest.mark.parametrize("text", ORACLE_MEMBERS)
+def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text, monkeypatch):
+    """Bounds asked in rising, falling and repeated order all read the row
+    of a fresh greedy walk, and a caller's edits do not reach the cache."""
+    monkeypatch.setattr(runs, "_TAU_ROWS", {})
+    e = ExpansionOfOne.parse(text)
+    fresh = oracle_tau_table(e, 300)
+    rng = random.Random(text)
+    bounds = [*range(0, 40), *range(300, 250, -7), 5, 5, 299, 299, 300, 0,
+              *(rng.randrange(301) for _ in range(20))]
+    for bound in bounds:
+        table = tau_table(e, bound)
+        assert table == fresh[:bound + 1], bound
+        if table:
+            table[-1] += 1
+            table.append(-1)
+    assert len(runs._TAU_ROWS[e][0]) == 301
+
+
+def test_tau_rows_are_bounded(monkeypatch):
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
+    monkeypatch.setattr(runs, "_TAU_ROWS", {})
+    members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
+    for e in members:
+        tau_table(e, 5)
+    assert list(runs._TAU_ROWS) == members[6:]
+    # a call marks its expansion most recently used, so it outlives older ones
+    tau(members[7], 3)
+    tau_table(members[0], 80)
+    tau_table(members[1], 5)
+    assert members[7] in runs._TAU_ROWS
+    assert members[6] not in runs._TAU_ROWS and members[8] not in runs._TAU_ROWS
+    assert tau_table(members[0], 80) == oracle_tau_table(members[0], 80)
+    assert len(runs._TAU_ROWS) == 64

@@ -1,5 +1,6 @@
 """Structural decomposition, fullness criteria, and cylinder geometry."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -25,10 +26,12 @@ from beta_words import (
     successor,
     word_at,
 )
-from beta_words import AlphabetMismatch, BetaWordsError, NotAdmissible
+from beta_words import AlphabetMismatch, BetaWordsError, NotAdmissible, VerificationError
+from beta_words import structure as structure_mod
 from beta_words.runs import matched_tail_lengths
 from beta_words.structure import (
     DEFAULT_TOL,
+    UNDECIDED,
     Decomposition,
     _cylinder_ends,
     _tail_matches,
@@ -381,3 +384,105 @@ def test_tail_automaton_cache_is_bounded():
     assert again == first and again is not first
     assert tail_automaton(members[-1], 1) is tail_automaton(members[-1], 1)
     assert tail_automaton.cache_info().misses == misses + 1
+
+
+# --- the prefix-free length test against the full ends ---
+
+
+def compare_length_oracle(calc, left, right, tol):
+    """compare_length before the integer form: the bound as a Fraction."""
+    diff_lo = right[0] - left[1] - calc.pow_hi[calc.n]
+    diff_hi = right[1] - left[0] - calc.pow_lo[calc.n]
+    if diff_hi < 0:
+        return False
+    if diff_lo > 0:
+        raise VerificationError("cylinder longer than beta^-n; inconsistent input")
+    if max(-diff_lo, diff_hi) <= Fraction(tol) * calc.one:
+        return True
+    return UNDECIDED
+
+
+def length_words(e, n):
+    """Rank 0, the maximal word and six seeded ranks."""
+    total = count(e, n)
+    rng = random.Random(f"{e.text()} {n}")
+    ranks = {0, total - 1, *(rng.randrange(total) for _ in range(6))}
+    return [word_at(e, n, r) for r in sorted(ranks)]
+
+
+def length_integers(left, right):
+    """(length_lo, length_hi), the integers compare_length tests."""
+    return right[0] - left[1], right[1] - left[0]
+
+
+def length_outcomes(w, e, tol):
+    """is_full_by_length, compare_length on the full ends, and the Fraction
+    comparison on the full ends; an error counts as its type."""
+    def run(call):
+        try:
+            return call()
+        except VerificationError as exc:
+            return type(exc)
+    calc, left, right = _cylinder_ends(w, e, tol)
+    return (run(lambda: is_full_by_length(w, e, tol)), run(lambda: calc.compare_length(left, right, tol)),
+            run(lambda: compare_length_oracle(calc, left, right, tol)))
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+@pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 2**4000)], ids=["1e-12", "2^-4000"])
+def test_prefix_free_length_test_matches_full_ends(text, tol):
+    e = ExpansionOfOne.parse(text)
+    for n in [*range(1, 13), 64, 512]:
+        for w in length_words(e, n):
+            got, full_ends, oracle = length_outcomes(w, e, tol)
+            assert got is full_ends is oracle is is_full(w, e), (n, w.text())
+            calc, left, right = _cylinder_ends(w, e, tol, shifted=True)
+            assert length_integers(left, right) == length_integers(*_cylinder_ends(w, e, tol)[1:]), (n, w.text())
+
+
+@pytest.mark.parametrize("side, tolerances, verdicts", [
+    ("lo", -1.5, {UNDECIDED, False}),
+    ("hi", 1.5, {UNDECIDED, False}),
+    ("hi", -0.5, {VerificationError, False}),
+    ("lo", 0.5, {False}),
+])
+def test_prefix_free_length_test_matches_full_ends_off_beta_n(monkeypatch, side, tolerances, verdicts):
+    """One end of beta^-n moved by a multiple of the tolerance, as in the
+    sweep's fault tests: widened, the full words are undecided; narrowed,
+    they are certified longer or shorter.  Every outcome agrees."""
+    real = structure_mod.cylinder_calc
+
+    def fake(e, n, tol=DEFAULT_TOL):
+        calc = copy.copy(real(e, n, tol))
+        tol = Fraction(tol)
+        step = int(Fraction(tolerances) * tol.numerator * calc.one / tol.denominator)
+        ends = calc.pow_lo if side == "lo" else calc.pow_hi
+        setattr(calc, f"pow_{side}", ends[:-1] + [ends[-1] + step])
+        return calc
+
+    monkeypatch.setattr(structure_mod, "cylinder_calc", fake)
+    seen = set()
+    for text in DEFAULT_CORPUS:
+        e = ExpansionOfOne.parse(text)
+        for n in range(1, 9):
+            for w in length_words(e, n):
+                got, full_ends, oracle = length_outcomes(w, e, DEFAULT_TOL)
+                assert got is full_ends is oracle, (text, n, w.text())
+                seen.add(got)
+    assert seen == verdicts
+
+
+@pytest.mark.parametrize("tol, exact", [(Fraction(1, 2**40), True), (Fraction(3, 2**41), True),
+                                        (Fraction(1, 10**12), False)])
+def test_compare_length_bound_is_inclusive(tol, exact):
+    """A length that misses beta^-n by the largest integer within tol (tol
+    itself, when exact) is certified; one unit more is undecided; a Fraction
+    bound gives the same verdicts."""
+    calc = cylinder_calc(GOLDEN, 3, tol)
+    slack = tol.numerator * calc.one // tol.denominator
+    assert (slack * tol.denominator == tol.numerator * calc.one) is exact
+    for extra, want in [(0, True), (1, UNDECIDED)]:
+        for left, right in [((0, 0), (calc.pow_hi[3], calc.pow_lo[3] + slack + extra)),
+                            ((0, slack + extra), (calc.pow_hi[3], calc.pow_lo[3]))]:
+            got = calc.compare_length(left, right, tol)
+            assert got is want is compare_length_oracle(calc, left, right, tol), (extra, left, right)

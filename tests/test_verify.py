@@ -27,7 +27,7 @@ from beta_words import cli
 from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
-from beta_words.errors import NotAdmissible, VerificationError
+from beta_words.errors import BetaWordsError, NotAdmissible, VerificationError
 from beta_words.structure import DEFAULT_TOL, Decomposition, cylinder_calc, is_full, tail_cap
 from beta_words.words import Automaton, Word, iter_words, rank_of, word_at
 
@@ -1143,3 +1143,33 @@ def test_verify_theorems_clean_outside_corpus(text):
     e = ExpansionOfOne.parse(text)
     assert text not in {m.text() for m in default_corpus()}
     assert verify_theorems(e, 6) == []
+
+
+def sweep_or_deepest(e, n):
+    """sweep_fullness(e, n), or the largest n it names when it refuses n."""
+    try:
+        return sweep_fullness(e, n)
+    except BetaWordsError as exc:
+        hit = re.fullmatch(rf"n = {n} is too deep for the verify sweep, which recurses once per digit: "
+                           rf"at recursion limit {sys.getrecursionlimit()} it reaches n <= (\d+)", str(exc))
+        assert hit, str(exc)
+        return int(hit.group(1))
+
+
+def test_sweep_refuses_n_past_its_deepest_descent():
+    """The sweep recurses once per digit.  Past the n it names it raises
+    BetaWordsError before it walks; at that n it sweeps clean.  The n moves
+    with the recursion limit."""
+    e = ExpansionOfOne.parse("1,1")
+    deepest = sweep_or_deepest(e, 10**4)
+    result = sweep_or_deepest(e, deepest)
+    assert (result.failures, result.undecided, result.words) == ([], 0, count(e, deepest))
+    assert sweep_or_deepest(e, deepest + 1) == deepest
+    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep"):
+        verify_mod.sweep_shard(e, 10**4, DEFAULT_TOL, 0, 1)
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(limit + 100)
+        assert sweep_or_deepest(e, 10**4) == deepest + 100
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,10 +1,12 @@
 """Admissible words: enumeration, counting, ranking, neighbors."""
 
+import random
 from itertools import product
 
 import pytest
 
 from beta_words import (
+    AlphabetMismatch,
     ExpansionOfOne,
     NotAdmissible,
     VerificationError,
@@ -13,6 +15,9 @@ from beta_words import (
     count,
     default_corpus,
     is_admissible,
+    is_full,
+    is_full_by_length,
+    is_full_by_tail,
     iter_words,
     max_word,
     predecessor,
@@ -23,7 +28,7 @@ from beta_words import (
 )
 from beta_words import words as words_mod
 from beta_words.runs import scan_run_lengths
-from beta_words.words import start_at, walk
+from beta_words.words import Automaton, start_at, walk
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -233,3 +238,123 @@ def test_count_rows_are_bounded(monkeypatch):
     assert members[7] in words_mod._COUNT_ROWS
     assert members[8] not in words_mod._COUNT_ROWS
     assert len(words_mod._COUNT_ROWS) == 64
+
+
+# --- the one-slot scan memo ---
+
+
+def oracle_states(digits, aut):
+    """States after each digit, from the tables alone, without any memo."""
+    states = [1]
+    for d in digits:
+        s = states[-1]
+        assert 0 <= d <= aut.maxdig[s]
+        states.append(aut.adv[s] if d == aut.cmp[s] else 1)
+    return states
+
+
+def test_scan_memo_ignores_lists_mutated_in_place():
+    digits = [1, 0, 1, 0]
+    assert scan_states(digits, GOLDEN) == oracle_states(digits, automaton(GOLDEN))
+    digits[1:] = [0, 0, 1]
+    assert scan_states(digits, GOLDEN) == oracle_states(digits, automaton(GOLDEN))
+    digits[0] = 0
+    assert scan_states(digits, GOLDEN) == oracle_states(digits, automaton(GOLDEN))
+    digits[1] = 2
+    with pytest.raises(AlphabetMismatch):
+        scan_states(digits, GOLDEN)
+
+
+def test_scan_memo_is_keyed_on_the_expansion():
+    digits = (1, 0, 1, 0, 0, 0, 0)
+    for text in ["1,1", "1,0,1,0,0,0,1", "2,1,1", "1,1,1", "1,1"]:
+        e = ExpansionOfOne.parse(text)
+        assert scan_states(digits, e) == oracle_states(digits, automaton(e)), text
+    assert scan_states(digits, GOLDEN) is scan_states(digits, GOLDEN)  # a hit
+
+
+def test_scan_memo_is_keyed_on_the_automaton(monkeypatch):
+    """Tables swapped under a scanned tuple give the new tables' states."""
+    digits = (1, 0, 0, 1, 0)
+    real = automaton(GOLDEN)
+    assert scan_states(digits, GOLDEN) == [1, 2, 1, 1, 2, 1]
+    other = Automaton(real.cmp, (0, 1, 0), real.maxdig)  # the extension goes back to state 1
+    monkeypatch.setattr(words_mod, "automaton", lambda e: other)
+    assert scan_states(digits, GOLDEN) == oracle_states(digits, other) == [1, 1, 1, 1, 1, 1]
+    monkeypatch.undo()
+    assert scan_states(digits, GOLDEN) == [1, 2, 1, 1, 2, 1]
+
+
+def test_failed_scan_is_not_remembered():
+    good, bad = (1, 0, 1), (1, 1, 0)
+    assert scan_states(good, GOLDEN) == [1, 2, 1, 2]
+    for _ in range(2):
+        with pytest.raises(NotAdmissible):
+            scan_states(bad, GOLDEN)
+    assert scan_states(good, GOLDEN) == [1, 2, 1, 2]
+    with pytest.raises(NotAdmissible):
+        scan_states(bad, GOLDEN)
+    assert scan_states((0, 0, 1), GOLDEN) == [1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_walking_from_a_word_leaves_its_scan_intact(e):
+    """successor and iter_words(start=w) rewrite a copy of w's states, so the
+    point queries after them read w's own states."""
+    aut = automaton(e)
+    total = count(e, 9)
+    for index in sorted({0, 1, total // 3, total - 2, total - 1}):
+        w = word_at(e, 9, index)
+        want = oracle_states(w.digits, aut)
+        for step in (lambda: successor(w, e), lambda: list(iter_words(e, 9, start=w))):
+            assert scan_states(w.digits, e) == want
+            step()
+            assert scan_states(w.digits, e) == want
+            assert is_full(w, e) == (want[-1] == 1)
+            assert rank_of(w, e) == index
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_point_queries_on_one_word_share_one_scan(e):
+    w = word_at(e, 64, count(e, 64) // 3)
+    rank_of(w, e)
+    states = words_mod._LAST_SCAN[0][2]
+    assert states == oracle_states(w.digits, automaton(e))
+    is_full(w, e)
+    is_full_by_tail(w, e)
+    is_full_by_length(w, e)
+    successor(w, e)
+    assert words_mod._LAST_SCAN[0][0] is w.digits and words_mod._LAST_SCAN[0][2] is states
+
+
+# --- unranking by one divmod per digit ---
+
+
+def word_at_oracle(e, n, index):
+    """The unranking loop before the divmod form: a multiply, a compare, a
+    floor division and a remainder per digit."""
+    table = fresh_count_table(e, n)
+    aut = automaton(e)
+    cmp, adv = aut.cmp, aut.adv
+    digits = []
+    s = 1
+    for m in range(n - 1, -1, -1):
+        block = table[m][1]
+        if cmp[s] and index < cmp[s] * block:
+            digits.append(index // block)
+            index %= block
+            s = 1
+        else:
+            index -= cmp[s] * block
+            digits.append(cmp[s])
+            s = adv[s]
+    return Word(tuple(digits))
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_word_at_matches_the_compare_loop(e):
+    rng = random.Random(e.text())
+    for n in [*range(1, 13), 64, 512]:
+        total = count(e, n)
+        for index in {0, total - 1, *(rng.randrange(total) for _ in range(8))}:
+            assert word_at(e, n, index) == word_at_oracle(e, n, index), (n, index)
