@@ -13,6 +13,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import log2
 from typing import Iterator
 
 from .corpus import default_corpus, load_corpus
@@ -37,12 +38,15 @@ from .structure import (
     smallest_tail_length,
 )
 from .verify import _compare_run_sets, render_report, verify_report
-from .words import Word, count, start_at, walk
+from .words import Word, automaton, count, start_at, walk
 
 OK = 0
 INPUT_ERROR = 2
 MISMATCH = 3
 PRECONDITION = 4
+
+# Bytes the exact-count table of one --n may take; it grows as n^2.
+COUNT_TABLE_BUDGET = 2**28
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,6 +150,33 @@ def _parse_n(args) -> int:
     if n < 1:
         raise BetaWordsError("word length n must be >= 1")
     return n
+
+
+def _count_table_bytes(e: ExpansionOfOne, n: int) -> float:
+    """An upper estimate of the bytes of the count table that words of
+    length n read: rows 0..n, each a tuple (about 64 bytes) of one integer
+    per block state, and an integer of row m has at most
+    m * log2(eps_1 + 1) bits, 4 bytes per 30 bits past its 36 bytes of
+    header and tuple slot; averaged over the rows, n * log2(eps_1 + 1) / 15
+    bytes."""
+    states = len(automaton(e).cmp) - 1
+    return (n + 1) * (64 + states * (36 + n * log2(e.alphabet_max + 1) / 15))
+
+
+def _check_table_budget(e: ExpansionOfOne, n: int) -> None:
+    """Refuse, before the table is built, an n whose count table would pass
+    COUNT_TABLE_BUDGET, naming the largest n that fits."""
+    if _count_table_bytes(e, n) <= COUNT_TABLE_BUDGET:
+        return
+    lo, hi = 0, n - 1  # the largest n that fits lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _count_table_bytes(e, mid) <= COUNT_TABLE_BUDGET:
+            lo = mid
+        else:
+            hi = mid - 1
+    raise BetaWordsError(f"n = {n} needs a count table of about {_count_table_bytes(e, n) / 2**20:.0f} MiB, "
+                         f"over the {COUNT_TABLE_BUDGET // 2**20} MiB budget: {e.text()} allows n <= {lo}")
 
 
 def _parse_n_range(text: str) -> range:
@@ -266,6 +297,7 @@ def cmd_validate(args, out) -> int:
 def cmd_enumerate(args, out) -> int:
     e = _expansion(args)
     n = _parse_n(args)
+    _check_table_budget(e, n)
     rows = [(i, w.text(), int(full)) for i, (w, full) in enumerate(_word_window(e, n, args), args.start or 0)]
     _emit_rows(args.format, ["index", "word", "full"], rows, out)
     return OK
@@ -280,6 +312,7 @@ def cmd_classify(args, out, err) -> int:
         n_values = _parse_n_range(args.n_range)
     else:
         n_values = [_parse_n(args)]
+    _check_table_budget(e, n_values[-1])
     places = _places(tol)
     disagreements = 0
     rows = []
@@ -325,6 +358,7 @@ def cmd_classify(args, out, err) -> int:
 def cmd_runs(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
+    _check_table_budget(e, n)
     formula = run_sets_formula(e, n)
     records = maximal_runs(e, n)
     runs = stitch_run_scans(one_run(r.kind == FULL, r.length) for r in records)
@@ -362,6 +396,7 @@ def cmd_runs(args, out, err) -> int:
 def cmd_tau(args, out) -> int:
     e = _expansion(args)
     n = _parse_n(args)
+    _check_table_budget(e, n)
     taus = tau_table(e, n)
     rows = [(s, taus[s]) for s in range(1, n + 1)]
     _emit_rows(args.format, ["s", "tau"], rows, out)

@@ -159,6 +159,16 @@ def smallest_tail_length(w: Word, e: ExpansionOfOne) -> int | None:
     return matches[0] if matches else None
 
 
+@lru_cache(maxsize=64)
+def _scaled_inverse(e: ExpansionOfOne, bits: int) -> tuple[int, int]:
+    """(x_lo, x_hi): 1/beta scaled by 2^bits, rounded down and up, from a
+    beta bracket 2^-(bits - 16) wide.  It depends on bits only, not on n,
+    so every n that shares bits solves beta once."""
+    beta = solve_beta(e, Fraction(1, 2 ** (bits - 16)))
+    q, r = divmod(beta.lo.denominator << bits, beta.lo.numerator)
+    return (beta.hi.denominator << bits) // beta.hi.numerator, q if r == 0 else q + 1
+
+
 class CylinderCalc:
     """Certified fixed-point arithmetic for cylinder endpoints at one (e, n).
 
@@ -171,11 +181,8 @@ class CylinderCalc:
         self.e = e
         self.n = n
         self.bits = bits
-        beta = solve_beta(e, Fraction(1, 2 ** (bits - 16)))
         one = 1 << bits
-        self.x_lo = (beta.hi.denominator << bits) // beta.hi.numerator
-        q, r = divmod(beta.lo.denominator << bits, beta.lo.numerator)
-        self.x_hi = q if r == 0 else q + 1
+        self.x_lo, self.x_hi = _scaled_inverse(e, bits)
         pow_lo, pow_hi = [one], [one]
         for _ in range(n):
             pow_lo.append((pow_lo[-1] * self.x_lo) >> bits)

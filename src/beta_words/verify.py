@@ -22,16 +22,17 @@ one per family.  The same pass tallies the maximal full and non-full runs,
 so one sweep per (member, n) gives both the run sets that the closed forms
 are checked against and the three fullness criteria.
 
-Sweeps shard on prefix-rank ranges for multiprocess verification.  A shard
-steps back over the families before its window for the non-full run it
-starts inside, so it checks every tail-run position itself, and one fold of
-runs.merge_runs joins the shards' run summaries: the result and the failures,
-in word order, are those of a single-shard pass.
+For multiprocess verification, verify_report hands every (member, n) sweep
+to one pool map as a whole task.  A sweep is cut into prefix-rank windows
+only when there are fewer sweeps than pool workers.  A window steps back
+over the families before it for the non-full run it starts inside, so it
+checks every tail-run position itself, and one fold of runs.merge_runs
+joins the windows' run summaries: the result and the failures, in word
+order, are those of a single-window pass.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import inf
 
 from .errors import BetaWordsError, NotAdmissible, TailMismatch, VerificationError
@@ -61,7 +63,7 @@ from .runs import (
     tail_run_prediction,
     tau_table,
 )
-from .structure import DEFAULT_TOL, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
+from .structure import DEFAULT_TOL, _bits_for, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
 from .words import Word, _count_table, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
 
 MAX_FAILURES = 24
@@ -105,10 +107,13 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
 
 
 def _check_depth(n: int, above: int) -> None:
-    """Refuse an n whose sweep descent would pass the recursion limit.  The
-    descent begins `above` frames below the caller, opens one frame per
-    digit and at most BODY_FRAMES below its deepest node; raises
-    BetaWordsError, naming the largest n that fits, before any work."""
+    """Refuse an n below 1 (ValueError) or one whose sweep descent would pass
+    the recursion limit.  The descent begins `above` frames below the
+    caller, opens one frame per digit and at most BODY_FRAMES below its
+    deepest node; raises BetaWordsError, naming the largest n that fits,
+    before any work."""
+    if n < 1:
+        raise ValueError("word length n must be >= 1")
     depth = above
     frame = sys._getframe(1)
     while frame is not None:
@@ -345,6 +350,12 @@ def _sweep_worker(args):
     return sweep_shard(e, n, tol, start, stop)
 
 
+def _sweep_tasks(e: ExpansionOfOne, n: int, tol: Fraction, windows: int) -> list[tuple]:
+    """The _sweep_worker arguments of one (e, n) sweep cut into at most
+    `windows` prefix windows, in word order."""
+    return [(e, n, tol, a, b) for a, b in _shard_bounds(prefix_count(e, n), windows)]
+
+
 def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, executor=None) -> SweepResult:
     """Run the word sweep over the whole enumeration, optionally sharded.
 
@@ -354,13 +365,10 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     must sum to 1 within n * tol, and the visited-word tally must equal the
     counting recursion.
     """
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
     _check_depth(n, 2)  # _sweep_worker and sweep_shard
     tol = Fraction(tol)
-    bounds = _shard_bounds(prefix_count(e, n), shards)
-    pool_map = executor.map if executor is not None and len(bounds) > 1 else map
-    chunks = list(pool_map(_sweep_worker, [(e, n, tol, a, b) for a, b in bounds]))
+    tasks = _sweep_tasks(e, n, tol, shards)
+    chunks = list((map if executor is None else executor.map)(_sweep_worker, tasks))
     case = e.text()
     failures: list[str] = []
     words = undecided = 0
@@ -374,8 +382,7 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
         sum_lo += chunk["sum_lo"]
         sum_hi += chunk["sum_hi"]
         runs = merge_runs(runs, chunk["runs"])
-    calc = cylinder_calc(e, n, tol)
-    one = calc.one
+    one = 1 << _bits_for(e, n, tol)  # cylinder_calc(e, n, tol).one, without its power tables
     slack = n * ((tol.numerator * one) // tol.denominator)
     if sum_lo > sum_hi or sum_lo > one + slack or sum_hi < one - slack:
         _record(failures, f"{case} n={n}: cylinder lengths sum to "
@@ -383,6 +390,21 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
     if words != count(e, n):
         _record(failures, f"{case} n={n}: sweep visited {words} words, count says {count(e, n)}")
     return SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures, runs)
+
+
+class _Swept:
+    """The executor that verify_report hands to verify_member: its map
+    returns, in order, the chunks that the report's one map already swept,
+    after checking that they are the windows asked for."""
+
+    def __init__(self, tasks: list[tuple], chunks: list[dict]):
+        self.done = iter(zip(tasks, chunks))
+
+    def map(self, fn, tasks):
+        done = list(islice(self.done, len(tasks)))
+        if [task for task, _ in done] != tasks:
+            raise RuntimeError("the swept chunks are out of step with the sweeps asked for")
+        return [chunk for _, chunk in done]
 
 
 # --- run-set checks: closed forms against enumeration ---
@@ -771,22 +793,42 @@ def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, shards: int = 1,
 
 
 def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
-    """Rows and failures for a whole corpus; shards > 1 uses a process pool
-    of at most one worker per core, and each sweep makes at most one chunk
-    per pool worker.
+    """Rows and failures for a whole corpus: verify_member's, member by
+    member in corpus order.
 
-    The rows depend only on (corpus, n_values), never on the shard count, so
-    sharded and unsharded runs render byte-identical reports.
+    Every (member, n) sweep is a task of one map over the whole report: the
+    builtin map when shards = 1, else a process pool of at most
+    min(shards, cores) workers.  A sweep is cut into prefix windows only
+    when there are fewer sweeps than workers, into workers // sweeps
+    windows each (never more than its prefixes).  verify_member then folds
+    the chunks back per sweep, so the rows and the failures, in word order,
+    are those of shards = 1, and sharded and unsharded runs render
+    byte-identical reports.  Every n is checked before any count table is
+    built or any pool is started.
     """
-    n_values = list(n_values)
+    corpus, n_values = list(corpus), list(n_values)
+    for n in n_values:
+        _check_depth(n, 4)  # verify_member and sweep_fullness, whose own check counts two frames more
+    sweeps = len(corpus) * len(n_values)
+    if not sweeps:
+        return [], []
     workers = min(shards, os.cpu_count() or 1)
+    windows = max(1, workers // sweeps)
+    tasks = [task for e in corpus for n in n_values for task in _sweep_tasks(e, n, Fraction(tol), windows)]
+    if shards > 1:
+        # about four batches per worker: few pickling round trips, and the
+        # costly large-n sweeps still spread over the pool
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            chunks = list(executor.map(_sweep_worker, tasks, chunksize=-(-len(tasks) // (4 * workers))))
+    else:
+        chunks = list(map(_sweep_worker, tasks))
+    swept = _Swept(tasks, chunks)
     rows = []
     failures: list[str] = []
-    with ProcessPoolExecutor(max_workers=workers) if shards > 1 else contextlib.nullcontext() as executor:
-        for e in corpus:
-            member_rows, member_failures = verify_member(e, n_values, tol, workers, executor)
-            rows.extend(member_rows)
-            failures.extend(member_failures)
+    for e in corpus:
+        member_rows, member_failures = verify_member(e, n_values, tol, windows, swept)
+        rows.extend(member_rows)
+        failures.extend(member_failures)
     return rows, failures
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 from beta_words import cli
 from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
 from beta_words import verify as verify_mod
+from beta_words import words as words_mod
 from beta_words.errors import BetaWordsError
 
 
@@ -384,3 +386,49 @@ def test_verify_past_the_deepest_sweep_is_an_input_error(tmp_path, shards):
     assert done.stdout == "" and "Traceback" not in done.stderr
     assert re.fullmatch(r"error: n = 1000 is too deep for the verify sweep, which recurses once per digit: "
                         r"at recursion limit \d+ it reaches n <= \d+\n", done.stderr)
+
+
+HUGE_N = re.compile(r"error: n = (\d+) needs a count table of about \d+ MiB, over the (\d+) MiB budget: "
+                    r"1,1 allows n <= (\d+)\n")
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--n", "1000000"), ("classify", "--n", "1000000"),
+                                  ("classify", "--n-range", "1..1000000"), ("runs", "--n", "1000000"),
+                                  ("tau", "--n", "1000000")])
+def test_huge_n_refused_before_any_table(monkeypatch, capsys, argv):
+    """At n = 10^6 the count table of 1,1 would take about 120 GiB; the
+    command exits 2 in one line before it builds that table or any other."""
+    built = []
+    monkeypatch.setattr(words_mod, "_count_table", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "tau_table", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, argv[0], "--seq", "1,1", *argv[1:])
+    assert (code, out, built) == (2, "", [])
+    hit = HUGE_N.fullmatch(err)
+    assert hit and hit.group(1) == "1000000" and int(hit.group(2)) * 2**20 == cli.COUNT_TABLE_BUDGET
+
+
+def test_largest_n_under_the_table_budget_runs(monkeypatch, capsys):
+    """The n the refusal names runs, and one more is refused."""
+    monkeypatch.setattr(cli, "COUNT_TABLE_BUDGET", 2**17)
+    e = ExpansionOfOne.parse("1,1")
+    code, _, err = run_cli(capsys, "tau", "--seq", "1,1", "--n", "1000000")
+    largest = int(HUGE_N.fullmatch(err).group(3))
+    assert run_cli(capsys, "enumerate", "--seq", "1,1", "--n", str(largest), "--limit", "1")[0] == 0
+    assert cli._count_table_bytes(e, largest) <= 2**17 < cli._count_table_bytes(e, largest + 1)
+    code, out, err = run_cli(capsys, "enumerate", "--seq", "1,1", "--n", str(largest + 1), "--limit", "1")
+    assert (code, out) == (2, "") and HUGE_N.fullmatch(err).group(3) == str(largest)
+
+
+@pytest.mark.parametrize("text, n", [("1,1", 3000), ("3,0,2,0,0,0,0,1", 1500), ("9,9,9", 1500), ("2;1", 2000)])
+def test_count_table_estimate_bounds_the_table(monkeypatch, text, n):
+    """The budget's estimate is at least the table's traced size, and not
+    twice it."""
+    e = ExpansionOfOne.parse(text)
+    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+    tracemalloc.start()
+    try:
+        words_mod._count_table(e, n)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= cli._count_table_bytes(e, n) < 2 * size

@@ -216,6 +216,40 @@ def test_pi_bounds_split_at_any_index(text):
                 assert (head[0] + tail[0], head[1] + tail[1]) == whole
 
 
+def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
+    """All n <= 12 share the working precision, so cylinder_calc at n 1..12
+    solves beta once per member; its power tables are those built from a
+    fresh solve_beta, 1/beta rounded down and up at that precision."""
+    real = structure_mod.solve_beta
+    calls = []
+
+    def spy(e, tol):
+        calls.append(e)
+        return real(e, tol)
+
+    monkeypatch.setattr(structure_mod, "solve_beta", spy)
+    members = [ExpansionOfOne.parse(text) for text in DEFAULT_CORPUS]
+    structure_mod._calc.cache_clear()
+    structure_mod._scaled_inverse.cache_clear()
+    try:
+        for e in members:
+            for n in range(1, 13):
+                calc = cylinder_calc(e, n)
+                bits, one = calc.bits, calc.one
+                beta = real(e, Fraction(1, 2 ** (bits - 16)))
+                x_lo = (beta.hi.denominator << bits) // beta.hi.numerator
+                x_hi = -(-(beta.lo.denominator << bits) // beta.lo.numerator)
+                pow_lo, pow_hi = [one], [one]
+                for _ in range(n):
+                    pow_lo.append((pow_lo[-1] * x_lo) >> bits)
+                    pow_hi.append(-((-pow_hi[-1] * x_hi) >> bits))
+                assert (calc.pow_lo, calc.pow_hi) == (pow_lo, pow_hi), (e.text(), n)
+    finally:
+        structure_mod._calc.cache_clear()
+        structure_mod._scaled_inverse.cache_clear()
+    assert calls == members
+
+
 @pytest.mark.parametrize("text", DEFAULT_CORPUS)
 def test_rank_round_trip_at_512(text):
     e = ExpansionOfOne.parse(text)

@@ -168,7 +168,7 @@ class FakeExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
 
@@ -184,12 +184,19 @@ def test_pool_size_bounded_by_cores(monkeypatch, cores, shards, expected):
 
 
 class BatchExecutor(FakeExecutor):
+    """Records the items of every map call."""
+
     batches: list = []
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         items = list(items)
-        BatchExecutor.batches.append(len(items))
-        return super().map(fn, items)
+        BatchExecutor.batches.append(items)
+        return super().map(fn, items, chunksize)
+
+
+def whole_sweeps(corpus, n_values):
+    """The map items of sweeps that each run as one whole-range task."""
+    return [(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n)) for e in corpus for n in n_values]
 
 
 def test_chunks_capped_at_pool_workers(monkeypatch):
@@ -200,8 +207,54 @@ def test_chunks_capped_at_pool_workers(monkeypatch):
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     rows, failures = verify_report([GOLDEN, PEARL], range(1, 8), shards=10**6)
     assert failures == [] and FakeExecutor.sizes == [2]
-    assert BatchExecutor.batches and max(BatchExecutor.batches) <= 2
+    # 14 sweeps for two workers: one map, one whole-range task per sweep
+    assert BatchExecutor.batches == [whole_sweeps([GOLDEN, PEARL], range(1, 8))]
     assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 8))[0])
+
+
+@pytest.mark.parametrize("corpus, n_values, cores, windows", [
+    ([GOLDEN], [5], 2, [[(0, 4), (4, 8)]]),  # one sweep, two workers: two windows
+    ([GOLDEN, PEARL, GOLDEN], [5], 2, [[(0, 8)], [(0, 135)], [(0, 8)]]),  # three sweeps: one task each
+    ([GOLDEN], [1, 3], 64, [[(0, 1)], [(0, 1), (1, 2), (2, 3)]]),  # 32 windows each, but 1 and 3 prefixes
+])
+def test_sweeps_windowed_only_when_fewer_than_workers(monkeypatch, corpus, n_values, cores, windows):
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(BatchExecutor, "batches", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+    rows, failures = verify_report(corpus, n_values, shards=10**6)
+    sweeps = [(e, n) for e in corpus for n in n_values]
+    assert BatchExecutor.batches == [[(e, n, DEFAULT_TOL, a, b) for (e, n), bounds in zip(sweeps, windows)
+                                      for a, b in bounds]]
+    assert failures == [] and render_report(rows) == render_report(verify_report(corpus, n_values)[0])
+
+
+def test_swept_chunks_must_match_the_windows_asked_for():
+    tasks = whole_sweeps([GOLDEN], [3, 4])
+    chunks = [{"rank": 0}, {"rank": 1}]
+    assert verify_mod._Swept(tasks, chunks).map(None, tasks[:1]) == chunks[:1]
+    swept = verify_mod._Swept(tasks, chunks)
+    with pytest.raises(RuntimeError, match="out of step"):
+        swept.map(None, tasks[1:])
+
+
+@pytest.mark.parametrize("corpus, n_values", [([], range(1, 5)), ([GOLDEN], [])])
+def test_empty_report_starts_no_pool(monkeypatch, corpus, n_values):
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    assert verify_report(corpus, n_values, shards=2) == ([], [])
+    assert FakeExecutor.sizes == []
+
+
+@pytest.mark.parametrize("n_values", [[0], [3, 0], [10**4]])
+def test_bad_n_refused_before_count_tables_or_pool(monkeypatch, n_values):
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(verify_mod, "_count_table", None)
+    monkeypatch.setattr(runs_mod, "count", None)  # prefix_count's count table
+    with pytest.raises((ValueError, BetaWordsError), match="n must be >= 1|too deep"):
+        verify_report([GOLDEN], n_values, shards=2)
+    assert FakeExecutor.sizes == []
 
 
 def test_shard_bounds_capped_at_prefix_count():
@@ -228,14 +281,6 @@ def test_sweep_run_summary_matches_scan(e):
             assert sweep_fullness(e, n, shards=shards).runs == runs_mod.stitch_run_scans(scans), (n, shards)
 
 
-class CountingExecutor(FakeExecutor):
-    maps = 0
-
-    def map(self, fn, items):
-        CountingExecutor.maps += 1
-        return super().map(fn, items)
-
-
 def test_verify_walks_once(monkeypatch):
     calls = []
     real = verify_mod.scan_run_lengths
@@ -246,15 +291,15 @@ def test_verify_walks_once(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "scan_run_lengths", counted)
     monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(CountingExecutor, "maps", 0)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(BatchExecutor, "batches", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     rows, failures = verify_member(PEARL, range(1, 6))
     assert failures == [] and len(rows) == 5
-    # every n >= 2 has at least two prefixes, so each (member, n) maps once
+    # eight sweeps for two workers: the whole report is one map of one task per sweep
     rows, failures = verify_report([GOLDEN, PEARL], range(2, 6), shards=2)
     assert failures == []
-    assert CountingExecutor.maps == 2 * 4
+    assert [len(batch) for batch in BatchExecutor.batches] == [2 * 4]
     assert calls == []
     assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(2, 6))[0])
     assert run_sets_check(PEARL, 4)[1] == []
@@ -447,6 +492,29 @@ def test_sharded_failures_name_the_same_words(monkeypatch, e):
         for shards in range(1, 7):
             got = verify_member(e, [n], shards=shards, executor=FakeExecutor(shards))[1]
             assert got == single, (cap, n, shards)
+
+
+@pytest.mark.parametrize("n_values", [range(1, 9), [8]])
+def test_report_failures_identical_for_any_shard_count(monkeypatch, n_values):
+    """Under a tau table off by one, verify_report gives the failure list
+    and the report bytes of shards = 1 at any shard count, windowed sweeps
+    included, at the default failure cap and without.  A duplicated member
+    keeps its own rows and its own capped failure slice, in corpus order."""
+    tau_off_by_one(monkeypatch)
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)  # 10**6 shards: windows at 3 sweeps
+    corpus = [GOLDEN, PEARL, GOLDEN]
+    for cap in CAPS_SHARDED:
+        monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
+        golden, pearl = (verify_member(e, n_values) for e in (GOLDEN, PEARL))
+        rows, single = verify_report(corpus, n_values, shards=1)
+        assert rows == golden[0] + pearl[0] + golden[0]
+        assert golden[1] and single == golden[1] + pearl[1] + golden[1], cap
+        for shards in (2, 3, 10**6):
+            got_rows, got = verify_report(corpus, n_values, shards=shards)
+            assert got == single, (cap, shards)
+            assert render_report(got_rows) == render_report(rows), (cap, shards)
 
 
 # --- the table-driven sweep against the sweep it replaced ---
@@ -847,6 +915,9 @@ def test_sweep_shard_rejects_windows_outside_the_prefixes():
     for a in (0, 5, prefixes):
         assert verify_mod.sweep_shard(PEARL, 11, DEFAULT_TOL, a, a)["words"] == 0
         assert runs_mod.scan_run_lengths(PEARL, 11, a, a) == runs_mod.one_run(True, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            verify_mod.sweep_shard(GOLDEN, n, DEFAULT_TOL, 0, 1)
 
 
 # --- the rewritten theorem checks against their brute-force formulations ---
@@ -1173,3 +1244,19 @@ def test_sweep_refuses_n_past_its_deepest_descent():
         assert sweep_or_deepest(e, 10**4) == deepest + 100
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, shards):
+    """verify_report refuses an n past the deepest sweep before any work,
+    naming the largest n, and that n it verifies clean."""
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep") as refused:
+        verify_report([GOLDEN], [10**4], shards=shards)
+    deepest = int(re.search(r"n <= (\d+)$", str(refused.value)).group(1))
+    rows, failures = verify_report([GOLDEN], [deepest], shards=shards)
+    assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(deepest, True)]
+    with pytest.raises(BetaWordsError, match=rf"^n = {deepest + 1} is too deep.* n <= {deepest}$"):
+        verify_report([GOLDEN], [deepest + 1], shards=shards)
+    assert FakeExecutor.sizes == ([shards] if shards > 1 else [])
