@@ -404,11 +404,12 @@ def cmd_tau(args, out) -> int:
 
 
 def cmd_verify(args, out, err) -> int:
+    if args.shards < 1:
+        raise BetaWordsError("--shards must be >= 1")
     tol = _parse_tol(args)
-    shards = max(1, args.shards)
     n_values = _parse_n_range(args.n_range) if args.n_range else range(1, 13)
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
-    rows, failures = verify_report(corpus, n_values, tol, shards)
+    rows, failures = verify_report(corpus, n_values, tol, args.shards)
     out.write(render_report(rows))
     for message in failures:
         err.write(message + "\n")

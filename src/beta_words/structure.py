@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from operator import mul
 
 from .errors import VerificationError
@@ -58,13 +59,16 @@ class Decomposition:
     tail: tuple[int, int]
 
     def reconstruct(self, e: ExpansionOfOne) -> Word:
-        pieces = self.blocks + (self.tail,)
-        eps = e.digits_prefix(max(length for length, _ in pieces))
+        """The word the pieces spell, in one pass; the expansion prefix is
+        fetched again only for a piece longer than all before it."""
+        eps: tuple[int, ...] = ()
         digits: list[int] = []
-        for length, last in pieces:
+        for length, last in chain(self.blocks, (self.tail,)):
             if length < 1:
                 raise ValueError("decomposition pieces must have length >= 1")
-            digits.extend(eps[:length - 1])
+            if length > len(eps):
+                eps = e.digits_prefix(length)
+            digits += eps[:length - 1]
             digits.append(last)
         return Word(tuple(digits))
 
@@ -80,14 +84,15 @@ def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:
     digits = w.digits
     states = scan_states(digits, e)
     segments: list[tuple[int, int]] = []
-    cut = 0
-    for k in range(1, len(states)):
-        if states[k] == 1:
+    cut = k = 0
+    for s in islice(states, 1, None):
+        k += 1
+        if s == 1:
             segments.append((k - cut, digits[k - 1]))
             cut = k
-    if cut == len(digits):
+    if cut == k:
         return Decomposition(tuple(segments[:-1]), segments[-1])
-    return Decomposition(tuple(segments), (len(digits) - cut, digits[-1]))
+    return Decomposition(tuple(segments), (k - cut, digits[-1]))
 
 
 def is_full(w: Word, e: ExpansionOfOne) -> bool:

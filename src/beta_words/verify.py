@@ -651,39 +651,57 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
 
 def check_decrement_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
     """Lowering the nonzero last digit of an admissible word gives a full
-    word; chained decrements cover every smaller final digit.  The state
-    before the last digit is read off the walker."""
+    word; chained decrements cover every smaller final digit.
+
+    Checked per length-(n-1) prefix family p, as check_suffix_closure's
+    first part is.  In p's block-match state s, read off the walker, p.d
+    lowered to p.(d - 1) is non-full only when d - 1 = cmp[s] and
+    adv[s] != 1, so a family's one candidate is d = cmp[s] + 1, when it
+    is admissible (at most maxdig[s]).
+    """
     case = e.text()
     aut = automaton(e)
-    cmp_, adv_ = aut.cmp, aut.adv
+    cmp_, adv_, maxdig = aut.cmp, aut.adv, aut.maxdig
     for n in range(1, cap + 1):
-        digits, states = start_at(e, n, 0)
+        digits, states = start_at(e, n - 1, 0)
         for _ in walk(e, digits, states):
-            d = digits[-1] - 1
-            s = states[-2]
-            if d >= 0 and d == cmp_[s] and adv_[s] != 1:
-                _record(failures, f"{case}: decrement of {Word(tuple(digits)).text()} is not full")
+            s = states[-1]
+            d = cmp_[s] + 1
+            if d <= maxdig[s] and adv_[s] != 1:
+                _record(failures, f"{case}: decrement of {Word(tuple(digits) + (d,)).text()} is not full")
 
 
 def check_last_digit_bound(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
-    """Full words end strictly below floor(beta)."""
+    """Full words end strictly below floor(beta).
+
+    Checked per length-(n-1) prefix family p: in p's block-match state s,
+    read off the walker, p.d is full exactly when
+    (adv[s] if d == cmp[s] else 1) == 1, and only the family digits
+    floor(beta)..maxdig[s] are looked at, in word order.
+    """
     case = e.text()
     top = e.alphabet_max
+    aut = automaton(e)
+    cmp_, adv_, maxdig = aut.cmp, aut.adv, aut.maxdig
     for n in range(1, cap + 1):
-        digits, states = start_at(e, n, 0)
+        digits, states = start_at(e, n - 1, 0)
         for _ in walk(e, digits, states):
-            if digits[-1] >= top and states[-1] == 1:
-                _record(failures, f"{case}: full word {Word(tuple(digits)).text()} ends with digit "
-                                  f"{digits[-1]} >= floor(beta) = {top}")
+            s = states[-1]
+            for d in range(top, maxdig[s] + 1):
+                if (adv_[s] if d == cmp_[s] else 1) == 1:
+                    _record(failures, f"{case}: full word {Word(tuple(digits) + (d,)).text()} ends with digit "
+                                      f"{d} >= floor(beta) = {top}")
 
 
 def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: int, failures: list[str]) -> None:
     """Reconstruction inverts decomposition; blocks are full; the block and
     tail lengths obey the finite-expansion caps.
 
-    decompose and reconstruct run once per word; a block's verdict depends
-    only on its (length, last digit), so it is worked out once per distinct
-    pair, and the expansion digits come from one prefix.
+    decompose and reconstruct run once per word, and a walked word arrives
+    with its scan, so decompose scans nothing.  One pass over the blocks
+    sums the lengths and finds the longest piece.  A block's verdict
+    depends only on its (length, last digit), so it is worked out once per
+    distinct pair, and the expansion digits come from one prefix.
     """
     case = e.text()
     m = e.finite_length
@@ -700,11 +718,16 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
         for w in words:
             dec = decompose(w, e)
             back = dec.reconstruct(e)
-            if back != w:
+            if back.digits != w.digits:
                 _record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs to {back.text()}")
                 continue
-            pieces = dec.blocks + (dec.tail,)
-            if sum(length for length, _ in pieces) != n:
+            tail_len, tail_d = dec.tail
+            length_sum = longest = tail_len
+            for length, _ in dec.blocks:
+                length_sum += length
+                if length > longest:
+                    longest = length
+            if length_sum != n:
                 _record(failures, f"{case} n={n}: decomposition lengths of {w.text()} do not sum to n")
             for block in dec.blocks:
                 verdict = verdicts.get(block)
@@ -719,11 +742,10 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
                     verdicts[block] = verdict
                 if verdict:
                     _record(failures, f"{case} n={n}: block ({block[0]},{block[1]}) of {w.text()} {verdict}")
-            tail_len, tail_d = dec.tail
             if tail_d > eps[tail_len - 1]:
                 _record(failures, f"{case} n={n}: tail of {w.text()} exceeds the expansion digit")
             if m is not None:
-                if any(length > m for length, _ in pieces):
+                if longest > m:
                     _record(failures, f"{case} n={n}: a decomposition piece of {w.text()} is longer than M")
                 if tail_len == m and tail_d >= eps[m - 1]:
                     _record(failures, f"{case} n={n}: tail of {w.text()} matches all M digits")

@@ -103,7 +103,7 @@ def check_alphabet(digits: Sequence[int], e: ExpansionOfOne) -> None:
 # The last successful scan of a digit tuple, as one (digits, automaton,
 # states) entry replaced whole, so a reader never pairs one scan's keys with
 # another's states.  It holds both keys, so neither identity can be reused
-# while it is stored.
+# while it is stored.  iter_words stores each word it yields here.
 _LAST_SCAN: list[tuple] = [(None, None, None)]
 
 
@@ -119,7 +119,8 @@ def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     The point queries on one Word (rank_of, is_full, is_full_by_tail,
     successor) share one scan: a one-slot memo keeps the last successful
     scan of a tuple, keyed on the identity of the tuple and of automaton(e).
-    So the returned list may be the memo's own: read it, and copy it before
+    A word from iter_words arrives with its walked scan stored there.  So
+    the returned list may be the memo's own: read it, and copy it before
     rewriting it, as successor and iter_words do before they walk.
     """
     aut = automaton(e)
@@ -240,8 +241,14 @@ def iter_words(
     start: Word | None = None,
     stop: Word | None = None,
 ) -> Iterator[Word]:
-    """All admissible words of length n in lex order, optionally [start, stop)."""
+    """All admissible words of length n in lex order, optionally [start, stop).
+
+    Each word arrives with its scan: its tuple, automaton(e) and a copy of
+    its walked states (the walk rewrites its own list) become scan_states'
+    memo entry, so the point queries on it scan nothing.
+    """
     _check_n(n)
+    aut = automaton(e)
     if start is None:
         digits, states = start_at(e, n, 0)
     else:
@@ -258,6 +265,7 @@ def iter_words(
         word = tuple(digits)
         if stop_digits is not None and word >= stop_digits:
             return
+        _LAST_SCAN[0] = word, aut, states[:]
         yield Word(word)
 
 

@@ -340,13 +340,25 @@ def test_runs_failures_match_two_walk_path(capsys, monkeypatch):
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 
 
-@pytest.mark.parametrize("n_range, shards", [("1..5", 1), ("1..5", 2), ("1..12", 1)])
+@pytest.mark.parametrize("n_range, shards", [("1..5", 1), ("1..5", 2), ("1..12", 1), ("1..12", 2)])
 def test_verify_report_matches_benchmark_pins(capsys, n_range, shards):
     """The verify report's sha256 equals the benchmark's pin, which the
     benchmark checks on every run; the file is only read here."""
     code, out, err = run_cli(capsys, "verify", "--n-range", n_range, "--shards", str(shards))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["verify_report_sha256"][n_range]
+
+
+@pytest.mark.parametrize("shards", ["0", "-3"])
+def test_verify_refuses_shards_below_one(capsys, monkeypatch, shards):
+    """A shard count below 1 is an input error, like a bad --start or
+    --limit: exit 2 and one error line, before any sweep."""
+    def no_report(*args):
+        raise AssertionError("verify_report ran")
+
+    monkeypatch.setattr(cli, "verify_report", no_report)
+    code, out, err = run_cli(capsys, "verify", "--n-range", "1..3", "--shards", shards)
+    assert (code, out, err) == (2, "", "error: --shards must be >= 1\n")
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -392,6 +392,77 @@ def test_one_pass_matches_per_call_checks(text):
                     assert outcome(call, w, e) == gate, call.__name__
 
 
+# decompose and reconstruct as they were before each became one pass: the
+# index loop over the scan, and the pieces copied into one tuple to find the
+# longest.  They read scan_states at call time.
+
+
+def decompose_index_oracle(w, e):
+    digits = w.digits
+    states = structure_mod.scan_states(digits, e)
+    segments = []
+    cut = 0
+    for k in range(1, len(states)):
+        if states[k] == 1:
+            segments.append((k - cut, digits[k - 1]))
+            cut = k
+    if cut == len(digits):
+        return Decomposition(tuple(segments[:-1]), segments[-1])
+    return Decomposition(tuple(segments), (len(digits) - cut, digits[-1]))
+
+
+def reconstruct_oracle(dec, e):
+    pieces = dec.blocks + (dec.tail,)
+    eps = e.digits_prefix(max(length for length, _ in pieces))
+    digits = []
+    for length, last in pieces:
+        if length < 1:
+            raise ValueError("decomposition pieces must have length >= 1")
+        digits.extend(eps[:length - 1])
+        digits.append(last)
+    return Word(tuple(digits))
+
+
+WALK_ALL_UPTO = 50_000
+
+
+def words_or_sample(e, n):
+    """Every word of length n, walked, when there are at most WALK_ALL_UPTO
+    of them; else an even sample of about WALK_ALL_UPTO / 2 by rank.  Only
+    4;2 (n 8 and 9) and 3,2,1 (n 9) pass the bound at n <= 9."""
+    total = count(e, n)
+    if total <= WALK_ALL_UPTO:
+        return iter_words(e, n)
+    return (word_at(e, n, i) for i in range(0, total, total // (WALK_ALL_UPTO // 2)))
+
+
+@pytest.mark.parametrize("text", list(DEFAULT_CORPUS) + EXTRA)
+def test_one_pass_decompose_and_reconstruct_match_their_oracles(text):
+    """Admissible words up to length 9: walked ones, which arrive with their
+    scan, and unranked ones, which are scanned."""
+    e = ExpansionOfOne.parse(text)
+    for n in range(1, 10):
+        for w in words_or_sample(e, n):
+            dec = decompose(w, e)
+            assert dec == decompose_index_oracle(w, e)
+            assert dec.reconstruct(e) == reconstruct_oracle(dec, e) == w
+
+
+@pytest.mark.parametrize("pieces", [((0, 0),), ((-1, 0),), ((2, 0), (0, 1)), ((2, 0), (-1, 1)), ((0, 1), (3, 0)),
+                                    ((-1, 1), (2, 0), (1, 0)), ((3, 0), (0, 2), (2, 1))])
+@pytest.mark.parametrize("text", ["1,1", "3,0,2,0,0,0,0,1", "3,0,0,2;0,0,0,2"])
+def test_reconstruct_refuses_short_pieces_like_its_oracle(pieces, text):
+    """A piece of length 0 or -1 anywhere, blocks or tail: the same
+    ValueError and message."""
+    e = ExpansionOfOne.parse(text)
+    dec = Decomposition(pieces[:-1], pieces[-1])
+    with pytest.raises(ValueError) as want:
+        reconstruct_oracle(dec, e)
+    with pytest.raises(ValueError) as got:
+        dec.reconstruct(e)
+    assert str(got.value) == str(want.value) == "decomposition pieces must have length >= 1"
+
+
 @pytest.mark.parametrize("call", [decompose, mismatch, *POINT_CALLS])
 def test_alphabet_error_wins_over_an_earlier_inadmissible_digit(call):
     # 1,1 is inadmissible at position 2 for 1,1; the digit 2 comes after it

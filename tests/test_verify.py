@@ -1128,6 +1128,79 @@ def test_prefix_family_suffix_closure_matches_per_prefix_oracle(monkeypatch):
     assert kinds == {"not admissible", "not full"}
 
 
+# The per-word bodies of the last-digit and decrement checks, from before
+# they walked prefix families: every word of length n <= cap is walked, and
+# its own states say whether it breaks the law.  They read automaton,
+# start_at and walk at call time, so a monkeypatched table reaches them too.
+
+
+def oracle_last_digit_bound(e, cap, failures):
+    case = e.text()
+    top = e.alphabet_max
+    for n in range(1, cap + 1):
+        digits, states = words_mod.start_at(e, n, 0)
+        for _ in words_mod.walk(e, digits, states):
+            if digits[-1] >= top and states[-1] == 1:
+                verify_mod._record(failures, f"{case}: full word {Word(tuple(digits)).text()} ends with digit "
+                                             f"{digits[-1]} >= floor(beta) = {top}")
+
+
+def oracle_decrement_closure(e, cap, failures):
+    case = e.text()
+    aut = verify_mod.automaton(e)
+    cmp_, adv_ = aut.cmp, aut.adv
+    for n in range(1, cap + 1):
+        digits, states = words_mod.start_at(e, n, 0)
+        for _ in words_mod.walk(e, digits, states):
+            d = digits[-1] - 1
+            s = states[-2]
+            if d >= 0 and d == cmp_[s] and adv_[s] != 1:
+                verify_mod._record(failures, f"{case}: decrement of {Word(tuple(digits)).text()} is not full")
+
+
+FAMILY_CHECKS = [(verify_mod.check_last_digit_bound, oracle_last_digit_bound),
+                 (verify_mod.check_decrement_closure, oracle_decrement_closure)]
+OUTSIDE_CORPUS = ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
+ORACLE_WORDS = 10**6
+
+
+@pytest.mark.parametrize("check, oracle", FAMILY_CHECKS, ids=["last_digit", "decrement"])
+def test_family_checks_match_per_word_oracles_clean(check, oracle):
+    """On the real tables neither route records a message, at caps up to
+    the decrement check's 10.  One oracle run at the largest cap stands for
+    every smaller cap.  The oracle walks every word, so the caps stop at the
+    largest within ORACLE_WORDS words: 9 for 4;2 (5.5 M words at n <= 10),
+    10 for every other expansion."""
+    for e in [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]:
+        top = max(cap for cap in range(1, 11) if sum(count(e, n) for n in range(1, cap + 1)) <= ORACLE_WORDS)
+        want = []
+        oracle(e, top, want)
+        assert want == [], e.text()
+        for cap in range(1, top + 1):
+            got = []
+            check(e, cap, got)
+            assert got == want, (e.text(), cap)
+
+
+@pytest.mark.parametrize("check, oracle", FAMILY_CHECKS, ids=["last_digit", "decrement"])
+def test_family_checks_match_per_word_oracles_on_corrupted_tables(monkeypatch, check, oracle):
+    """Under every corrupted table the family check records the oracle's
+    messages in the oracle's order, and the corrupted tables make it fail,
+    some of them past MAX_FAILURES, where both keep the same first ones.
+    Walker, oracle and check all see the same tables."""
+    failed = capped = 0
+    for e in [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]:
+        for bad in corrupted_automata(e):
+            monkeypatch.setattr(words_mod, "automaton", lambda e_, bad=bad: bad)
+            monkeypatch.setattr(verify_mod, "automaton", lambda e_, bad=bad: bad)
+            for cap in range(1, 8):
+                got, want = both(check, oracle, e, cap)
+                assert got == want, (e.text(), bad, cap)
+                failed += bool(want)
+                capped += len(want) == verify_mod.MAX_FAILURES
+    assert failed and capped
+
+
 def test_deep_suffix_not_admissible_is_a_failure(monkeypatch):
     """A suffix scan that raises is recorded, not propagated."""
     real = verify_mod.scan_states

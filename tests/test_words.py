@@ -7,12 +7,14 @@ import pytest
 
 from beta_words import (
     AlphabetMismatch,
+    BetaWordsError,
     ExpansionOfOne,
     NotAdmissible,
     VerificationError,
     Word,
     automaton,
     count,
+    decompose,
     default_corpus,
     is_admissible,
     is_full,
@@ -27,7 +29,7 @@ from beta_words import (
     word_at,
 )
 from beta_words import words as words_mod
-from beta_words.runs import scan_run_lengths
+from beta_words.runs import scan_run_lengths, tail_run_prediction
 from beta_words.words import Automaton, start_at, walk
 
 GOLDEN = ExpansionOfOne.parse("1,1")
@@ -325,6 +327,73 @@ def test_point_queries_on_one_word_share_one_scan(e):
     is_full_by_length(w, e)
     successor(w, e)
     assert words_mod._LAST_SCAN[0][0] is w.digits and words_mod._LAST_SCAN[0][2] is states
+
+
+# --- iter_words hands each word over with its walked scan ---
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the type and message of its error."""
+    try:
+        return call(*args)
+    except BetaWordsError as exc:
+        return type(exc), str(exc)
+
+
+def assert_walked_words_carry_their_scan(e, n, words, ranks, query_every=1):
+    """Every word from the iterator is the memo entry when it arrives, with
+    a copy of its own states that the next walk step leaves alone.  On every
+    query_every-th word the point queries read that entry and agree with a
+    fresh tuple of the same digits, and an equal but distinct tuple is
+    scanned, not looked up."""
+    aut = automaton(e)
+    previous = None
+    seen = []
+    for i, w in enumerate(words):
+        if previous is not None:
+            assert previous[0] == previous[1], "the walk rewrote a stored scan"
+        digits, stored_aut, states = words_mod._LAST_SCAN[0]
+        want = oracle_states(w.digits, aut)
+        assert digits is w.digits and stored_aut is aut and states == want
+        previous = (states, want)
+        seen.append(w.digits)
+        if i % query_every:
+            continue
+        assert scan_states(w.digits, e) is states  # a hit
+        walked = (decompose(w, e), is_full(w, e), outcome(tail_run_prediction, w, e))
+        fresh = Word(tuple(list(w.digits)))
+        assert fresh.digits is not w.digits
+        assert (decompose(fresh, e), is_full(fresh, e), outcome(tail_run_prediction, fresh, e)) == walked
+        again = tuple(list(w.digits))
+        rescanned = scan_states(again, e)
+        assert rescanned == want and rescanned is not states and words_mod._LAST_SCAN[0][0] is again
+    if previous is not None:
+        assert previous[0] == previous[1]
+    assert seen == [word_at(e, n, i).digits for i in ranks]
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_iter_words_seeds_the_scan_memo(e):
+    """The memo on every word at n <= 9; the point queries on every k-th
+    word, k = max(1, count // 2000): on every word of an n with fewer than
+    4,000 words, and on 2,000 to 4,000 words of a larger n."""
+    for n in range(1, 10):
+        total = count(e, n)
+        assert_walked_words_carry_their_scan(e, n, iter_words(e, n), range(total), max(1, total // 2000))
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_iter_words_window_seeds_the_scan_memo(e, n):
+    """Windows that start inside the enumeration or stop before its end;
+    the whole range is the test above."""
+    total = count(e, n)
+    for a, b in walk_windows(total):
+        if (a, b) == (0, total):
+            continue
+        start = word_at(e, n, a)
+        stop = word_at(e, n, b) if b < total else None
+        assert_walked_words_carry_their_scan(e, n, iter_words(e, n, start=start, stop=stop), range(a, b))
 
 
 # --- unranking by one divmod per digit ---
