@@ -82,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="list at most K words (default all; with --n only)")
         if shards:
             p.add_argument("--shards", type=int, default=1, metavar="K",
-                           help="number of enumeration shards, run on at most one "
-                                "process per core (default 1)")
+                           help="worker processes for the sweeps, at most one per core "
+                                "and one per (member, n) (default 1)")
         if check:
             p.add_argument("--check", action="store_true",
                            help="cross-check all fullness criteria and fail on disagreement")

@@ -246,20 +246,6 @@ class BetaInterval:
         return cls(center - tol, center + tol)
 
 
-def _one_minus_power_sum(e: ExpansionOfOne, b: Fraction) -> Fraction:
-    """f(beta) = sum_n eps_n beta^(-n) - 1, exactly; decreasing in beta."""
-    pre, per = e.preperiod, e.period
-    total = Fraction(0)
-    for i, d in enumerate(pre, start=1):
-        if d:
-            total += Fraction(d) / b**i
-    if per:
-        q = len(per)
-        tail = sum(Fraction(d) * b ** (q - j) for j, d in enumerate(per, start=1))
-        total += tail / (b ** len(pre) * (b**q - 1))
-    return total - 1
-
-
 def _root_polynomial(e: ExpansionOfOne) -> tuple[int, ...]:
     """Integer polynomial whose sign on b > 1 equals sum_n eps_n b^-n - 1.
 

@@ -23,12 +23,9 @@ so one sweep per (member, n) gives both the run sets that the closed forms
 are checked against and the three fullness criteria.
 
 For multiprocess verification, verify_report hands every (member, n) sweep
-to one pool map as a whole task.  A sweep is cut into prefix-rank windows
-only when there are fewer sweeps than pool workers.  A window steps back
-over the families before it for the non-full run it starts inside, so it
-checks every tail-run position itself, and one fold of runs.merge_runs
-joins the windows' run summaries: the result and the failures, in word
-order, are those of a single-window pass.
+to one pool map as a whole task.  A sweep is never cut into prefix windows:
+a window rebuilds nearly all of the memo keys of the whole sweep, so
+windows cost CPU time and give no parallel speed-up.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import inf
 
 from .errors import BetaWordsError, NotAdmissible, TailMismatch, VerificationError
@@ -163,6 +159,10 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     runs.scan_run_lengths returns, ready for runs.merge_runs: the
     subtrees' summaries folded by merge_runs.  The tests hold it against
     scan_run_lengths.
+
+    verify sweeps only whole ranges, [0, prefix_count(e, n)); the window
+    arguments stay for perfbench's shard_balance, which times windows, and
+    for the tests, which fold windows into the whole-range chunk.
     """
     _check_depth(n, 0)
     tol = Fraction(tol)
@@ -339,49 +339,26 @@ class SweepResult:
     runs: tuple
 
 
-def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
-    """At most one chunk per prefix; chunks past that would be empty."""
-    shards = max(1, min(shards, total))
-    return [(i * total // shards, (i + 1) * total // shards) for i in range(shards)]
-
-
 def _sweep_worker(args):
-    e, n, tol, start, stop = args
-    return sweep_shard(e, n, tol, start, stop)
+    # the pool pickles this function by name; sweep_shard may be rebound
+    # to a wrapper at run time, which would not pickle
+    return sweep_shard(*args)
 
 
-def _sweep_tasks(e: ExpansionOfOne, n: int, tol: Fraction, windows: int) -> list[tuple]:
-    """The _sweep_worker arguments of one (e, n) sweep cut into at most
-    `windows` prefix windows, in word order."""
-    return [(e, n, tol, a, b) for a, b in _shard_bounds(prefix_count(e, n), windows)]
+def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, chunk=None) -> SweepResult:
+    """Check every word at (e, n): the chunk of a whole-range sweep_shard,
+    swept here when none is given, plus the global checks.
 
-
-def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, executor=None) -> SweepResult:
-    """Run the word sweep over the whole enumeration, optionally sharded.
-
-    Folds the shards' chunks in order, their run summaries by merge_runs,
-    so every shard count gives the same result and the same failures in word
-    order.  Adds the global checks that need all shards: the cylinder lengths
-    must sum to 1 within n * tol, and the visited-word tally must equal the
-    counting recursion.
+    The cylinder lengths must sum to 1 within n * tol, and the visited-word
+    tally must equal the counting recursion.
     """
-    _check_depth(n, 2)  # _sweep_worker and sweep_shard
     tol = Fraction(tol)
-    tasks = _sweep_tasks(e, n, tol, shards)
-    chunks = list((map if executor is None else executor.map)(_sweep_worker, tasks))
+    if chunk is None:
+        _check_depth(n, 1)  # sweep_shard
+        chunk = sweep_shard(e, n, tol, 0, prefix_count(e, n))
     case = e.text()
-    failures: list[str] = []
-    words = undecided = 0
-    sum_lo = sum_hi = 0
-    runs = one_run(True, 0)
-    for chunk in chunks:
-        for message in chunk["failures"]:
-            _record(failures, message)
-        words += chunk["words"]
-        undecided += chunk["undecided"]
-        sum_lo += chunk["sum_lo"]
-        sum_hi += chunk["sum_hi"]
-        runs = merge_runs(runs, chunk["runs"])
+    failures = list(chunk["failures"])
+    words, sum_lo, sum_hi = chunk["words"], chunk["sum_lo"], chunk["sum_hi"]
     one = 1 << _bits_for(e, n, tol)  # cylinder_calc(e, n, tol).one, without its power tables
     slack = n * ((tol.numerator * one) // tol.denominator)
     if sum_lo > sum_hi or sum_lo > one + slack or sum_hi < one - slack:
@@ -389,22 +366,8 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, shards: int = 1, 
                           f"[{sum_lo / one:.17g}, {sum_hi / one:.17g}], not 1 within {n}*tol")
     if words != count(e, n):
         _record(failures, f"{case} n={n}: sweep visited {words} words, count says {count(e, n)}")
-    return SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures, runs)
-
-
-class _Swept:
-    """The executor that verify_report hands to verify_member: its map
-    returns, in order, the chunks that the report's one map already swept,
-    after checking that they are the windows asked for."""
-
-    def __init__(self, tasks: list[tuple], chunks: list[dict]):
-        self.done = iter(zip(tasks, chunks))
-
-    def map(self, fn, tasks):
-        done = list(islice(self.done, len(tasks)))
-        if [task for task, _ in done] != tasks:
-            raise RuntimeError("the swept chunks are out of step with the sweeps asked for")
-        return [chunk for _, chunk in done]
+    return SweepResult(words, chunk["undecided"], (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures,
+                       chunk["runs"])
 
 
 # --- run-set checks: closed forms against enumeration ---
@@ -694,17 +657,22 @@ def check_last_digit_bound(e: ExpansionOfOne, cap: int, failures: list[str]) -> 
 
 
 def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: int, failures: list[str]) -> None:
-    """Reconstruction inverts decomposition; blocks are full; the block and
-    tail lengths obey the finite-expansion caps.
+    """Reconstruction inverts decomposition, the piece lengths sum to n, and
+    every block is full and ends strictly below its expansion digit.
+
+    A piece (L, d) spells the factor eps_1..eps_(L-1) d, so once the pieces
+    reconstruct an admissible word w, each factor is at most eps*|_L, and
+    eps*|_L <= eps|_L.  So no tail ends above eps_L, and for a finite
+    expansion of length M, no piece is longer than M (its factor would
+    begin with eps|_M > eps*|_M) and no length-M tail ends at or above
+    eps_M: those checks could never fail, and are not made.
 
     decompose and reconstruct run once per word, and a walked word arrives
-    with its scan, so decompose scans nothing.  One pass over the blocks
-    sums the lengths and finds the longest piece.  A block's verdict
-    depends only on its (length, last digit), so it is worked out once per
-    distinct pair, and the expansion digits come from one prefix.
+    with its scan, so decompose scans nothing.  A block's verdict depends
+    only on its (length, last digit), so it is worked out once per distinct
+    pair, and the expansion digits come from one prefix.
     """
     case = e.text()
-    m = e.finite_length
     n_values = tuple(n_values)
     eps = e.digits_prefix(max(n_values, default=0))
     verdicts: dict[tuple[int, int], str] = {}
@@ -721,12 +689,9 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
             if back.digits != w.digits:
                 _record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs to {back.text()}")
                 continue
-            tail_len, tail_d = dec.tail
-            length_sum = longest = tail_len
+            length_sum = dec.tail[0]
             for length, _ in dec.blocks:
                 length_sum += length
-                if length > longest:
-                    longest = length
             if length_sum != n:
                 _record(failures, f"{case} n={n}: decomposition lengths of {w.text()} do not sum to n")
             for block in dec.blocks:
@@ -742,13 +707,6 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
                     verdicts[block] = verdict
                 if verdict:
                     _record(failures, f"{case} n={n}: block ({block[0]},{block[1]}) of {w.text()} {verdict}")
-            if tail_d > eps[tail_len - 1]:
-                _record(failures, f"{case} n={n}: tail of {w.text()} exceeds the expansion digit")
-            if m is not None:
-                if longest > m:
-                    _record(failures, f"{case} n={n}: a decomposition piece of {w.text()} is longer than M")
-                if tail_len == m and tail_d >= eps[m - 1]:
-                    _record(failures, f"{case} n={n}: tail of {w.text()} matches all M digits")
 
 
 def check_tail_walks(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -793,17 +751,21 @@ def verify_theorems(e: ExpansionOfOne, max_n: int) -> list[str]:
     return failures[:MAX_FAILURES]
 
 
-def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, shards: int = 1, executor=None):
+def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, chunks=None):
     """Formula-versus-enumeration rows plus criterion sweeps for one expansion.
 
     Returns (report_rows, failures): one row per n with the run-length sets
     from both provenances, and failure strings for anything that broke.  One
     sweep per n yields the enumerated run sets and the criterion checks.
+    chunks, when given, holds one whole-range sweep_shard chunk per n, in
+    the order of n_values (a count mismatch raises ValueError); a None
+    chunk, or no chunks at all, is swept here.
     """
+    n_values = list(n_values)
     rows = []
     failures: list[str] = []
-    for n in n_values:
-        sweep = sweep_fullness(e, n, tol, shards, executor)
+    for n, chunk in zip(n_values, [None] * len(n_values) if chunks is None else chunks, strict=True):
+        sweep = sweep_fullness(e, n, tol, chunk)
         row, fails = _compare_run_sets(e, n, sweep.runs)
         rows.append(row)
         failures.extend(fails)
@@ -818,37 +780,31 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     """Rows and failures for a whole corpus: verify_member's, member by
     member in corpus order.
 
-    Every (member, n) sweep is a task of one map over the whole report: the
-    builtin map when shards = 1, else a process pool of at most
-    min(shards, cores) workers.  A sweep is cut into prefix windows only
-    when there are fewer sweeps than workers, into workers // sweeps
-    windows each (never more than its prefixes).  verify_member then folds
-    the chunks back per sweep, so the rows and the failures, in word order,
-    are those of shards = 1, and sharded and unsharded runs render
-    byte-identical reports.  Every n is checked before any count table is
-    built or any pool is started.
+    Each (member, n) sweep is one whole task.  With workers =
+    min(shards, cores, sweeps) above one, every task is an item of one
+    process-pool map over the whole report, and each member is handed its
+    chunks in n order; otherwise verify_member sweeps in this process.  The
+    chunks are those of an in-process sweep, so sharded and unsharded runs
+    render byte-identical reports.  Every n is checked before any count
+    table is built or any pool is started.
     """
     corpus, n_values = list(corpus), list(n_values)
     for n in n_values:
-        _check_depth(n, 4)  # verify_member and sweep_fullness, whose own check counts two frames more
+        _check_depth(n, 3)  # verify_member, sweep_fullness and sweep_shard
     sweeps = len(corpus) * len(n_values)
-    if not sweeps:
-        return [], []
-    workers = min(shards, os.cpu_count() or 1)
-    windows = max(1, workers // sweeps)
-    tasks = [task for e in corpus for n in n_values for task in _sweep_tasks(e, n, Fraction(tol), windows)]
-    if shards > 1:
+    workers = min(shards, os.cpu_count() or 1, sweeps)
+    chunks = [None] * sweeps
+    if workers > 1:
+        tasks = [(e, n, Fraction(tol), 0, prefix_count(e, n)) for e in corpus for n in n_values]
         # about four batches per worker: few pickling round trips, and the
         # costly large-n sweeps still spread over the pool
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            chunks = list(executor.map(_sweep_worker, tasks, chunksize=-(-len(tasks) // (4 * workers))))
-    else:
-        chunks = list(map(_sweep_worker, tasks))
-    swept = _Swept(tasks, chunks)
+            chunks = list(executor.map(_sweep_worker, tasks, chunksize=-(-sweeps // (4 * workers))))
+    k = len(n_values)
     rows = []
     failures: list[str] = []
-    for e in corpus:
-        member_rows, member_failures = verify_member(e, n_values, tol, windows, swept)
+    for i, e in enumerate(corpus):
+        member_rows, member_failures = verify_member(e, n_values, tol, chunks[i * k:(i + 1) * k])
         rows.extend(member_rows)
         failures.extend(member_failures)
     return rows, failures

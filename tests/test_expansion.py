@@ -19,7 +19,7 @@ from beta_words import (
 )
 from beta_words import DEFAULT_CORPUS
 from beta_words import expansion as expansion_mod
-from beta_words.expansion import _one_minus_power_sum, _point_interval, _poly_and_slope, _root_polynomial
+from beta_words.expansion import _point_interval, _poly_and_slope, _root_polynomial
 
 
 GOLDEN = ExpansionOfOne.parse("1,1")
@@ -126,14 +126,28 @@ def test_max_zero_run_uses_modified_expansion():
     assert max_zero_run(PEARL, 10) == 5
 
 
+def power_sum_minus_one(e, b):
+    """f(b) = sum_n eps_n b^(-n) - 1, exactly; decreasing in b, zero at beta."""
+    pre, per = e.preperiod, e.period
+    total = Fraction(0)
+    for i, d in enumerate(pre, start=1):
+        if d:
+            total += Fraction(d) / b**i
+    if per:
+        q = len(per)
+        tail = sum(Fraction(d) * b ** (q - j) for j, d in enumerate(per, start=1))
+        total += tail / (b ** len(pre) * (b**q - 1))
+    return total - 1
+
+
 def test_solve_beta_brackets_root():
     for e in (GOLDEN, TRIBONACCI, PEARL, ExpansionOfOne.parse("3,0,0,2;0,0,0,2")):
         beta = solve_beta(e, Fraction(1, 10**12))
         assert beta.hi - beta.lo <= Fraction(1, 10**12)
         if beta.lo == beta.hi:
-            assert _one_minus_power_sum(e, beta.lo) == 0
+            assert power_sum_minus_one(e, beta.lo) == 0
         else:
-            assert _one_minus_power_sum(e, beta.lo) > 0 > _one_minus_power_sum(e, beta.hi)
+            assert power_sum_minus_one(e, beta.lo) > 0 > power_sum_minus_one(e, beta.hi)
 
 
 def test_solve_beta_golden_value():

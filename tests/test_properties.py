@@ -24,7 +24,7 @@ from beta_words.structure import DEFAULT_TOL, _tail_matches
 from beta_words.verify import sweep_shard
 from beta_words.words import automaton, scan_states
 from test_structure import decompose_oracle, mismatch_oracle, tail_matches_oracle
-from test_verify import FakeExecutor, sweep_shard_oracle
+from test_verify import fold_windows, sweep_shard_oracle
 
 MEMBERS = [
     ExpansionOfOne.parse("1,1"),
@@ -109,10 +109,10 @@ def test_random_expansions_match_oracles(e, n, seed):
 @settings(max_examples=150, deadline=None)
 @given(expansions(), st.integers(1, 7))
 def test_random_expansions_sweep_clean(e, n):
-    """The three fullness criteria agree on every word, one shard or two,
-    and the sweep's run summary is the run scan's."""
-    for shards in (1, 2):
-        res = sweep_fullness(e, n, shards=shards, executor=FakeExecutor(shards) if shards > 1 else None)
+    """The three fullness criteria agree on every word, in one whole sweep
+    or folded from two prefix windows, and the sweep's run summary is the
+    run scan's."""
+    for res in (sweep_fullness(e, n), fold_windows(e, n, 2)):
         assert res.runs == scan_run_lengths(e, n)
         assert res.words == count(e, n)
         assert res.undecided == 0

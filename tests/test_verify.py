@@ -35,6 +35,50 @@ GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
 
 
+def windows(prefixes, k):
+    """The prefix windows i*P//k of k shards, at most one per prefix."""
+    k = min(k, prefixes)
+    return [(i * prefixes // k, (i + 1) * prefixes // k) for i in range(k)]
+
+
+def fold_windows(e, n, k, tol=DEFAULT_TOL):
+    """The sweep of (e, n) cut into k prefix windows of sweep_shard and
+    folded in word order: failures through the failure cap, gap sums added,
+    run summaries joined by merge_runs, then the global checks.  Windows
+    step back for the non-full run they start inside, so the fold must give
+    the failures and the run summary of one whole-range sweep."""
+    tol = Fraction(tol)
+    case = e.text()
+    failures = []
+    words = undecided = sum_lo = sum_hi = 0
+    runs = runs_mod.one_run(True, 0)
+    for a, b in windows(runs_mod.prefix_count(e, n), k):
+        chunk = verify_mod.sweep_shard(e, n, tol, a, b)
+        for message in chunk["failures"]:
+            verify_mod._record(failures, message)
+        words += chunk["words"]
+        undecided += chunk["undecided"]
+        sum_lo += chunk["sum_lo"]
+        sum_hi += chunk["sum_hi"]
+        runs = verify_mod.merge_runs(runs, chunk["runs"])
+    one = 1 << verify_mod._bits_for(e, n, tol)
+    slack = n * ((tol.numerator * one) // tol.denominator)
+    if sum_lo > sum_hi or sum_lo > one + slack or sum_hi < one - slack:
+        verify_mod._record(failures, f"{case} n={n}: cylinder lengths sum to "
+                                     f"[{sum_lo / one:.17g}, {sum_hi / one:.17g}], not 1 within {n}*tol")
+    if words != count(e, n):
+        verify_mod._record(failures, f"{case} n={n}: sweep visited {words} words, count says {count(e, n)}")
+    return verify_mod.SweepResult(words, undecided, (Fraction(sum_lo, one), Fraction(sum_hi, one)), failures, runs)
+
+
+def member_in_windows(monkeypatch, e, n_values, k):
+    """verify_member's rows and failures with every sweep folded from k
+    prefix windows by fold_windows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "sweep_fullness", lambda e, n, tol, chunk=None: fold_windows(e, n, k, tol))
+        return verify_member(e, n_values)
+
+
 @pytest.mark.parametrize("text", ["1,1", "2,1,1", "3,0,0,2;0,0,0,2"])
 def test_sweep_clean(text):
     e = ExpansionOfOne.parse(text)
@@ -46,9 +90,9 @@ def test_sweep_clean(text):
 
 
 def test_sweep_sharded_matches_single():
-    for shards in (2, 3, 5):
-        a = sweep_fullness(PEARL, 6, shards=1)
-        b = sweep_fullness(PEARL, 6, shards=shards)
+    for k in (2, 3, 5):
+        a = sweep_fullness(PEARL, 6)
+        b = fold_windows(PEARL, 6, k)
         assert a.words == b.words
         assert a.failures == b.failures == []
 
@@ -174,11 +218,12 @@ class FakeExecutor:
 
 @pytest.mark.parametrize("cores, shards, expected", [(2, 10**6, 2), (8, 3, 3), (None, 5, 1)])
 def test_pool_size_bounded_by_cores(monkeypatch, cores, shards, expected):
+    """expected workers: a pool of that size, or none for one worker."""
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
     rows, failures = verify_report([GOLDEN, PEARL], range(1, 5), shards=shards)
-    assert FakeExecutor.sizes == [expected]
+    assert FakeExecutor.sizes == ([expected] if expected > 1 else [])
     assert failures == []
     assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 5))[0])
 
@@ -212,30 +257,31 @@ def test_chunks_capped_at_pool_workers(monkeypatch):
     assert render_report(rows) == render_report(verify_report([GOLDEN, PEARL], range(1, 8))[0])
 
 
-@pytest.mark.parametrize("corpus, n_values, cores, windows", [
-    ([GOLDEN], [5], 2, [[(0, 4), (4, 8)]]),  # one sweep, two workers: two windows
-    ([GOLDEN, PEARL, GOLDEN], [5], 2, [[(0, 8)], [(0, 135)], [(0, 8)]]),  # three sweeps: one task each
-    ([GOLDEN], [1, 3], 64, [[(0, 1)], [(0, 1), (1, 2), (2, 3)]]),  # 32 windows each, but 1 and 3 prefixes
-])
-def test_sweeps_windowed_only_when_fewer_than_workers(monkeypatch, corpus, n_values, cores, windows):
+def test_one_sweep_starts_no_pool(monkeypatch):
+    """A one-sweep report is not cut into windows for spare cores: any
+    shard count sweeps it in this process and renders the bytes of one."""
     monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(BatchExecutor, "batches", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
-    rows, failures = verify_report(corpus, n_values, shards=10**6)
-    sweeps = [(e, n) for e in corpus for n in n_values]
-    assert BatchExecutor.batches == [[(e, n, DEFAULT_TOL, a, b) for (e, n), bounds in zip(sweeps, windows)
-                                      for a, b in bounds]]
-    assert failures == [] and render_report(rows) == render_report(verify_report(corpus, n_values)[0])
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    rows, failures = verify_report([PEARL], [7], shards=10**6)
+    assert FakeExecutor.sizes == [] and failures == []
+    assert render_report(rows) == render_report(verify_report([PEARL], [7], shards=1)[0])
 
 
-def test_swept_chunks_must_match_the_windows_asked_for():
-    tasks = whole_sweeps([GOLDEN], [3, 4])
-    chunks = [{"rank": 0}, {"rank": 1}]
-    assert verify_mod._Swept(tasks, chunks).map(None, tasks[:1]) == chunks[:1]
-    swept = verify_mod._Swept(tasks, chunks)
-    with pytest.raises(RuntimeError, match="out of step"):
-        swept.map(None, tasks[1:])
+def test_member_chunks_must_match_n_values():
+    chunks = [verify_mod._sweep_worker(task) for task in whole_sweeps([GOLDEN], [3, 4])]
+    assert verify_member(GOLDEN, [3, 4], chunks=chunks) == verify_member(GOLDEN, [3, 4])
+    for wrong in (chunks[:1], chunks + chunks[:1]):
+        with pytest.raises(ValueError):
+            verify_member(GOLDEN, [3, 4], chunks=wrong)
+
+
+def test_sweep_fullness_checks_a_given_chunk():
+    """A chunk handed in gets the global checks of one swept here."""
+    chunk = verify_mod._sweep_worker(whole_sweeps([GOLDEN], [5])[0])
+    assert sweep_fullness(GOLDEN, 5, chunk=chunk) == sweep_fullness(GOLDEN, 5)
+    short = dict(chunk, words=chunk["words"] - 1)
+    assert sweep_fullness(GOLDEN, 5, chunk=short).failures == ["1,1 n=5: sweep visited 12 words, count says 13"]
 
 
 @pytest.mark.parametrize("corpus, n_values", [([], range(1, 5)), ([GOLDEN], [])])
@@ -257,12 +303,6 @@ def test_bad_n_refused_before_count_tables_or_pool(monkeypatch, n_values):
     assert FakeExecutor.sizes == []
 
 
-def test_shard_bounds_capped_at_prefix_count():
-    assert verify_mod._shard_bounds(3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-    assert verify_mod._shard_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
-    assert verify_mod._shard_bounds(1, 0) == [(0, 1)]
-
-
 # --- one sweep per (member, n): its run summary against the run scan ---
 
 
@@ -272,13 +312,15 @@ def test_sweep_run_summary_matches_scan(e):
         prefixes = runs_mod.prefix_count(e, n)
         for a, b in ((0, 0), (prefixes, prefixes)):
             assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)["runs"] == runs_mod.scan_run_lengths(e, n, a, b)
-        for shards in (1, 2, 3, 5):
+        whole = sweep_fullness(e, n).runs
+        for k in (1, 2, 3, 5):
             scans = []
-            for a, b in verify_mod._shard_bounds(prefixes, shards):
+            for a, b in windows(prefixes, k):
                 scan = runs_mod.scan_run_lengths(e, n, a, b)
-                assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)["runs"] == scan, (n, shards, a, b)
+                assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b)["runs"] == scan, (n, k, a, b)
                 scans.append(scan)
-            assert sweep_fullness(e, n, shards=shards).runs == runs_mod.stitch_run_scans(scans), (n, shards)
+            stitched = runs_mod.stitch_run_scans(scans)
+            assert fold_windows(e, n, k).runs == stitched == whole, (n, k)
 
 
 def test_verify_walks_once(monkeypatch):
@@ -437,11 +479,13 @@ UNDECIDED = "words undecided by the length criterion at tol 1/1000000000000"
 @pytest.mark.parametrize("shards", [1, 2])
 def test_injected_fault_failure_strings_pinned(monkeypatch, inject, n, expected, shards):
     """Run-set failures come first, then the sweep's; the sweep names each
-    word from its family rank, also after the prefix has moved on."""
+    word from its family rank, also after the prefix has moved on.  Two
+    prefix windows, folded, name the same words."""
     inject(monkeypatch)
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    executor = FakeExecutor(shards) if shards > 1 else None
-    assert verify_member(GOLDEN, [n], shards=shards, executor=executor)[1] == expected
+    if shards == 1:
+        assert verify_member(GOLDEN, [n])[1] == expected
+    else:
+        assert member_in_windows(monkeypatch, GOLDEN, [n], shards)[1] == expected
 
 
 TAIL_FAILURE = re.compile(r"word \S+ ends with the first \d+ digits but sits \d+ above")
@@ -451,10 +495,11 @@ CAPS_SHARDED = (verify_mod.MAX_FAILURES, 10**9)  # the default failure cap, and 
 
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
-    """A shard that starts inside a non-full run steps back for its carry:
+    """A window that starts inside a non-full run steps back for its carry:
     under a tau table off by one, every tail failure is reported with its
-    distance to the last full word, and each shard count reports the list
-    of one shard, order included, at the default failure cap and without."""
+    distance to the last full word, and the fold of 2..6 windows reports
+    the list of the whole sweep, order included, at the default failure cap
+    and without."""
     tau_off_by_one(monkeypatch)
     no_full_chunks = []
     real_merge = verify_mod.merge_runs
@@ -467,43 +512,42 @@ def test_sharded_tail_carry_matches_single_shard(monkeypatch, e):
     monkeypatch.setattr(verify_mod, "merge_runs", spy)
     for cap, n in product(CAPS_SHARDED, range(1, 9)):
         monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
-        single = verify_member(e, [n], shards=1)[1]
+        single = verify_member(e, [n])[1]
         assert any(TAIL_FAILURE.search(f) for f in single), (cap, n)
-        for shards in range(2, 7):
-            assert verify_member(e, [n], shards=shards)[1] == single, (cap, n, shards)
+        for k in range(2, 7):
+            assert member_in_windows(monkeypatch, e, [n], k)[1] == single, (cap, n, k)
     if e.text() == "3,0,2,0,0,0,0,1":
-        # at n = 2 with 5 shards, the chunk of prefix 3 holds only the non-full word 30
+        # at n = 2 with 5 windows, the chunk of prefix 3 holds only the non-full word 30
         assert (set(), set(), (False, 1), (False, 1), 1, 1) in no_full_chunks
 
 
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 def test_sharded_failures_name_the_same_words(monkeypatch, e):
-    """Under a tau table off by one, every shard count run through a pool's
-    map reports the failure strings of one shard, in the same order, at the
+    """Under a tau table off by one, the fold of 1..6 prefix windows reports
+    the failure strings of the whole sweep, in the same order, at the
     default failure cap and without, and the words they name come in lex
     order."""
     tau_off_by_one(monkeypatch)
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
     for cap, n in product(CAPS_SHARDED, range(1, 9)):
         monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
-        single = verify_member(e, [n], shards=1)[1]
+        single = verify_member(e, [n])[1]
         ranks = [rank_of(Word.parse(m.group(1)), e) for f in single if (m := FAILED_WORD.search(f))]
         assert ranks and ranks == sorted(ranks), (cap, n)
-        for shards in range(1, 7):
-            got = verify_member(e, [n], shards=shards, executor=FakeExecutor(shards))[1]
-            assert got == single, (cap, n, shards)
+        for k in range(1, 7):
+            assert member_in_windows(monkeypatch, e, [n], k)[1] == single, (cap, n, k)
 
 
 @pytest.mark.parametrize("n_values", [range(1, 9), [8]])
 def test_report_failures_identical_for_any_shard_count(monkeypatch, n_values):
     """Under a tau table off by one, verify_report gives the failure list
-    and the report bytes of shards = 1 at any shard count, windowed sweeps
-    included, at the default failure cap and without.  A duplicated member
-    keeps its own rows and its own capped failure slice, in corpus order."""
+    and the report bytes of shards = 1 at any shard count, fewer sweeps than
+    cores included, at the default failure cap and without.  A duplicated
+    member keeps its own rows and its own capped failure slice, in corpus
+    order."""
     tau_off_by_one(monkeypatch)
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)  # 10**6 shards: windows at 3 sweeps
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)  # 10**6 shards: 3 workers at 3 sweeps
     corpus = [GOLDEN, PEARL, GOLDEN]
     for cap in CAPS_SHARDED:
         monkeypatch.setattr(verify_mod, "MAX_FAILURES", cap)
@@ -1322,14 +1366,16 @@ def test_sweep_refuses_n_past_its_deepest_descent():
 @pytest.mark.parametrize("shards", [1, 2])
 def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, shards):
     """verify_report refuses an n past the deepest sweep before any work,
-    naming the largest n, and that n it verifies clean."""
+    naming the largest n, and that n it verifies clean, in this process and
+    through a pool's map (two sweeps, so that two shards start a pool)."""
     monkeypatch.setattr(FakeExecutor, "sizes", [])
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep") as refused:
-        verify_report([GOLDEN], [10**4], shards=shards)
+        verify_report([GOLDEN, GOLDEN], [10**4], shards=shards)
     deepest = int(re.search(r"n <= (\d+)$", str(refused.value)).group(1))
-    rows, failures = verify_report([GOLDEN], [deepest], shards=shards)
-    assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(deepest, True)]
+    rows, failures = verify_report([GOLDEN, GOLDEN], [deepest], shards=shards)
+    assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(deepest, True)] * 2
     with pytest.raises(BetaWordsError, match=rf"^n = {deepest + 1} is too deep.* n <= {deepest}$"):
-        verify_report([GOLDEN], [deepest + 1], shards=shards)
+        verify_report([GOLDEN, GOLDEN], [deepest + 1], shards=shards)
     assert FakeExecutor.sizes == ([shards] if shards > 1 else [])
