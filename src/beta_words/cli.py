@@ -36,6 +36,7 @@ from .structure import (
     decompose,
     is_full_by_length,
     smallest_tail_length,
+    tail_cap,
 )
 from .verify import _compare_run_sets, render_report, verify_report
 from .words import Word, automaton, count, start_at, walk
@@ -45,7 +46,8 @@ INPUT_ERROR = 2
 MISMATCH = 3
 PRECONDITION = 4
 
-# Bytes the exact-count table of one --n may take; it grows as n^2.
+# Bytes the exact-count table of one --n may take, as n^2 grows; verify and
+# classify --check hold the tail table to it too, as n * eps_1 grows.
 COUNT_TABLE_BUDGET = 2**28
 
 
@@ -177,6 +179,25 @@ def _check_table_budget(e: ExpansionOfOne, n: int) -> None:
             hi = mid - 1
     raise BetaWordsError(f"n = {n} needs a count table of about {_count_table_bytes(e, n) / 2**20:.0f} MiB, "
                          f"over the {COUNT_TABLE_BUDGET // 2**20} MiB budget: {e.text()} allows n <= {lo}")
+
+
+def _tail_table_bytes(e: ExpansionOfOne, n: int) -> float:
+    """An upper estimate of the peak bytes of the tail table that words of
+    length n read, structure.tail_automaton(e, tail_cap(e, n)): cap + 1
+    rows, each a tuple of eps_1 + 1 slots, and the list the next row is
+    built in, at 64 bytes a header; per row also 160 bytes for two
+    integers, two outer slots and a chain of two entries (a chain lists a
+    state and its borders, and an expansion of 1 has few)."""
+    cap = tail_cap(e, n)
+    return (cap + 2) * (64 + 8 * (e.alphabet_max + 1)) + (cap + 1) * 160
+
+
+def _check_tail_budget(e: ExpansionOfOne, n: int) -> None:
+    """Refuse, before the table is built, an expansion whose tail table at
+    length n would pass COUNT_TABLE_BUDGET."""
+    if _tail_table_bytes(e, n) > COUNT_TABLE_BUDGET:
+        raise BetaWordsError(f"{e.text()} needs a tail table of about {_tail_table_bytes(e, n) / 2**20:.0f} MiB "
+                             f"at n = {n}, over the {COUNT_TABLE_BUDGET // 2**20} MiB budget")
 
 
 def _parse_n_range(text: str) -> range:
@@ -313,6 +334,8 @@ def cmd_classify(args, out, err) -> int:
     else:
         n_values = [_parse_n(args)]
     _check_table_budget(e, n_values[-1])
+    if args.check:
+        _check_tail_budget(e, n_values[-1])
     places = _places(tol)
     disagreements = 0
     rows = []
@@ -409,6 +432,8 @@ def cmd_verify(args, out, err) -> int:
     tol = _parse_tol(args)
     n_values = _parse_n_range(args.n_range) if args.n_range else range(1, 13)
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
+    for e in corpus:
+        _check_tail_budget(e, n_values[-1])
     rows, failures = verify_report(corpus, n_values, tol, args.shards)
     out.write(render_report(rows))
     for message in failures:

@@ -12,12 +12,12 @@ single streamed pass, so they can be checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne
 from .structure import _tail_matches, is_full, tail_cap
-from .words import Word, _cached_rows, automaton, count, predecessor, start_at, walk
+from .words import Word, _check_n, automaton, count, predecessor, start_at, walk
 
 FULL = "full"
 NONFULL = "nonfull"
@@ -37,8 +37,11 @@ def tau(e: ExpansionOfOne, s: int) -> int:
     return tau_table(e, s)[s]
 
 
-# Per expansion: the tau row so far and the last nonzero digit position in it.
-_TAU_ROWS: dict[ExpansionOfOne, list] = {}
+@lru_cache(maxsize=64)
+def _tau_row(e: ExpansionOfOne) -> list[int]:
+    """The tau row of e so far, tau(0) = 0 at first; tau_table extends the
+    list in place."""
+    return [0]
 
 
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
@@ -46,19 +49,21 @@ def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
 
     The greedy walk from s first subtracts P(s), the largest nonzero digit
     position <= s, and then walks on from s - P(s), so
-    tau(s) = 1 + tau(s - P(s)).  One row per expansion (words._cached_rows)
-    is extended in increasing s as far as the largest bound asked for; each
+    tau(s) = 1 + tau(s - P(s)).  One row per expansion (_tau_row) is
+    extended in increasing s as far as the largest bound asked for; each
     call gets a copy of its first bound + 1 entries.
     """
-    entry = _cached_rows(_TAU_ROWS, e, lambda: [[0], 0])
-    table, last = entry
+    if bound < 0:
+        raise ValueError("tau_table bound must be >= 0")
+    table = _tau_row(e)
     start = len(table)
     if start <= bound:
-        for s, d in enumerate(e.digits_prefix(bound)[start - 1:], start=start):
-            if d:
+        digits = e.digits_prefix(bound)
+        last = next((s for s in range(start - 1, 0, -1) if digits[s - 1]), 0)
+        for s in range(start, bound + 1):
+            if digits[s - 1]:
                 last = s
             table.append(table[s - last] + 1)
-        entry[1] = last
     return table[:bound + 1]
 
 
@@ -87,8 +92,7 @@ def _nonzero_values(e: ExpansionOfOne, upto: int) -> set[int]:
 
 def _full_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     _reject_integer_beta(e)
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
+    _check_n(n)
     m = e.finite_length
     if not e.is_finite or m >= n:
         return "short-or-infinite", tuple(sorted(_nonzero_values(e, n)))
@@ -112,6 +116,7 @@ def full_run_case(e: ExpansionOfOne, n: int) -> str:
 
 def max_full_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
+    _check_n(n)
     m = e.finite_length
     if e.is_finite and m < n:
         return e.alphabet_max + e.digit(m)
@@ -120,6 +125,7 @@ def max_full_run_length(e: ExpansionOfOne, n: int) -> int:
 
 def min_full_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
+    _check_n(n)
     m = e.finite_length
     if e.is_finite and m < n and n % m != 0:
         return min(_nonzero_values(e, m - 1))
@@ -128,8 +134,7 @@ def min_full_run_length(e: ExpansionOfOne, n: int) -> int:
 
 def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     _reject_integer_beta(e)
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
+    _check_n(n)
     m = e.finite_length
     if e.alphabet_max >= 2:
         if not e.is_finite:
@@ -184,11 +189,13 @@ def _with_low_range(e: ExpansionOfOne, n: int, n2: int) -> tuple[int, ...]:
 
 def max_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
+    _check_n(n)
     return max(tau_table(e, tail_cap(e, n))[1:])
 
 
 def min_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
     _reject_integer_beta(e)
+    _check_n(n)
     if e.alphabet_max >= 2:
         return 1
     n2 = second_nonzero_position(e)
@@ -234,6 +241,7 @@ def run_sets_enumerated(e: ExpansionOfOne, n: int) -> RunSets:
 
 def prefix_count(e: ExpansionOfOne, n: int) -> int:
     """Number of length-(n-1) prefixes, the shardable units of the run scan."""
+    _check_n(n)
     return count(e, n - 1) if n >= 2 else 1
 
 
@@ -250,8 +258,6 @@ def scan_run_lengths(e: ExpansionOfOne, n: int, prefix_start: int = 0, prefix_st
     where the sets hold interior closed runs only and first_run/last_run are
     (is_full, length) pairs that merge_runs joins across window boundaries.
     """
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
     prefixes = prefix_count(e, n)
     if prefix_stop is None:
         prefix_stop = prefixes
@@ -351,8 +357,7 @@ def closed_run_sets(summary) -> tuple[set[int], set[int]]:
 
 def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
     """All maximal runs in lex order, with boundary words and start indices."""
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
+    _check_n(n)
     aut = automaton(e)
     cmp, adv = aut.cmp, aut.adv
     records: list[RunRecord] = []
@@ -393,11 +398,6 @@ def maximal_runs(e: ExpansionOfOne, n: int) -> list[RunRecord]:
 # --- predictions tied to single words ---
 
 
-def matched_tail_lengths(w: Word, e: ExpansionOfOne) -> list[int]:
-    """All s for which w ends with eps_1..eps_s, in increasing order."""
-    return _tail_matches(w, e)
-
-
 def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int:
     """Predict and verify the non-full run ending at w.
 
@@ -406,7 +406,7 @@ def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int
     Returns tau(s) after walking the predecessors to confirm; raises
     TailMismatch when w does not end with the claimed prefix.
     """
-    matches = matched_tail_lengths(w, e)
+    matches = _tail_matches(w, e)
     if s is None:
         if not matches:
             raise TailMismatch("word does not end with a prefix of the expansion of 1")
@@ -439,8 +439,7 @@ def classify_last_run(e: ExpansionOfOne, n: int) -> LastRunClassification:
     """The maximal word's run is full of length eps_M exactly when the
     expansion is finite with M dividing n; otherwise it is non-full."""
     _reject_integer_beta(e)
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
+    _check_n(n)
     m = e.finite_length
     if e.is_finite and n % m == 0:
         return LastRunClassification(FULL, e.digit(m))

@@ -60,7 +60,8 @@ from .runs import (
     tau_table,
 )
 from .structure import DEFAULT_TOL, _bits_for, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
-from .words import Word, _count_table, automaton, count, iter_words, max_word, scan_states, start_at, walk, word_at
+from .words import (Word, _check_n, _count_table, automaton, count, iter_words, max_word, scan_states, start_at,
+                    walk, word_at)
 
 MAX_FAILURES = 24
 NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean: none
@@ -108,8 +109,7 @@ def _check_depth(n: int, above: int) -> None:
     caller, opens one frame per digit and at most BODY_FRAMES below its
     deepest node; raises BetaWordsError, naming the largest n that fits,
     before any work."""
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
+    _check_n(n)
     depth = above
     frame = sys._getframe(1)
     while frame is not None:
@@ -122,10 +122,11 @@ def _check_depth(n: int, above: int) -> None:
                              f"at recursion limit {limit} it reaches n <= {deepest}")
 
 
-def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: int) -> dict:
+def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_stop: int | None = None) -> dict:
     """Check the three fullness criteria and the tail-run prediction on all
     words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop),
-    a window inside [0, prefix_count(e, n)] (else VerificationError).
+    a window inside [0, prefix_count(e, n)] (else VerificationError); by
+    default the whole range.
 
     The sweep descends the prefix tree in lex order.  A node at depth t
     carries its block state j, its KMP state k and the enclosure [pl, ph]
@@ -160,14 +161,16 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int, prefix_stop: 
     subtrees' summaries folded by merge_runs.  The tests hold it against
     scan_run_lengths.
 
-    verify sweeps only whole ranges, [0, prefix_count(e, n)); the window
-    arguments stay for perfbench's shard_balance, which times windows, and
-    for the tests, which fold windows into the whole-range chunk.
+    verify sweeps only the whole range, the default; the window arguments
+    stay for perfbench's shard_balance, which times windows, and for the
+    tests, which fold windows into the whole-range chunk.
     """
     _check_depth(n, 0)
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
     pcount = prefix_count(e, n)
+    if prefix_stop is None:
+        prefix_stop = pcount
     if not (0 <= prefix_start <= pcount and 0 <= prefix_stop <= pcount):
         raise VerificationError("prefix range exceeds the enumeration")
     if prefix_stop <= prefix_start:
@@ -354,8 +357,7 @@ def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, chunk=None) -> Sw
     """
     tol = Fraction(tol)
     if chunk is None:
-        _check_depth(n, 1)  # sweep_shard
-        chunk = sweep_shard(e, n, tol, 0, prefix_count(e, n))
+        chunk = sweep_shard(e, n, tol)
     case = e.text()
     failures = list(chunk["failures"])
     words, sum_lo, sum_hi = chunk["words"], chunk["sum_lo"], chunk["sum_hi"]

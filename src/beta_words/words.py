@@ -269,34 +269,20 @@ def iter_words(
         yield Word(word)
 
 
-# Count rows per expansion, least recently used first, bounded like
-# automaton's lru_cache.
-_COUNT_ROWS: dict[ExpansionOfOne, list[tuple[int, ...]]] = {}
-_COUNT_ROWS_MAX = 64
-
-
-def _cached_rows(cache: dict, e: ExpansionOfOne, new):
-    """The rows cache holds for e, or new() stored there when it holds none.
-
-    Each call marks e as most recently used; a new expansion past
-    _COUNT_ROWS_MAX evicts the least recently used one.
-    """
-    rows = cache.pop(e, None)
-    if rows is None:
-        while len(cache) >= _COUNT_ROWS_MAX:
-            del cache[next(iter(cache))]
-        rows = new()
-    cache[e] = rows
-    return rows
+@lru_cache(maxsize=64)
+def _count_rows(e: ExpansionOfOne) -> list[tuple[int, ...]]:
+    """The count rows of e so far, row 0 at first; _count_table extends the
+    list in place."""
+    return [(0,) + (1,) * (len(automaton(e).cmp) - 1)]
 
 
 def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
     """table[m][j] = number of admissible length-m continuations from state j.
 
-    One row list per expansion (_cached_rows), extended on demand, so it holds
+    One row list per expansion (_count_rows), extended on demand, so it holds
     at least rows 0..n and never more rows than the largest n asked for.
     """
-    table = _cached_rows(_COUNT_ROWS, e, lambda: [(0,) + (1,) * (len(automaton(e).cmp) - 1)])
+    table = _count_rows(e)
     if len(table) <= n:
         aut = automaton(e)
         cmp, adv = aut.cmp, aut.adv

@@ -18,6 +18,7 @@ import pytest
 
 from beta_words import cli
 from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
+from beta_words import structure as structure_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
 from beta_words.errors import BetaWordsError
@@ -436,7 +437,7 @@ def test_count_table_estimate_bounds_the_table(monkeypatch, text, n):
     """The budget's estimate is at least the table's traced size, and not
     twice it."""
     e = ExpansionOfOne.parse(text)
-    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+    words_mod._count_rows.cache_clear()
     tracemalloc.start()
     try:
         words_mod._count_table(e, n)
@@ -444,3 +445,49 @@ def test_count_table_estimate_bounds_the_table(monkeypatch, text, n):
     finally:
         tracemalloc.stop()
     assert size <= cli._count_table_bytes(e, n) < 2 * size
+
+
+HUGE_TAIL = re.compile(r"error: (\S+) needs a tail table of about (\d+) MiB at n = (\d+), over the (\d+) MiB budget\n")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--corpus", "CORPUS"), ("verify", "--corpus", "CORPUS", "--shards", "2"),
+                                  ("classify", "--seq", "1000000000,1", "--n", "12", "--check"),
+                                  ("classify", "--seq", "1000000000,1", "--n-range", "1..12", "--check")])
+def test_huge_tail_table_refused_before_it_is_built(monkeypatch, capsys, tmp_path, argv):
+    """The KMP tail table of 1000000000,1 would take about 22 GiB: verify
+    and classify --check exit 2 in one line naming the member, and build no
+    tail table."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("1,1\n1000000000,1\n")
+    built = []
+    monkeypatch.setattr(structure_mod, "tail_automaton", lambda *args: built.append(args))
+    monkeypatch.setattr(verify_mod, "tail_automaton", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, *(str(corpus) if a == "CORPUS" else a for a in argv))
+    assert (code, out, built) == (2, "", [])
+    hit = HUGE_TAIL.fullmatch(err)
+    assert hit and hit.group(1) == "1000000000,1" and hit.group(3) == "12"
+    assert int(hit.group(4)) * 2**20 == cli.COUNT_TABLE_BUDGET
+
+
+def test_classify_without_check_reads_no_tail_table(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(structure_mod, "tail_automaton", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "classify", "--seq", "1000000000,1", "--n", "12", "--limit", "2")
+    assert (code, out, err, built) == (0, "word          full\n000000000000  1\n000000000001  1\n", "", [])
+
+
+@pytest.mark.parametrize("text, n", [("100000,1", 5), ("300,0,7;5,299", 900), ("25;1", 2000),
+                                     ("30,0,0,29;0,0,0,29", 900)])
+def test_tail_table_estimate_bounds_the_table(text, n):
+    """The tail budget's estimate is at least the table's traced size and
+    its peak while built, and not twice the size.  The rows here are wider
+    than the tuples Python recycles untraced, so the size is all traced."""
+    e = ExpansionOfOne.parse(text)
+    structure_mod.tail_automaton.cache_clear()
+    tracemalloc.start()
+    try:
+        structure_mod.tail_automaton(e, structure_mod.tail_cap(e, n))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size <= peak <= cli._tail_table_bytes(e, n) < 2 * size

@@ -19,6 +19,7 @@ from beta_words import (
     iter_words,
     max_full_run_length,
     max_nonfull_run_length,
+    max_word,
     max_zero_run,
     maximal_runs,
     min_full_run_length,
@@ -33,9 +34,10 @@ from beta_words import (
     tail_run_prediction,
     tau,
     tau_table,
+    word_at,
 )
 from beta_words import TailMismatch, VerificationError, predecessor
-from beta_words.runs import matched_tail_lengths
+from beta_words.structure import _tail_matches
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -151,6 +153,46 @@ def test_integer_beta_rejected():
                run_sets_formula, classify_last_run):
         with pytest.raises(IntegerBeta):
             fn(e, 4)
+
+
+# every public function of runs and words that takes a word length n
+N_TAKERS = {
+    "full_run_lengths_formula": full_run_lengths_formula,
+    "full_run_case": full_run_case,
+    "max_full_run_length": max_full_run_length,
+    "min_full_run_length": min_full_run_length,
+    "nonfull_run_lengths_formula": nonfull_run_lengths_formula,
+    "nonfull_run_case": nonfull_run_case,
+    "max_nonfull_run_length": max_nonfull_run_length,
+    "min_nonfull_run_length": min_nonfull_run_length,
+    "run_sets_formula": run_sets_formula,
+    "run_sets_enumerated": run_sets_enumerated,
+    "prefix_count": runs.prefix_count,
+    "scan_run_lengths": runs.scan_run_lengths,
+    "maximal_runs": maximal_runs,
+    "classify_last_run": classify_last_run,
+    "count": count,
+    "word_at": lambda e, n: word_at(e, n, 0),
+    "max_word": max_word,
+    "iter_words": lambda e, n: next(iter_words(e, n)),
+}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("name", N_TAKERS)
+def test_word_length_below_one_refused(name, n):
+    with pytest.raises(ValueError, match=r"^word length n must be >= 1$"):
+        N_TAKERS[name](GOLDEN, n)
+
+
+def test_tau_table_refuses_a_negative_bound():
+    """A bound below 0 does not slice the cached row from its end."""
+    e = ExpansionOfOne.parse("1,0,1,0,0,0,1")
+    assert len(tau_table(e, 20)) == 21
+    for bound in (-1, -3):
+        with pytest.raises(ValueError, match=r"^tau_table bound must be >= 0$"):
+            tau_table(e, bound)
+    assert tau_table(e, 0) == [0]
 
 
 def test_case_labels_cover_corpus():
@@ -320,7 +362,7 @@ def test_tau_and_positions_match_per_position_oracles(text):
 
 def oracle_tail_run_prediction(w, e, s=None):
     """The prediction with one tau call, and so one table, per matched s."""
-    matches = matched_tail_lengths(w, e)
+    matches = _tail_matches(w, e)
     if s is None:
         if not matches:
             raise TailMismatch("word does not end with a prefix of the expansion of 1")
@@ -368,7 +410,7 @@ def test_tail_run_prediction_builds_one_tau_table(monkeypatch):
     # a tau table of length 1 and one of length 300
     e = ExpansionOfOne.parse("1,0,0,0,0,1;0,0,0,0,0,1")
     w = Word((0,) * 5 + e.digits_prefix(300))
-    matches = matched_tail_lengths(w, e)
+    matches = _tail_matches(w, e)
     assert matches == [1, 300]
     expected = tau(e, 1)
     bounds = []
@@ -485,10 +527,10 @@ def test_closed_run_sets_of_no_words():
 
 
 @pytest.mark.parametrize("text", ORACLE_MEMBERS)
-def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text, monkeypatch):
+def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
     """Bounds asked in rising, falling and repeated order all read the row
     of a fresh greedy walk, and a caller's edits do not reach the cache."""
-    monkeypatch.setattr(runs, "_TAU_ROWS", {})
+    runs._tau_row.cache_clear()
     e = ExpansionOfOne.parse(text)
     fresh = oracle_tau_table(e, 300)
     rng = random.Random(text)
@@ -500,21 +542,34 @@ def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text, monkeypatch):
         if table:
             table[-1] += 1
             table.append(-1)
-    assert len(runs._TAU_ROWS[e][0]) == 301
+    # one row per expansion, extended in place
+    assert runs._tau_row(e) == fresh
 
 
-def test_tau_rows_are_bounded(monkeypatch):
+def lookups(cache, call):
+    """The (hits, misses) that call adds to an lru_cache."""
+    before = cache.cache_info()
+    call()
+    after = cache.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_tau_rows_are_bounded():
     # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
-    monkeypatch.setattr(runs, "_TAU_ROWS", {})
+    rows = runs._tau_row
+    rows.cache_clear()
     members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
     for e in members:
         tau_table(e, 5)
-    assert list(runs._TAU_ROWS) == members[6:]
+    info = rows.cache_info()
+    assert (info.currsize, info.maxsize, info.misses) == (64, 64, 70)
     # a call marks its expansion most recently used, so it outlives older ones
-    tau(members[7], 3)
-    tau_table(members[0], 80)
-    tau_table(members[1], 5)
-    assert members[7] in runs._TAU_ROWS
-    assert members[6] not in runs._TAU_ROWS and members[8] not in runs._TAU_ROWS
+    assert lookups(rows, lambda: tau(members[7], 3)) == (1, 0)
+    assert lookups(rows, lambda: tau_table(members[0], 80)) == (0, 1)  # evicts members[6]
+    assert lookups(rows, lambda: tau_table(members[1], 5)) == (0, 1)  # evicts members[8]
+    assert lookups(rows, lambda: tau_table(members[7], 5)) == (1, 0)
+    assert lookups(rows, lambda: tau_table(members[0], 80)) == (1, 0)
     assert tau_table(members[0], 80) == oracle_tau_table(members[0], 80)
-    assert len(runs._TAU_ROWS) == 64
+    assert lookups(rows, lambda: tau_table(members[6], 5)) == (0, 1)
+    assert lookups(rows, lambda: tau_table(members[8], 5)) == (0, 1)
+    assert rows.cache_info().currsize == 64

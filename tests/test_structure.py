@@ -28,7 +28,6 @@ from beta_words import (
 )
 from beta_words import AlphabetMismatch, BetaWordsError, NotAdmissible, VerificationError
 from beta_words import structure as structure_mod
-from beta_words.runs import matched_tail_lengths
 from beta_words.structure import (
     DEFAULT_TOL,
     UNDECIDED,
@@ -306,12 +305,11 @@ def test_tail_matches_every_word_small_n(text):
         for w in iter_words(e, n):
             want = tail_matches_oracle(w, e)
             assert _tail_matches(w, e) == want
-            assert matched_tail_lengths(w, e) == want
             assert smallest_tail_length(w, e) == (want[0] if want else None)
             assert is_full_by_tail(w, e) == (not want)
 
 
-@pytest.mark.parametrize("call", [_tail_matches, is_full_by_tail, smallest_tail_length, matched_tail_lengths])
+@pytest.mark.parametrize("call", [_tail_matches, is_full_by_tail, smallest_tail_length])
 def test_tail_route_error_messages(call):
     with pytest.raises(AlphabetMismatch, match=r"^digit 4 outside alphabet 0\.\.3$"):
         call(Word((0, 4, 0)), PEARL)

@@ -1363,6 +1363,27 @@ def test_sweep_refuses_n_past_its_deepest_descent():
         sys.setrecursionlimit(limit)
 
 
+def test_sweep_fullness_refuses_a_deep_n_before_any_table(monkeypatch):
+    """sweep_fullness leaves the depth check to sweep_shard, which refuses
+    before it counts prefixes or reads a count table."""
+    built = []
+    monkeypatch.setattr(verify_mod, "prefix_count", lambda *args: built.append(args))
+    monkeypatch.setattr(verify_mod, "_count_table", lambda *args: built.append(args))
+    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep"):
+        sweep_fullness(GOLDEN, 10**4)
+    assert built == []
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_sweep_shard_defaults_to_the_whole_range(e):
+    for n in range(1, 9):
+        prefixes = runs_mod.prefix_count(e, n)
+        whole = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
+        assert verify_mod.sweep_shard(e, n, DEFAULT_TOL) == whole
+        assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, prefixes // 2) == verify_mod.sweep_shard(
+            e, n, DEFAULT_TOL, prefixes // 2, prefixes)
+
+
 @pytest.mark.parametrize("shards", [1, 2])
 def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, shards):
     """verify_report refuses an n past the deepest sweep before any work,

@@ -194,8 +194,8 @@ def fresh_count_table(e, n):
 
 
 @pytest.mark.parametrize("text", MEMBERS)
-def test_count_table_out_of_order(text, monkeypatch):
-    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+def test_count_table_out_of_order(text):
+    words_mod._count_rows.cache_clear()
     e = ExpansionOfOne.parse(text)
     fresh = fresh_count_table(e, 40)
     assert count(e, 40) == fresh[40][1]
@@ -205,7 +205,17 @@ def test_count_table_out_of_order(text, monkeypatch):
         assert word_at(e, 7, i) == w
         assert rank_of(w, e) == i
     assert [count(e, n) for n in range(1, 41)] == [fresh[n][1] for n in range(1, 41)]
-    assert len(words_mod._COUNT_ROWS[e]) == 41
+    # one row list per expansion, extended in place
+    assert words_mod._count_table(e, 3) is words_mod._count_rows(e)
+    assert len(words_mod._count_rows(e)) == 41
+
+
+def lookups(cache, call):
+    """The (hits, misses) that call adds to an lru_cache."""
+    before = cache.cache_info()
+    call()
+    after = cache.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
 
 
 def test_automaton_cache_is_bounded():
@@ -222,24 +232,26 @@ def test_automaton_cache_is_bounded():
     assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
 
 
-def test_count_rows_are_bounded(monkeypatch):
+def test_count_rows_are_bounded():
     # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
-    monkeypatch.setattr(words_mod, "_COUNT_ROWS", {})
+    rows = words_mod._count_rows
+    rows.cache_clear()
     members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
     for e in members:
         count(e, 5)
-    assert len(words_mod._COUNT_ROWS) == words_mod._COUNT_ROWS_MAX == 64
-    assert list(words_mod._COUNT_ROWS) == members[6:]
+    info = rows.cache_info()
+    assert (info.currsize, info.maxsize, info.misses) == (64, 64, 70)
     first = members[0]
+    # the oldest was evicted: first is built again, and pushes out members[6]
+    assert lookups(rows, lambda: count(first, 5)) == (0, 1)
     assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
-    assert first in words_mod._COUNT_ROWS
-    assert members[6] not in words_mod._COUNT_ROWS
     # a call marks its expansion most recently used, so it outlives older ones
-    word_at(members[7], 5, 0)
-    count(ExpansionOfOne.parse("1,1"), 3)
-    assert members[7] in words_mod._COUNT_ROWS
-    assert members[8] not in words_mod._COUNT_ROWS
-    assert len(words_mod._COUNT_ROWS) == 64
+    assert lookups(rows, lambda: word_at(members[7], 5, 0)) == (1, 0)
+    assert lookups(rows, lambda: count(ExpansionOfOne.parse("1,1"), 3)) == (0, 1)
+    assert lookups(rows, lambda: count(members[7], 5)) == (1, 0)
+    assert lookups(rows, lambda: count(members[8], 5)) == (0, 1)
+    assert lookups(rows, lambda: count(members[6], 5)) == (0, 1)
+    assert rows.cache_info().currsize == 64
 
 
 # --- the one-slot scan memo ---
