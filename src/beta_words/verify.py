@@ -505,46 +505,28 @@ def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> No
 
     The block-match automaton restarts at state 1 after a full word, so the
     structural route makes this immediate; the pairs are therefore checked
-    against the independent suffix criterion.  A match of eps|_s at the end
-    of u + v either lies inside v (s <= |v|) or straddles the boundary: u
-    ends with eps|_t and v is eps_(t+1..t+|v|).  So each v keeps its
-    smallest inside match and its straddle offsets t, each u its tail
-    offsets, and only pairs that share an offset or have an inside match
-    are visited: O(|F| * s_top) slice comparisons, not one per pair.  The
-    tail matches of each word are the chain of its state in
-    structure.tail_automaton.
+    against the independent suffix criterion.  The chain of the
+    structure.tail_automaton state after u + v lists every match at its
+    end, the least last.  The run over v depends on u only through u's end
+    state, so it costs O(|F| * cap) per distinct end state, not per pair.
     """
     case = e.text()
     fulls = _full_words_upto(e, cap)
-    s_top = tail_cap(e, 2 * cap)
-    prefix = e.digits_prefix(s_top)
-    trans, chains = tail_automaton(e, s_top)
+    trans, chains = tail_automaton(e, tail_cap(e, 2 * cap))
 
-    def tail_ends(w: tuple[int, ...]) -> tuple[int, ...]:
-        k = 0
+    def run(k: int, w: tuple[int, ...]) -> int:
         for d in w:
             k = trans[k][d]
-        return chains[k]
+        return k
 
-    inside: dict[int, int] = {}
-    straddles: dict[int, list[tuple[int, int]]] = {}
-    for i, v in enumerate(fulls):
-        ends = tail_ends(v)
-        if ends:
-            inside[i] = ends[-1]
-        m = len(v)
-        for t in range(1, s_top - m + 1):
-            if prefix[t:t + m] == v:
-                straddles.setdefault(t, []).append((i, t + m))
+    hits_after: dict[int, list[tuple[int, int]]] = {}  # u's end state: (v's index, least match) per failing v
     for u in fulls:
-        hits = dict(inside)
-        # no straddle offset reaches s_top, so the full match never pairs
-        for t in reversed(tail_ends(u)):
-            for i, s in straddles.get(t, ()):
-                hits.setdefault(i, s)
-        for i in sorted(hits):
+        end = run(0, u)
+        if end not in hits_after:
+            hits_after[end] = [(i, chains[k][-1]) for i, v in enumerate(fulls) for k in [run(end, v)] if k]
+        for i, s in hits_after[end]:
             _record(failures, f"{case}: concatenation {Word(u + fulls[i]).text()} of full words "
-                              f"ends with the first {hits[i]} digits of the expansion")
+                              f"ends with the first {s} digits of the expansion")
             if len(failures) >= MAX_FAILURES:
                 return
 
@@ -593,25 +575,20 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
                 _record(failures, f"{case}: suffix of full word {Word(tuple(digits) + (cmp_[js],)).text()} "
                                   "is not full")
     full_suffixes: set[tuple[int, ...]] = set()
-    for n in range(2, deep_cap + 1):
-        digits, states = start_at(e, n, 0)
-        for _ in walk(e, digits, states):
-            if states[-1] != 1:
+    for w in _full_words_upto(e, deep_cap):
+        for k in range(1, len(w)):
+            suffix = w[k:]
+            if suffix in full_suffixes:
                 continue
-            w = tuple(digits)
-            for k in range(1, n):
-                suffix = w[k:]
-                if suffix in full_suffixes:
-                    continue
-                try:
-                    full = scan_states(suffix, e)[-1] == 1
-                except NotAdmissible:
-                    _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not admissible")
-                    continue
-                if full:
-                    full_suffixes.add(suffix)
-                else:
-                    _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not full")
+            try:
+                full = scan_states(suffix, e)[-1] == 1
+            except NotAdmissible:
+                _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not admissible")
+                continue
+            if full:
+                full_suffixes.add(suffix)
+            else:
+                _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not full")
 
 
 def check_decrement_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -787,12 +764,16 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     process-pool map over the whole report, and each member is handed its
     chunks in n order; otherwise verify_member sweeps in this process.  The
     chunks are those of an in-process sweep, so sharded and unsharded runs
-    render byte-identical reports.  Every n is checked before any count
-    table is built or any pool is started.
+    render byte-identical reports.  The least and the greatest n are
+    checked before any table, pool or list of n (for a range) is built.
     """
-    corpus, n_values = list(corpus), list(n_values)
-    for n in n_values:
+    corpus = list(corpus)
+    if not isinstance(n_values, range):
+        n_values = list(n_values)
+    ordered = n_values if isinstance(n_values, range) and n_values.step > 0 else sorted(n_values)
+    for n in (*ordered[:1], *ordered[-1:]):
         _check_depth(n, 3)  # verify_member, sweep_fullness and sweep_shard
+    n_values = list(n_values)
     sweeps = len(corpus) * len(n_values)
     workers = min(shards, os.cpu_count() or 1, sweeps)
     chunks = [None] * sweeps

@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -301,6 +302,20 @@ def test_bad_n_refused_before_count_tables_or_pool(monkeypatch, n_values):
     with pytest.raises((ValueError, BetaWordsError), match="n must be >= 1|too deep"):
         verify_report([GOLDEN], n_values, shards=2)
     assert FakeExecutor.sizes == []
+
+
+def test_deep_range_refused_before_it_is_listed():
+    """A range is refused at its greatest n before its values are listed,
+    so refusing one with 10^6 values allocates well under a list of them
+    (about 36 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BetaWordsError, match=r"^n = 999999 is too deep"):
+            verify_report([GOLDEN], range(1, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- one sweep per (member, n): its run summary against the run scan ---
@@ -972,6 +987,8 @@ def test_sweep_shard_rejects_windows_outside_the_prefixes():
 # time, so an injected fault reaches the oracle and the check alike.
 
 CAPS = range(1, 5)
+OUTSIDE_CORPUS = ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
+ORACLE_INPUTS = [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]
 
 
 def oracle_concat_closure(e, cap, failures):
@@ -1066,7 +1083,7 @@ def test_concat_closure_matches_pairwise_oracle(monkeypatch, fault):
     if fault is not None:
         monkeypatch.setattr(verify_mod, "_full_words_upto", fault)
     saw_failures = False
-    for e in default_corpus():
+    for e in ORACLE_INPUTS:
         for cap in CAPS:
             got, want = both(verify_mod.check_concat_closure, oracle_concat_closure, e, cap)
             assert got == want, (e.text(), cap)
@@ -1082,7 +1099,7 @@ def full_words_of_length(e, n):
 def test_deep_suffix_closure_matches_per_word_oracle(monkeypatch, pick):
     real = verify_mod.scan_states
     saw_failures = False
-    for e in default_corpus():
+    for e in ORACLE_INPUTS:
         for cap in CAPS:
             length = 1 if pick == "shortest" else max(1, cap - 1)
             candidates = full_words_of_length(e, length)
@@ -1102,7 +1119,7 @@ def test_deep_suffix_closure_matches_per_word_oracle(monkeypatch, pick):
 
 
 def test_suffix_closure_clean_matches_oracle():
-    for e in default_corpus():
+    for e in ORACLE_INPUTS:
         for cap in CAPS:
             got, want = [], []
             verify_mod.check_suffix_closure(e, cap, cap, got)
@@ -1204,7 +1221,6 @@ def oracle_decrement_closure(e, cap, failures):
 
 FAMILY_CHECKS = [(verify_mod.check_last_digit_bound, oracle_last_digit_bound),
                  (verify_mod.check_decrement_closure, oracle_decrement_closure)]
-OUTSIDE_CORPUS = ["2;1", "1,0,1", "3,2,1", "1,1,0,1", "4;2", "2;0,1"]
 ORACLE_WORDS = 10**6
 
 
@@ -1215,7 +1231,7 @@ def test_family_checks_match_per_word_oracles_clean(check, oracle):
     every smaller cap.  The oracle walks every word, so the caps stop at the
     largest within ORACLE_WORDS words: 9 for 4;2 (5.5 M words at n <= 10),
     10 for every other expansion."""
-    for e in [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]:
+    for e in ORACLE_INPUTS:
         top = max(cap for cap in range(1, 11) if sum(count(e, n) for n in range(1, cap + 1)) <= ORACLE_WORDS)
         want = []
         oracle(e, top, want)
@@ -1233,7 +1249,7 @@ def test_family_checks_match_per_word_oracles_on_corrupted_tables(monkeypatch, c
     some of them past MAX_FAILURES, where both keep the same first ones.
     Walker, oracle and check all see the same tables."""
     failed = capped = 0
-    for e in [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]:
+    for e in ORACLE_INPUTS:
         for bad in corrupted_automata(e):
             monkeypatch.setattr(words_mod, "automaton", lambda e_, bad=bad: bad)
             monkeypatch.setattr(verify_mod, "automaton", lambda e_, bad=bad: bad)
