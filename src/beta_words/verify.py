@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -489,15 +489,13 @@ def check_truncations(e: ExpansionOfOne, k_max: int, failures: list[str]) -> Non
             _record(failures, f"{case}: eps*|_{k} fullness is {not expect_full}, expected {expect_full}")
 
 
-def _full_words_upto(e: ExpansionOfOne, cap: int) -> list[tuple[int, ...]]:
-    """Full words of lengths 1..cap, by length and then in lex order."""
-    fulls: list[tuple[int, ...]] = []
+def _full_words_upto(e: ExpansionOfOne, cap: int) -> Iterator[tuple[int, ...]]:
+    """Full words of lengths 1..cap, by length and then in lex order, streamed."""
     for k in range(1, cap + 1):
         digits, states = start_at(e, k, 0)
         for _ in walk(e, digits, states):
             if states[-1] == 1:
-                fulls.append(tuple(digits))
-    return fulls
+                yield tuple(digits)
 
 
 def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -511,7 +509,7 @@ def check_concat_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> No
     state, so it costs O(|F| * cap) per distinct end state, not per pair.
     """
     case = e.text()
-    fulls = _full_words_upto(e, cap)
+    fulls = list(_full_words_upto(e, cap))
     trans, chains = tail_automaton(e, tail_cap(e, 2 * cap))
 
     def run(k: int, w: tuple[int, ...]) -> int:
@@ -541,8 +539,9 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
     suffixes.  j is read off the walker; the states of the prefix minus its
     first digit are a second list, updated from the first digit the walker
     changed.  Lengths up to deep_cap also get every suffix scanned directly,
-    once per distinct suffix: suffixes that scanned full are kept in a set,
-    so a suffix shared by many full words is looked up, not rescanned.
+    once per distinct suffix, with the full words streamed and never listed:
+    suffixes that scanned full are kept in a set, so a suffix shared by many
+    full words is looked up, not rescanned.
     """
     case = e.text()
     aut = automaton(e)

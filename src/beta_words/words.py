@@ -15,16 +15,25 @@ returns), rewrites both in place to each successor in turn, and yields for
 every word visited the number of leading digits it shares with the previous
 one (0 for the first word).  It stops after the lex-largest word or after a
 given number of words.
+
+Random access runs on the count table (table[m][j]: admissible length-m
+continuations from state j).  rank_of sums each digit times the count of
+the words one digit shorter; word_at reads the digits back by subtracting
+that count while it still fits into the index, and steps the block-match
+state as it goes.  The point queries share one scan through a one-slot memo
+(scan_states), and a word from iter_words or word_at arrives with its scan
+already stored there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterator, Sequence
 
-from .errors import AlphabetMismatch, NotAdmissible
+from .errors import AlphabetMismatch, NotAdmissible, VerificationError
 from .expansion import ExpansionOfOne, lex_compare, modified_expansion
 
 
@@ -103,7 +112,8 @@ def check_alphabet(digits: Sequence[int], e: ExpansionOfOne) -> None:
 # The last successful scan of a digit tuple, as one (digits, automaton,
 # states) entry replaced whole, so a reader never pairs one scan's keys with
 # another's states.  It holds both keys, so neither identity can be reused
-# while it is stored.  iter_words stores each word it yields here.
+# while it is stored.  iter_words stores each word it yields here, and
+# word_at the word it returns.
 _LAST_SCAN: list[tuple] = [(None, None, None)]
 
 
@@ -119,7 +129,7 @@ def scan_states(digits: Sequence[int], e: ExpansionOfOne) -> list[int]:
     The point queries on one Word (rank_of, is_full, is_full_by_tail,
     successor) share one scan: a one-slot memo keeps the last successful
     scan of a tuple, keyed on the identity of the tuple and of automaton(e).
-    A word from iter_words arrives with its walked scan stored there.  So
+    A word from iter_words or word_at arrives with its scan stored there.  So
     the returned list may be the memo's own: read it, and copy it before
     rewriting it, as successor and iter_words do before they walk.
     """
@@ -197,8 +207,8 @@ def start_at(e: ExpansionOfOne, m: int, rank: int) -> tuple[list[int], list[int]
     """
     if m == 0 or rank == 0:
         return [0] * m, [1] * (m + 1)
-    digits = list(word_at(e, m, rank).digits)
-    return digits, scan_states(digits, e)
+    w = word_at(e, m, rank)
+    return list(w.digits), scan_states(w.digits, e)[:]
 
 
 def walk(e: ExpansionOfOne, digits: list[int], states: list[int], limit: int | None = None) -> Iterator[int]:
@@ -306,19 +316,45 @@ def count(e: ExpansionOfOne, n: int) -> int:
 
 
 def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
-    """The admissible word of length n at 0-based position index (lex order)."""
+    """The admissible word of length n at 0-based position index (lex order).
+
+    The word arrives with its scan, as a word from iter_words does: its
+    tuple, automaton(e) and the states stepped while reading its digits
+    become scan_states' memo entry, so the point queries on it scan nothing.
+    """
     _check_n(n)
+    index = operator.index(index)
     table = _count_table(e, n)
     if not 0 <= index < table[n][1]:
         raise ValueError(f"index {index} out of range for {table[n][1]} words")
+    aut = automaton(e)
+    cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
     # rank_of sums w_t * table[n - t][1].  The terms after position t sum to
     # the rank of an admissible suffix of length m = n - t, which is below
-    # table[m][1], so one divmod per digit, in order, reads the digits back.
+    # table[m][1], so the digit at t is how many times table[m][1] still fits
+    # into what is left of the index: a 0 digit costs one comparison.  The
+    # block-match state steps as in scan_states.  A digit above maxdig (only
+    # a count table out of step with the automaton gives one) raises before
+    # anything is stored; it is caught before each subtraction, so the loop
+    # ends even on a zero count.
     digits = []
-    for m in range(n - 1, -1, -1):
-        d, index = divmod(index, table[m][1])
+    states = [1]
+    s = 1
+    for row in table[n - 1::-1]:
+        block = row[1]
+        d = 0
+        while index >= block:
+            if d == maxdig[s]:
+                raise VerificationError(f"digit {d + 1} at position {len(states)} from the count table "
+                                        "is not admissible")
+            index -= block
+            d += 1
+        s = adv[s] if d == cmp[s] else 1
         digits.append(d)
-    return Word(tuple(digits))
+        states.append(s)
+    word = tuple(digits)
+    _LAST_SCAN[0] = word, aut, states
+    return Word(word)
 
 
 def rank_of(w: Word, e: ExpansionOfOne) -> int:
@@ -327,7 +363,7 @@ def rank_of(w: Word, e: ExpansionOfOne) -> int:
     n = len(w)
     table = _count_table(e, n)
     rank = 0
-    for t, d in enumerate(w.digits, start=1):
+    for d, row in zip(w.digits, table[n - 1::-1]):
         if d:
-            rank += d * table[n - t][1]
+            rank += row[1] if d == 1 else d * row[1]
     return rank

@@ -993,7 +993,7 @@ ORACLE_INPUTS = [*default_corpus(), *map(ExpansionOfOne.parse, OUTSIDE_CORPUS)]
 
 def oracle_concat_closure(e, cap, failures):
     case = e.text()
-    fulls = verify_mod._full_words_upto(e, cap)
+    fulls = list(verify_mod._full_words_upto(e, cap))
     s_top = tail_cap(e, 2 * cap)
     prefix = e.digits_prefix(s_top)
     heads = [prefix[:s] for s in range(s_top + 1)]
@@ -1075,7 +1075,7 @@ def truncations_first(e, cap):
     """The non-full truncations eps|_k ahead of the full words, so that early
     pairs match across the u|v boundary."""
     heads = [e.digits_prefix(k) for k in range(1, tail_cap(e, cap) + 1)]
-    return heads + FULL_WORDS_UPTO(e, cap)
+    return heads + list(FULL_WORDS_UPTO(e, cap))
 
 
 @pytest.mark.parametrize("fault", [None, all_admissible_upto, truncations_first])
@@ -1125,6 +1125,20 @@ def test_suffix_closure_clean_matches_oracle():
             verify_mod.check_suffix_closure(e, cap, cap, got)
             oracle_deep_suffix_closure(e, cap, want)
             assert got == want == [], (e.text(), cap)
+
+
+def test_deep_suffix_closure_streams_the_full_words():
+    """The deep suffix check reads the full words as they are walked: a list
+    of every full word up to length 8 would peak near 2 MiB."""
+    failures = []
+    tracemalloc.start()
+    try:
+        verify_mod.check_suffix_closure(PEARL, 8, 8, failures)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == []
+    assert peak < 2**20
 
 
 def oracle_prefix_family_suffix_closure(e, cap, failures):

@@ -1,6 +1,7 @@
 """Admissible words: enumeration, counting, ranking, neighbors."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -408,12 +409,12 @@ def test_iter_words_window_seeds_the_scan_memo(e, n):
         assert_walked_words_carry_their_scan(e, n, iter_words(e, n, start=start, stop=stop), range(a, b))
 
 
-# --- unranking by one divmod per digit ---
+# --- unranking by compare-and-subtract, with the scan handed over ---
 
 
 def word_at_oracle(e, n, index):
-    """The unranking loop before the divmod form: a multiply, a compare, a
-    floor division and a remainder per digit."""
+    """An unranking loop of its own: a multiply, a compare, a floor division
+    and a remainder per digit."""
     table = fresh_count_table(e, n)
     aut = automaton(e)
     cmp, adv = aut.cmp, aut.adv
@@ -439,3 +440,51 @@ def test_word_at_matches_the_compare_loop(e):
         total = count(e, n)
         for index in {0, total - 1, *(rng.randrange(total) for _ in range(8))}:
             assert word_at(e, n, index) == word_at_oracle(e, n, index), (n, index)
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+def test_word_at_seeds_the_scan_memo(e):
+    """The word arrives with its scan: the memo holds its own tuple, the
+    expansion's automaton and the states an independent scan gives, and
+    scan_states hands that list back without scanning."""
+    aut = automaton(e)
+    rng = random.Random(e.text())
+    for n in [*range(1, 13), 64, 512]:
+        total = count(e, n)
+        for index in {0, total - 1, *(rng.randrange(total) for _ in range(8))}:
+            w = word_at(e, n, index)
+            digits, stored_aut, states = words_mod._LAST_SCAN[0]
+            assert digits is w.digits and stored_aut is aut, (n, index)
+            assert states == oracle_states(w.digits, aut), (n, index)
+            assert scan_states(w.digits, e) is states, (n, index)
+
+
+@pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
+@pytest.mark.parametrize("row, fault", [(1, "row 0"), (0, "zeros")])
+def test_word_at_refuses_a_count_table_out_of_step(monkeypatch, e, row, fault):
+    """Row 1 of the count table set to row 0, or row 0 set to zeros: the
+    digits read back from the largest index exceed what their states admit,
+    so word_at raises, after finitely many subtractions, and stores no scan."""
+    real = words_mod._count_table
+
+    def out_of_step(e_, n):
+        table = list(real(e_, n))
+        table[row] = table[0] if fault == "row 0" else (0,) * len(table[0])
+        return table
+
+    monkeypatch.setattr(words_mod, "_count_table", out_of_step)
+    kept = (1,) + (0,) * 5
+    scan_states(kept, e)
+    before = words_mod._LAST_SCAN[0]
+    with pytest.raises(VerificationError, match="not admissible"):
+        word_at(e, 2, count(e, 2) - 1)
+    assert words_mod._LAST_SCAN[0] is before
+    assert scan_states(kept, e) is before[2]
+
+
+def test_word_at_takes_only_integer_indices():
+    for index in (2.5, 2.0, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            word_at(GOLDEN, 5, index)
+    assert word_at(GOLDEN, 5, 2) == Word((0, 0, 0, 1, 0))
+    assert word_at(GOLDEN, 5, True) == word_at(GOLDEN, 5, 1) == Word((0, 0, 0, 0, 1))
