@@ -18,11 +18,11 @@ given number of words.
 
 Random access runs on the count table (table[m][j]: admissible length-m
 continuations from state j).  rank_of sums each digit times the count of
-the words one digit shorter; word_at reads the digits back by subtracting
-that count while it still fits into the index, and steps the block-match
-state as it goes.  The point queries share one scan through a one-slot memo
-(scan_states), and a word from iter_words or word_at arrives with its scan
-already stored there.
+the words one digit shorter; word_at reads the digits back by comparing
+the index with that count, subtracting it once for a digit 1 and dividing
+by it for a larger digit, and steps the block-match state as it goes.  The
+point queries share one scan through a one-slot memo (scan_states), and a
+word from iter_words or word_at arrives with its scan already stored there.
 """
 
 from __future__ import annotations
@@ -332,23 +332,30 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
     # rank_of sums w_t * table[n - t][1].  The terms after position t sum to
     # the rank of an admissible suffix of length m = n - t, which is below
     # table[m][1], so the digit at t is how many times table[m][1] still fits
-    # into what is left of the index: a 0 digit costs one comparison.  The
-    # block-match state steps as in scan_states.  A digit above maxdig (only
-    # a count table out of step with the automaton gives one) raises before
-    # anything is stored; it is caught before each subtraction, so the loop
-    # ends even on a zero count.
+    # into what is left of the index.  A 0 digit costs one comparison and a 1
+    # digit one subtraction; a larger digit takes one divmod, so the work per
+    # digit does not grow with eps_1.  The block-match state steps as in
+    # scan_states.  A digit above maxdig, or a zero count that the index
+    # reaches (only a count table out of step with the automaton gives
+    # either), raises before anything is stored.
     digits = []
     states = [1]
     s = 1
     for row in table[n - 1::-1]:
         block = row[1]
         d = 0
-        while index >= block:
-            if d == maxdig[s]:
-                raise VerificationError(f"digit {d + 1} at position {len(states)} from the count table "
-                                        "is not admissible")
+        if index >= block:
             index -= block
-            d += 1
+            d = 1
+            if index >= block:
+                if not block:
+                    raise VerificationError(f"a zero count makes the digit at position {len(states)} "
+                                            "not admissible")
+                q, index = divmod(index, block)
+                d += q
+            if d > maxdig[s]:
+                raise VerificationError(f"digit {d} at position {len(states)} from the count table "
+                                        "is not admissible")
         s = adv[s] if d == cmp[s] else 1
         digits.append(d)
         states.append(s)
@@ -365,5 +372,5 @@ def rank_of(w: Word, e: ExpansionOfOne) -> int:
     rank = 0
     for d, row in zip(w.digits, table[n - 1::-1]):
         if d:
-            rank += row[1] if d == 1 else d * row[1]
+            rank += d * row[1]
     return rank

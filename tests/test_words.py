@@ -482,6 +482,37 @@ def test_word_at_refuses_a_count_table_out_of_step(monkeypatch, e, row, fault):
     assert scan_states(kept, e) is before[2]
 
 
+@pytest.mark.parametrize("text", ["100000,1", "1000000000,1", "300,0,7;5,299"])
+def test_word_at_work_per_digit_does_not_grow_with_the_alphabet(monkeypatch, text):
+    """On expansions with a large first digit, word_at at high indices reads
+    digits near eps_1 and still compares the index with each count at most
+    twice; a budget on those comparisons fails the call at once if it ever
+    loops per unit of a digit."""
+    e = ExpansionOfOne.parse(text)
+    real = words_mod._count_table
+    budget = [0]
+
+    class Count(int):
+        def __le__(self, index):
+            budget[0] -= 1
+            assert budget[0] >= 0, "more than two comparisons per digit"
+            return int(self) <= index
+
+    def counting(e_, n):
+        return [tuple(Count(c) for c in row) for row in real(e_, n)]
+
+    rng = random.Random(text)
+    for n in (1, 2, 3, 12, 64):
+        total = count(e, n)
+        for index in {0, total - 1, total // 2, *(rng.randrange(total) for _ in range(4))}:
+            monkeypatch.setattr(words_mod, "_count_table", counting)
+            budget[0] = 2 * n
+            w = word_at(e, n, index)
+            monkeypatch.setattr(words_mod, "_count_table", real)
+            assert w == word_at_oracle(e, n, index), (n, index)
+            assert rank_of(w, e) == index, (n, index)
+
+
 def test_word_at_takes_only_integer_indices():
     for index in (2.5, 2.0, Fraction(5, 2)):
         with pytest.raises(TypeError):
