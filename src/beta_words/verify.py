@@ -23,9 +23,13 @@ so one sweep per (member, n) gives both the run sets that the closed forms
 are checked against and the three fullness criteria.
 
 For multiprocess verification, verify_report hands every (member, n) sweep
-to one pool map as a whole task.  A sweep is never cut into prefix windows:
-a window rebuilds nearly all of the memo keys of the whole sweep, so
-windows cost CPU time and give no parallel speed-up.
+to one pool map as a whole task once the report's estimated work, the
+bound above summed over its sweeps, reaches POOL_MIN_WORK family bodies;
+below that the sweeps cost less than the pool's start-up and run in this
+process.  The pool module is imported only when a pool starts.  A sweep
+is never cut into prefix windows: a window rebuilds nearly all of the
+memo keys of the whole sweep, so windows cost CPU time and give no
+parallel speed-up.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -71,6 +74,14 @@ NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean:
 # and the rest is room for calls that count against the recursion limit
 # without a Python frame of their own.
 BODY_FRAMES = 32
+# The estimated family bodies (_sweep_work) below which verify_report
+# sweeps in this process at any shard count: about what one pool start-up
+# costs.  Fresh `verify --shards 2` processes on the bundled corpus, 2 vCPUs,
+# Python 3.11, median wall seconds in this process -> in a two-worker pool:
+# 1..25 (0.46 M bodies) 0.27 -> 0.30, 1..40 (1.6 M) 0.40 -> 0.44, 1..45
+# (2.2 M) 0.51 -> 0.52, 1..50 (3.0 M) 0.70 -> 0.60, 1..60 (5.0 M) 0.92 ->
+# 1.01 and 0.93 -> 0.68 in two rounds, 1..120 (36 M) 5.3 -> 3.8.
+POOL_MIN_WORK = 4_000_000
 
 
 def _record(failures: list[str], message: str | Callable[[], str]) -> None:
@@ -754,17 +765,39 @@ def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, chunks=None):
     return rows, failures[:MAX_FAILURES]
 
 
+def _sweep_work(corpus, n_values) -> int:
+    """The report's estimated family bodies: per sweep the module
+    docstring's n * pairs * (eps_1 + 1), pairs taken at their bound of
+    block states * (tail_cap(e, n) + 1)."""
+    work = 0
+    for e in corpus:
+        per_pair = (len(automaton(e).cmp) - 1) * (e.alphabet_max + 1)
+        work += per_pair * sum(n * (tail_cap(e, n) + 1) for n in n_values)
+    return work
+
+
+def _process_pool(workers: int):
+    """A process pool of the given size.  concurrent.futures, and with it
+    multiprocessing, is imported here, so a process that starts no pool
+    never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     """Rows and failures for a whole corpus: verify_member's, member by
     member in corpus order.
 
     Each (member, n) sweep is one whole task.  With workers =
-    min(shards, cores, sweeps) above one, every task is an item of one
+    min(shards, cores, sweeps) above one and the report's estimated work
+    (_sweep_work) at least POOL_MIN_WORK, every task is an item of one
     process-pool map over the whole report, and each member is handed its
-    chunks in n order; otherwise verify_member sweeps in this process.  The
-    chunks are those of an in-process sweep, so sharded and unsharded runs
-    render byte-identical reports.  The least and the greatest n are
-    checked before any table, pool or list of n (for a range) is built.
+    chunks in n order; otherwise verify_member sweeps in this process, as
+    a pool would cost more to start than it saves.  The chunks are those
+    of an in-process sweep, so sharded and unsharded runs render
+    byte-identical reports.  The least and the greatest n are checked
+    before any table, pool or list of n (for a range) is built.
     """
     corpus = list(corpus)
     if not isinstance(n_values, range):
@@ -776,11 +809,12 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     sweeps = len(corpus) * len(n_values)
     workers = min(shards, os.cpu_count() or 1, sweeps)
     chunks = [None] * sweeps
-    if workers > 1:
+    if workers > 1 and _sweep_work(corpus, n_values) >= POOL_MIN_WORK:
         tasks = [(e, n, Fraction(tol), 0, prefix_count(e, n)) for e in corpus for n in n_values]
-        # about four batches per worker: few pickling round trips, and the
-        # costly large-n sweeps still spread over the pool
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        # about four batches per worker, for few pickling round trips; a
+        # batch holds consecutive n of one member, so one member's large-n
+        # sweeps may share a worker
+        with _process_pool(workers) as executor:
             chunks = list(executor.map(_sweep_worker, tasks, chunksize=-(-sweeps // (4 * workers))))
     k = len(n_values)
     rows = []

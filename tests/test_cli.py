@@ -341,7 +341,7 @@ def test_runs_failures_match_two_walk_path(capsys, monkeypatch):
 PINS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text())
 
 
-@pytest.mark.parametrize("n_range, shards", [("1..5", 1), ("1..5", 2), ("1..12", 1), ("1..12", 2)])
+@pytest.mark.parametrize("n_range, shards", [(r, k) for r in ("1..5", "1..12") for k in (1, 2, 4)])
 def test_verify_report_matches_benchmark_pins(capsys, n_range, shards):
     """The verify report's sha256 equals the benchmark's pin, which the
     benchmark checks on every run; the file is only read here."""

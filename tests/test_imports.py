@@ -1,6 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+importing the package or verifying in one process loads no process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,31 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Imports the package, then runs `python -m beta_words verify --n-range 1..5
+# --shards 2` in the same process with two cores, so that only the report's
+# size keeps it from a pool, and prints the pool modules loaded after each.
+LOADED_POOL_MODULES = """
+import contextlib, io, os, runpy, sys
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+import beta_words
+print(pool_modules())
+os.cpu_count = lambda: 2
+sys.argv = ["beta_words", "verify", "--n-range", "1..5", "--shards", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("beta_words", run_name="__main__")
+    except SystemExit as done:
+        status = done.code
+print(status, pool_modules())
+"""
+
+
+def test_import_and_small_verify_load_no_pool_modules():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", LOADED_POOL_MODULES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["[]", "0 []"]

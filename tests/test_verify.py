@@ -200,7 +200,8 @@ def test_verify_report_bytes_pinned(capsys):
 
 
 class FakeExecutor:
-    """Stands in for ProcessPoolExecutor: records the pool size, maps in-process."""
+    """Stands in for verify's _process_pool: records the pool size, maps
+    in-process."""
 
     sizes: list = []
 
@@ -220,8 +221,7 @@ class FakeExecutor:
 @pytest.mark.parametrize("cores, shards, expected", [(2, 10**6, 2), (8, 3, 3), (None, 5, 1)])
 def test_pool_size_bounded_by_cores(monkeypatch, cores, shards, expected):
     """expected workers: a pool of that size, or none for one worker."""
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
     rows, failures = verify_report([GOLDEN, PEARL], range(1, 5), shards=shards)
     assert FakeExecutor.sizes == ([expected] if expected > 1 else [])
@@ -240,6 +240,16 @@ class BatchExecutor(FakeExecutor):
         return super().map(fn, items, chunksize)
 
 
+def fake_pool(monkeypatch, executor=FakeExecutor, min_work=0):
+    """Hand verify_report's pools to executor, with empty records.  With
+    min_work 0 every report with two or more workers is on the pool side,
+    whatever its estimated work."""
+    monkeypatch.setattr(FakeExecutor, "sizes", [])
+    monkeypatch.setattr(BatchExecutor, "batches", [])
+    monkeypatch.setattr(verify_mod, "_process_pool", executor)
+    monkeypatch.setattr(verify_mod, "POOL_MIN_WORK", min_work)
+
+
 def whole_sweeps(corpus, n_values):
     """The map items of sweeps that each run as one whole-range task."""
     return [(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n)) for e in corpus for n in n_values]
@@ -247,9 +257,7 @@ def whole_sweeps(corpus, n_values):
 
 def test_chunks_capped_at_pool_workers(monkeypatch):
     # one chunk per prefix would make count(e, n - 1) chunks for two workers
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(BatchExecutor, "batches", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
+    fake_pool(monkeypatch, BatchExecutor)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     rows, failures = verify_report([GOLDEN, PEARL], range(1, 8), shards=10**6)
     assert failures == [] and FakeExecutor.sizes == [2]
@@ -261,8 +269,7 @@ def test_chunks_capped_at_pool_workers(monkeypatch):
 def test_one_sweep_starts_no_pool(monkeypatch):
     """A one-sweep report is not cut into windows for spare cores: any
     shard count sweeps it in this process and renders the bytes of one."""
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
     rows, failures = verify_report([PEARL], [7], shards=10**6)
     assert FakeExecutor.sizes == [] and failures == []
@@ -287,16 +294,95 @@ def test_sweep_fullness_checks_a_given_chunk():
 
 @pytest.mark.parametrize("corpus, n_values", [([], range(1, 5)), ([GOLDEN], [])])
 def test_empty_report_starts_no_pool(monkeypatch, corpus, n_values):
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     assert verify_report(corpus, n_values, shards=2) == ([], [])
     assert FakeExecutor.sizes == []
 
 
+def smallest_pool_range(corpus):
+    """The least hi for which a report of corpus over 1..hi is estimated
+    at POOL_MIN_WORK family bodies or more."""
+    hi = 1
+    while verify_mod._sweep_work(corpus, range(1, hi + 1)) < verify_mod.POOL_MIN_WORK:
+        hi += 1
+    return hi
+
+
+def test_pool_threshold_on_the_bundled_corpus():
+    """The ranges the CLI is run at stay in this process; 1..120 pools."""
+    corpus = default_corpus()
+    assert verify_mod._sweep_work(corpus, range(1, 15)) < verify_mod.POOL_MIN_WORK
+    assert verify_mod._sweep_work(corpus, range(1, 121)) >= verify_mod.POOL_MIN_WORK
+
+
+def test_sweep_work_is_the_docstring_bound():
+    """n * block states * (tail_cap(e, n) + 1) * (eps_1 + 1), summed."""
+    periodic = ExpansionOfOne.parse("3,0,0,2;0,0,0,2")  # 8 block states, tail_cap n
+    assert verify_mod._sweep_work([periodic], [5]) == 5 * 8 * 6 * 4
+    # GOLDEN: 2 block states, tail_cap 1; PEARL: 8 block states, tail_cap min(7, n)
+    assert verify_mod._sweep_work([GOLDEN, PEARL], [3, 9]) == (3 * 2 * 2 * 2 + 9 * 2 * 2 * 2
+                                                               + 3 * 8 * 4 * 4 + 9 * 8 * 8 * 4)
+    assert verify_mod._sweep_work([], range(1, 5)) == verify_mod._sweep_work([GOLDEN], []) == 0
+
+
+@pytest.mark.parametrize("n_values", [range(1, 13), range(1, 15)])
+@pytest.mark.parametrize("cores", [2, 64])
+def test_small_reports_start_no_pool(monkeypatch, n_values, cores):
+    """Below the estimate no pool starts for any shard count or core count,
+    and the report is the bytes of one shard."""
+    single = render_report(verify_report(default_corpus(), n_values)[0])
+    fake_pool(monkeypatch, min_work=verify_mod.POOL_MIN_WORK)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+    for shards in (2, 4, 10**6):
+        rows, failures = verify_report(default_corpus(), n_values, shards=shards)
+        assert failures == [] and render_report(rows) == single, shards
+    assert FakeExecutor.sizes == []
+
+
+@pytest.mark.parametrize("cores, shards", [(2, 2), (8, 3), (64, 10**6)])
+def test_pool_starts_at_the_estimated_work(monkeypatch, cores, shards):
+    """One body short of the estimate the report sweeps in this process; at
+    the estimate it is one map of whole sweeps over min(shards, cores,
+    sweeps) workers.  Both render the bytes of one shard."""
+    corpus, n_values = [GOLDEN, PEARL], range(1, 8)
+    work = verify_mod._sweep_work(corpus, n_values)
+    single = render_report(verify_report(corpus, n_values)[0])
+    fake_pool(monkeypatch, BatchExecutor, min_work=work + 1)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+    rows, failures = verify_report(corpus, n_values, shards=shards)
+    assert FakeExecutor.sizes == [] and BatchExecutor.batches == []
+    assert failures == [] and render_report(rows) == single
+    monkeypatch.setattr(verify_mod, "POOL_MIN_WORK", work)
+    rows, failures = verify_report(corpus, n_values, shards=shards)
+    assert FakeExecutor.sizes == [min(shards, cores, 14)]
+    assert BatchExecutor.batches == [whole_sweeps(corpus, n_values)]
+    assert failures == [] and render_report(rows) == single
+
+
+def test_real_pool_past_the_threshold_matches_one_shard(monkeypatch, capsys):
+    """The smallest pool-side range of the bundled corpus, through the CLI:
+    two real worker processes render the bytes of --shards 1."""
+    hi = smallest_pool_range(default_corpus())
+    argv = ["verify", "--n-range", f"1..{hi}"]
+    assert cli.main(argv + ["--shards", "1"]) == 0
+    single = capsys.readouterr().out
+    started = []
+    real = verify_mod._process_pool
+
+    def spy(workers):
+        started.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(verify_mod, "_process_pool", spy)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    assert cli.main(argv + ["--shards", "2"]) == 0
+    assert started == [2]
+    assert capsys.readouterr().out == single
+
+
 @pytest.mark.parametrize("n_values", [[0], [3, 0], [10**4]])
 def test_bad_n_refused_before_count_tables_or_pool(monkeypatch, n_values):
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod, "_count_table", None)
     monkeypatch.setattr(runs_mod, "count", None)  # prefix_count's count table
     with pytest.raises((ValueError, BetaWordsError), match="n must be >= 1|too deep"):
@@ -347,9 +433,7 @@ def test_verify_walks_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(verify_mod, "scan_run_lengths", counted)
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(BatchExecutor, "batches", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", BatchExecutor)
+    fake_pool(monkeypatch, BatchExecutor)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     rows, failures = verify_member(PEARL, range(1, 6))
     assert failures == [] and len(rows) == 5
@@ -560,8 +644,7 @@ def test_report_failures_identical_for_any_shard_count(monkeypatch, n_values):
     member keeps its own rows and its own capped failure slice, in corpus
     order."""
     tau_off_by_one(monkeypatch)
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)  # 10**6 shards: 3 workers at 3 sweeps
     corpus = [GOLDEN, PEARL, GOLDEN]
     for cap in CAPS_SHARDED:
@@ -1419,8 +1502,7 @@ def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, shards):
     """verify_report refuses an n past the deepest sweep before any work,
     naming the largest n, and that n it verifies clean, in this process and
     through a pool's map (two sweeps, so that two shards start a pool)."""
-    monkeypatch.setattr(FakeExecutor, "sizes", [])
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+    fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep") as refused:
         verify_report([GOLDEN, GOLDEN], [10**4], shards=shards)
