@@ -32,6 +32,7 @@ from .runs import FULL, maximal_runs, one_run, run_sets_formula, stitch_run_scan
 from .structure import (
     DEFAULT_TOL,
     UNDECIDED,
+    _bits_for,
     cylinder,
     decompose,
     is_full_by_length,
@@ -46,9 +47,14 @@ INPUT_ERROR = 2
 MISMATCH = 3
 PRECONDITION = 4
 
-# Bytes the exact-count table of one --n may take, as n^2 grows; verify and
-# classify --check hold the tail table to it too, as n * eps_1 grows.
+# Bytes the exact-count table of one --n may take, as n^2 grows; classify
+# --check counts its cylinder tables in it too, and verify and classify
+# --check hold the tail table to it, as n * eps_1 grows.
 COUNT_TABLE_BUDGET = 2**28
+# The greatest n verify sweeps: its memo grows faster than n^2 on a periodic
+# member, and `verify --n-range 958..958` on 3,0,0,2;0,0,0,2 alone took 15 s
+# and peaked at 950 MiB RSS (2 vCPUs, Python 3.11).
+VERIFY_MAX_N = 959
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,33 +122,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tol(args) -> Fraction:
-    """--tol as a Fraction in [2^-MAX_PRECISION, 2^MAX_PRECISION].  Decimal
-    text is screened by its exponent first: Fraction would build 10^|exp|."""
-    text = args.tol
+def _parse_fraction(text: str, what: str) -> Fraction:
+    """text as a Fraction in [2^-MAX_PRECISION, 2^MAX_PRECISION], else
+    BetaWordsError naming what it is.  Decimal text is screened by its
+    exponent first: Fraction would build 10^|exp|."""
     digits = len(str(2**MAX_PRECISION)) - 1  # 10^digits < 2^MAX_PRECISION < 10^(digits + 1)
     try:
         screen = Decimal(text) if "/" not in text else None
     except ArithmeticError:
-        raise BetaWordsError(f"cannot parse tolerance {text!r}")
+        raise BetaWordsError(f"cannot parse {what} {text!r}")
     if screen is not None and screen.is_finite():
         if screen <= 0:
-            raise BetaWordsError("tolerance must be positive")
+            raise BetaWordsError(f"{what} must be positive")
         if screen.adjusted() < -digits - 1:
-            raise BetaWordsError(f"tolerance {text} is below the floor 2^-{MAX_PRECISION}")
+            raise BetaWordsError(f"{what} {text} is below the floor 2^-{MAX_PRECISION}")
         if screen.adjusted() > digits:
-            raise BetaWordsError(f"tolerance {text} is above the ceiling 2^{MAX_PRECISION}")
+            raise BetaWordsError(f"{what} {text} is above the ceiling 2^{MAX_PRECISION}")
     try:
-        tol = Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise BetaWordsError(f"cannot parse tolerance {text!r}")
-    if tol <= 0:
-        raise BetaWordsError("tolerance must be positive")
-    if tol < Fraction(1, 2**MAX_PRECISION):
-        raise BetaWordsError(f"tolerance {text} is below the floor 2^-{MAX_PRECISION}")
-    if tol > 2**MAX_PRECISION:
-        raise BetaWordsError(f"tolerance {text} is above the ceiling 2^{MAX_PRECISION}")
-    return tol
+        raise BetaWordsError(f"cannot parse {what} {text!r}")
+    if value <= 0:
+        raise BetaWordsError(f"{what} must be positive")
+    if value < Fraction(1, 2**MAX_PRECISION):
+        raise BetaWordsError(f"{what} {text} is below the floor 2^-{MAX_PRECISION}")
+    if value > 2**MAX_PRECISION:
+        raise BetaWordsError(f"{what} {text} is above the ceiling 2^{MAX_PRECISION}")
+    return value
+
+
+def _parse_tol(args) -> Fraction:
+    return _parse_fraction(args.tol, "tolerance")
 
 
 def _parse_n(args) -> int:
@@ -165,19 +175,35 @@ def _count_table_bytes(e: ExpansionOfOne, n: int) -> float:
     return (n + 1) * (64 + states * (36 + n * log2(e.alphabet_max + 1) / 15))
 
 
-def _check_table_budget(e: ExpansionOfOne, n: int) -> None:
-    """Refuse, before the table is built, an n whose count table would pass
+def _cylinder_table_bytes(e: ExpansionOfOne, n: int, tol: Fraction) -> float:
+    """An upper estimate of the bytes of the power tables of
+    structure.cylinder_calc(e, n, tol): two lists of n + 1 integers, entry
+    i of at most bits - i * log2(eps_1) + 1 bits, 4 bytes per 30 bits past
+    40 bytes of header, list slot and spare capacity, and a list of n + 1
+    small integers."""
+    bits = _bits_for(e, n, tol) + 1 - n * log2(e.alphabet_max) / 2  # the entries' mean bound
+    return (n + 1) * (3 * 40 + 2 * bits / 7.5)
+
+
+def _check_table_budget(e: ExpansionOfOne, n: int, tol: Fraction | None = None) -> None:
+    """Refuse, before any table is built, an n whose count table, and with
+    tol also the cylinder tables that classify --check reads, would pass
     COUNT_TABLE_BUDGET, naming the largest n that fits."""
-    if _count_table_bytes(e, n) <= COUNT_TABLE_BUDGET:
+
+    def size(m: int) -> float:
+        return _count_table_bytes(e, m) + (0 if tol is None else _cylinder_table_bytes(e, m, tol))
+
+    if size(n) <= COUNT_TABLE_BUDGET:
         return
     lo, hi = 0, n - 1  # the largest n that fits lies in [lo, hi]
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _count_table_bytes(e, mid) <= COUNT_TABLE_BUDGET:
+        if size(mid) <= COUNT_TABLE_BUDGET:
             lo = mid
         else:
             hi = mid - 1
-    raise BetaWordsError(f"n = {n} needs a count table of about {_count_table_bytes(e, n) / 2**20:.0f} MiB, "
+    tables = "a count table" if tol is None else "count and cylinder tables"
+    raise BetaWordsError(f"n = {n} needs {tables} of about {size(n) / 2**20:.0f} MiB, "
                          f"over the {COUNT_TABLE_BUDGET // 2**20} MiB budget: {e.text()} allows n <= {lo}")
 
 
@@ -275,7 +301,7 @@ def cmd_expand(args, out) -> int:
     if args.beta is not None and args.seq is not None:
         raise BetaWordsError("give exactly one of --seq and --beta")
     if args.beta is not None:
-        beta = BetaInterval.from_decimal(args.beta, tol)
+        beta = BetaInterval.from_decimal(_parse_fraction(args.beta, "beta"), tol)
         digits = tuple(expansion_digits_from_beta(beta, n))
         rows = [
             ("eps", Word(digits).text()),
@@ -304,7 +330,7 @@ def cmd_validate(args, out) -> int:
     if args.beta is not None and args.seq is not None:
         raise BetaWordsError("give exactly one of --seq and --beta")
     if args.beta is not None:
-        beta = BetaInterval.from_decimal(args.beta, tol)
+        beta = BetaInterval.from_decimal(_parse_fraction(args.beta, "beta"), tol)
         expansion_digits_from_beta(beta, n)
         out.write(f"ok beta in [{beta.lo}, {beta.hi}]\n")
         return OK
@@ -333,7 +359,7 @@ def cmd_classify(args, out, err) -> int:
         n_values = _parse_n_range(args.n_range)
     else:
         n_values = [_parse_n(args)]
-    _check_table_budget(e, n_values[-1])
+    _check_table_budget(e, n_values[-1], tol if args.check else None)
     if args.check:
         _check_tail_budget(e, n_values[-1])
     places = _places(tol)
@@ -431,6 +457,8 @@ def cmd_verify(args, out, err) -> int:
         raise BetaWordsError("--shards must be >= 1")
     tol = _parse_tol(args)
     n_values = _parse_n_range(args.n_range) if args.n_range else range(1, 13)
+    if n_values[-1] > VERIFY_MAX_N:
+        raise BetaWordsError(f"n = {n_values[-1]} is past verify's bound n <= {VERIFY_MAX_N}")
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
     for e in corpus:
         _check_tail_budget(e, n_values[-1])

@@ -238,7 +238,7 @@ class BetaInterval:
         return self.hi - self.lo
 
     @classmethod
-    def from_decimal(cls, text: str, tol: Fraction | float | str = 0) -> "BetaInterval":
+    def from_decimal(cls, text: str | Fraction, tol: Fraction | float | str = 0) -> "BetaInterval":
         center = Fraction(text)
         tol = Fraction(tol)
         if tol < 0:

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .errors import BetaWordsError, NotAdmissible, TailMismatch, VerificationError
+from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
 from .runs import (
     FULL,
@@ -68,12 +67,6 @@ from .words import (Word, _check_n, _count_table, automaton, count, iter_words, 
 
 MAX_FAILURES = 24
 NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean: none
-# Frames a family body may open below the deepest node of the sweep's
-# descent: a failure message's chain close, fail, _record, the message,
-# _word_text, word_at, _count_table and the automaton takes about ten,
-# and the rest is room for calls that count against the recursion limit
-# without a Python frame of their own.
-BODY_FRAMES = 32
 # The estimated family bodies (_sweep_work) below which verify_report
 # sweeps in this process at any shard count: about what one pool start-up
 # costs.  Fresh `verify --shards 2` processes on the bundled corpus, 2 vCPUs,
@@ -114,25 +107,6 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
             f"but sits {pos} above the last full word, expected tau({s}) = {tau}")
 
 
-def _check_depth(n: int, above: int) -> None:
-    """Refuse an n below 1 (ValueError) or one whose sweep descent would pass
-    the recursion limit.  The descent begins `above` frames below the
-    caller, opens one frame per digit and at most BODY_FRAMES below its
-    deepest node; raises BetaWordsError, naming the largest n that fits,
-    before any work."""
-    _check_n(n)
-    depth = above
-    frame = sys._getframe(1)
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    deepest = limit - depth - BODY_FRAMES
-    if n > deepest:
-        raise BetaWordsError(f"n = {n} is too deep for the verify sweep, which recurses once per digit: "
-                             f"at recursion limit {limit} it reaches n <= {deepest}")
-
-
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_stop: int | None = None) -> dict:
     """Check the three fullness criteria and the tail-run prediction on all
     words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop),
@@ -165,7 +139,9 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     the families before the window are stepped back over, as the window's
     right edge looks ahead, to get the length of the non-full run that ends
     just before it.  Lengths read structure.cylinder_calc, tails
-    structure.tail_automaton and block states words.automaton only.
+    structure.tail_automaton and block states words.automaton only.  The
+    descent runs on a stack of generators, not of Python frames, so no
+    recursion limit bounds n.
 
     The chunk's "runs" entry is the shard's run summary in the shape
     runs.scan_run_lengths returns, ready for runs.merge_runs: the
@@ -176,7 +152,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     stay for perfbench's shard_balance, which times windows, and for the
     tests, which fold windows into the whole-range chunk.
     """
-    _check_depth(n, 0)
+    _check_n(n)
     tol = Fraction(tol)
     chunk = _empty_sweep_chunk()
     pcount = prefix_count(e, n)
@@ -269,38 +245,44 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
         pending = (rank + size - 1, j_last, pl + off_lo, ph + off_hi)
         return runs, w_lo - w, w_hi - w
 
-    def visit(t: int, rank: int, j: int, k: int, pl: int, ph: int, whole: bool):
-        """Sweep the families below a depth-t node whose first family has
-        the given rank, all of them when whole, else those in the window.
-        Returns their run summary and the shifts of W that keep every gap
-        closed inside the subtree clean; leaves the last family open."""
+    def body(rank: int, j: int, k: int, pl: int, ph: int) -> tuple:
+        """Sweep the family of a depth-last node; leave its gap open."""
         nonlocal pending, run_len
-        if t == last:  # the family body
-            c, a = cmp_[j], adv_[j]
-            krow = trans[k]
-            for d in range(kmin[k], c):
-                if krow[d]:
-                    fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
-                                 "structurally full but ends with a prefix of the expansion")
-            if c:
-                run_len = 0
-            if a:
-                run_len += 1
-                k_adv = krow[c]
-                if k_adv == 0:
-                    fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
-                                 "non-full but ends with no prefix of the expansion")
-                for sv in chains[k_adv]:
-                    if run_len != taus[sv]:
-                        fail(lambda: _tail_run_failure(e, n, rank, c, sv, run_len, taus[sv]))
-            pending = (rank, j, pl, ph)
-            return family_runs[j], -inf, inf
+        c, a = cmp_[j], adv_[j]
+        krow = trans[k]
+        for d in range(kmin[k], c):
+            if krow[d]:
+                fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
+                             "structurally full but ends with a prefix of the expansion")
+        if c:
+            run_len = 0
+        if a:
+            run_len += 1
+            k_adv = krow[c]
+            if k_adv == 0:
+                fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
+                             "non-full but ends with no prefix of the expansion")
+            for sv in chains[k_adv]:
+                if run_len != taus[sv]:
+                    fail(lambda: _tail_run_failure(e, n, rank, c, sv, run_len, taus[sv]))
+        pending = (rank, j, pl, ph)
+        return family_runs[j], -inf, inf
+
+    def visit(t: int, rank: int, j: int, k: int, pl: int, ph: int, whole: bool):
+        """Sweep the families below a depth-t node, t < last, whose first
+        family has the given rank, all of them when whole, else those in the
+        window.  Yields each child visit's arguments and reads its result
+        once resumed; leaves in result the run summary and the shifts of W
+        that keep every gap closed inside the subtree clean, and leaves the
+        last family open."""
+        nonlocal result
         entry_faults, entry_lo, entry_hi, entry_run = faults, sum_lo, sum_hi, run_len
         runs = one_run(True, 0)
         down, up = -inf, inf
         below = sizes[last - t - 1]
         p_lo, p_hi = pow_lo[t + 1], pow_hi[t + 1]
         first = rank
+        leaf = t + 1 == last
         for d in range(maxdig[j] + 1):
             cj = adv_[j] if d == cmp_[j] else 1
             size = below[cj]
@@ -313,7 +295,13 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
                 lo, hi = close(cl, ch)
                 down, up = max(down, lo), min(up, hi)
             ck = trans[k][d]
-            sub = inside and reuse(t + 1, rank, size, cj, ck, cl, ch) or visit(t + 1, rank, cj, ck, cl, ch, inside)
+            if leaf:
+                sub = body(rank, cj, ck, cl, ch)
+            else:
+                sub = inside and reuse(t + 1, rank, size, cj, ck, cl, ch)
+                if not sub:
+                    yield t + 1, rank, cj, ck, cl, ch, inside
+                    sub = result
             runs = merge_runs(runs, sub[0])
             down, up = max(down, sub[1]), min(up, sub[2])
             rank += size
@@ -323,10 +311,21 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
             _, j_last, left_lo, left_hi = pending
             memo[j, k, t] = (runs, gaps, sum_lo - entry_lo + gaps * w, sum_hi - entry_hi - gaps * w, w + down,
                              w + up, None if runs[2][0] else entry_run, j_last, left_lo - pl, left_hi - ph)
-        return runs, down, up
+        result = runs, down, up
 
-    runs = visit(0, 0, 1, 0, 0, 0, prefix_start == 0 and prefix_stop == pcount)[0]
-    del visit  # it calls itself through its closure: break that cycle, so the memo is freed with this call
+    if last == 0:
+        result = body(0, 1, 0, 0, 0)
+    else:
+        # resume the deepest open visit until it yields a child or ends; it
+        # leaves (runs, down, up) in result, as a return raises StopIteration
+        stack = [visit(0, 0, 1, 0, 0, 0, prefix_start == 0 and prefix_stop == pcount)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(visit(*child))
+    runs = result[0]
     if prefix_stop == pcount:
         close(calc.one, calc.one)
     else:
@@ -792,30 +791,26 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     Each (member, n) sweep is one whole task.  With workers =
     min(shards, cores, sweeps) above one and the report's estimated work
     (_sweep_work) at least POOL_MIN_WORK, every task is an item of one
-    process-pool map over the whole report, and each member is handed its
-    chunks in n order; otherwise verify_member sweeps in this process, as
+    process-pool map over the whole report, handed out one at a time in
+    report order, and each member is handed its chunks in n order; otherwise verify_member sweeps in this process, as
     a pool would cost more to start than it saves.  The chunks are those
     of an in-process sweep, so sharded and unsharded runs render
-    byte-identical reports.  The least and the greatest n are checked
-    before any table, pool or list of n (for a range) is built.
+    byte-identical reports.  The least n is checked before any table,
+    pool or list of n (for a range) is built.
     """
     corpus = list(corpus)
     if not isinstance(n_values, range):
         n_values = list(n_values)
-    ordered = n_values if isinstance(n_values, range) and n_values.step > 0 else sorted(n_values)
-    for n in (*ordered[:1], *ordered[-1:]):
-        _check_depth(n, 3)  # verify_member, sweep_fullness and sweep_shard
+    if n_values:  # a range's least n is at one of its ends, so it is found without listing the range
+        _check_n(min(n_values[0], n_values[-1]) if isinstance(n_values, range) else min(n_values))
     n_values = list(n_values)
     sweeps = len(corpus) * len(n_values)
     workers = min(shards, os.cpu_count() or 1, sweeps)
     chunks = [None] * sweeps
     if workers > 1 and _sweep_work(corpus, n_values) >= POOL_MIN_WORK:
-        tasks = [(e, n, Fraction(tol), 0, prefix_count(e, n)) for e in corpus for n in n_values]
-        # about four batches per worker, for few pickling round trips; a
-        # batch holds consecutive n of one member, so one member's large-n
-        # sweeps may share a worker
+        tasks = [(e, n, Fraction(tol)) for e in corpus for n in n_values]
         with _process_pool(workers) as executor:
-            chunks = list(executor.map(_sweep_worker, tasks, chunksize=-(-sweeps // (4 * workers))))
+            chunks = list(executor.map(_sweep_worker, tasks))
     k = len(n_values)
     rows = []
     failures: list[str] = []

@@ -257,6 +257,23 @@ def test_tol_far_past_the_bounds_exits_at_once(capsys, tol, bound):
     assert (code, out) == (2, "") and bound in err
 
 
+@pytest.mark.parametrize("command", ["expand", "validate"])
+@pytest.mark.parametrize("beta, message", [("1e1000000000", "beta 1e1000000000 is above the ceiling 2^4096"),
+                                           ("1e-1000000000", "beta 1e-1000000000 is below the floor 2^-4096"),
+                                           ("1.5e-1000000", "beta 1.5e-1000000 is below the floor 2^-4096"),
+                                           ("1/0", "cannot parse beta '1/0'"),
+                                           ("-2", "beta must be positive")],
+                         ids=["1e1000000000", "1e-1000000000", "1.5e-1000000", "1/0", "-2"])
+def test_beta_screened_like_tol(capsys, command, beta, message):
+    """--beta goes through --tol's screen: a decimal exponent is read, not
+    expanded, so each of these exits 2 at once in one line, and no
+    conversion error or traceback reaches the user."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--beta", beta, "--n", "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_tol_ceiling_and_accepted_values():
     for tol in ("1e1234", f"{2**4096 + 1}", f"{2**4096 + 1}/1"):
         with pytest.raises(BetaWordsError, match="above the ceiling 2\\^4096"):
@@ -386,19 +403,30 @@ def test_classify_check_window_bytes_pinned(capsys):
 
 @pytest.mark.parametrize("shards", ["1", "2"])
 def test_verify_past_the_deepest_sweep_is_an_input_error(tmp_path, shards):
-    """At n = 1000 the sweep's descent would pass the recursion limit; the
-    command refuses n in one line and exits 2, with no traceback."""
+    """verify sweeps n up to VERIFY_MAX_N, 959, the deepest n its recursive
+    sweep reached at the default recursion limit; past it the command
+    refuses n in one line and exits 2, with no traceback, for one n past
+    the bound and for a range of 10^9 values."""
+    assert cli.VERIFY_MAX_N == 959
     corpus = tmp_path / "one.txt"
     corpus.write_text("1,1\n")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = ["verify", "--n-range", "1000..1000", "--corpus", str(corpus), "--shards", shards]
-    done = subprocess.run([sys.executable, "-m", "beta_words", *argv], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert done.returncode == 2
-    assert done.stdout == "" and "Traceback" not in done.stderr
-    assert re.fullmatch(r"error: n = 1000 is too deep for the verify sweep, which recurses once per digit: "
-                        r"at recursion limit \d+ it reaches n <= \d+\n", done.stderr)
+    for n_range, n in (("960..960", 960), ("1..1000000000", 10**9)):
+        argv = ["verify", "--n-range", n_range, "--corpus", str(corpus), "--shards", shards]
+        done = subprocess.run([sys.executable, "-m", "beta_words", *argv], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: n = {n} is past verify's bound n <= 959\n"
+
+
+def test_verify_sweeps_up_to_its_bound(tmp_path, capsys):
+    """The greatest n verify takes runs and verifies clean."""
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("1,1\n")
+    code, out, err = run_cli(capsys, "verify", "--n-range", f"{cli.VERIFY_MAX_N}..{cli.VERIFY_MAX_N}",
+                             "--corpus", str(corpus))
+    assert (code, err) == (0, "") and json.loads(out)[0]["n"] == cli.VERIFY_MAX_N
 
 
 HUGE_N = re.compile(r"error: n = (\d+) needs a count table of about \d+ MiB, over the (\d+) MiB budget: "
@@ -467,6 +495,63 @@ def test_huge_tail_table_refused_before_it_is_built(monkeypatch, capsys, tmp_pat
     hit = HUGE_TAIL.fullmatch(err)
     assert hit and hit.group(1) == "1000000000,1" and hit.group(3) == "12"
     assert int(hit.group(4)) * 2**20 == cli.COUNT_TABLE_BUDGET
+
+
+HUGE_CHECK = re.compile(r"error: n = (\d+) needs count and cylinder tables of about \d+ MiB, over the (\d+) MiB "
+                        r"budget: 1,1 allows n <= (\d+)\n")
+
+
+def test_classify_check_counts_its_cylinder_tables(monkeypatch, capsys):
+    """classify --check also builds the cylinder tables of n, n + 1 entries
+    of about 2n bits each on 1,1: at n = 40000 the count table fits
+    the budget but the two together do not, and the command exits 2 in one
+    line naming the largest n that fits, before it builds any table."""
+    e = ExpansionOfOne.parse("1,1")
+    built = []
+    monkeypatch.setattr(words_mod, "_count_table", lambda *args: built.append(args))
+    monkeypatch.setattr(structure_mod, "_calc", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, "classify", "--seq", "1,1", "--n", "40000", "--limit", "1", "--check")
+    assert (code, out, built) == (2, "", [])
+    hit = HUGE_CHECK.fullmatch(err)
+    assert hit and hit.group(1) == "40000" and int(hit.group(2)) * 2**20 == cli.COUNT_TABLE_BUDGET
+    largest = int(hit.group(3))
+
+    def size(n):
+        return cli._count_table_bytes(e, n) + cli._cylinder_table_bytes(e, n, structure_mod.DEFAULT_TOL)
+
+    assert cli._count_table_bytes(e, 40000) <= cli.COUNT_TABLE_BUDGET
+    assert size(largest) <= cli.COUNT_TABLE_BUDGET < size(largest + 1)
+
+
+def test_largest_n_under_the_check_budget_runs(monkeypatch, capsys):
+    """Under a small budget, the n the --check refusal names runs, and one
+    more is refused; without --check that n + 1 runs."""
+    monkeypatch.setattr(cli, "COUNT_TABLE_BUDGET", 2**17)
+    argv = ("classify", "--seq", "1,1", "--limit", "1", "--check")
+    code, _, err = run_cli(capsys, *argv, "--n", "1000")
+    largest = int(HUGE_CHECK.fullmatch(err).group(3))
+    assert run_cli(capsys, *argv, "--n", str(largest))[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--n", str(largest + 1))
+    assert (code, out) == (2, "") and HUGE_CHECK.fullmatch(err).group(3) == str(largest)
+    assert run_cli(capsys, *argv[:-1], "--n", str(largest + 1))[0] == 0
+
+
+@pytest.mark.parametrize("text, n", [("1,1", 2000), ("3,0,2,0,0,0,0,1", 500), ("9,9,9", 500), ("2;1", 800),
+                                     ("1000,1", 300)])
+@pytest.mark.parametrize("tol", [Fraction(1, 2), structure_mod.DEFAULT_TOL, Fraction(1, 2**4096)],
+                         ids=["1/2", "1e-12", "2^-4096"])
+def test_cylinder_table_estimate_bounds_the_tables(text, n, tol):
+    """The --check budget's cylinder estimate is at least the tables'
+    traced size, and not twice it."""
+    e = ExpansionOfOne.parse(text)
+    structure_mod._calc.cache_clear()
+    tracemalloc.start()
+    try:
+        structure_mod.cylinder_calc(e, n, tol)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= cli._cylinder_table_bytes(e, n, tol) < 2 * size
 
 
 def test_classify_without_check_reads_no_tail_table(monkeypatch, capsys):

@@ -28,7 +28,7 @@ from beta_words import cli
 from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
-from beta_words.errors import BetaWordsError, NotAdmissible, VerificationError
+from beta_words.errors import NotAdmissible, VerificationError
 from beta_words.structure import DEFAULT_TOL, Decomposition, cylinder_calc, is_full, tail_cap
 from beta_words.words import Automaton, Word, iter_words, rank_of, word_at
 
@@ -252,7 +252,7 @@ def fake_pool(monkeypatch, executor=FakeExecutor, min_work=0):
 
 def whole_sweeps(corpus, n_values):
     """The map items of sweeps that each run as one whole-range task."""
-    return [(e, n, DEFAULT_TOL, 0, runs_mod.prefix_count(e, n)) for e in corpus for n in n_values]
+    return [(e, n, DEFAULT_TOL) for e in corpus for n in n_values]
 
 
 def test_chunks_capped_at_pool_workers(monkeypatch):
@@ -380,28 +380,32 @@ def test_real_pool_past_the_threshold_matches_one_shard(monkeypatch, capsys):
     assert capsys.readouterr().out == single
 
 
-@pytest.mark.parametrize("n_values", [[0], [3, 0], [10**4]])
+@pytest.mark.parametrize("n_values", [[0], [3, 0], range(0, 10**6)])
 def test_bad_n_refused_before_count_tables_or_pool(monkeypatch, n_values):
     fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod, "_count_table", None)
     monkeypatch.setattr(runs_mod, "count", None)  # prefix_count's count table
-    with pytest.raises((ValueError, BetaWordsError), match="n must be >= 1|too deep"):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         verify_report([GOLDEN], n_values, shards=2)
     assert FakeExecutor.sizes == []
 
 
-def test_deep_range_refused_before_it_is_listed():
-    """A range is refused at its greatest n before its values are listed,
-    so refusing one with 10^6 values allocates well under a list of them
-    (about 36 MB)."""
+def test_deep_range_refused_before_it_is_listed(capsys):
+    """The CLI refuses a range at its greatest n, and verify_report refuses
+    one at its least n, ascending or descending, before its values are
+    listed, so refusing one with 10^9 or 10^6 values allocates well under a
+    list of them (about 36 MB for 10^6)."""
     tracemalloc.start()
     try:
-        with pytest.raises(BetaWordsError, match=r"^n = 999999 is too deep"):
-            verify_report([GOLDEN], range(1, 10**6))
+        assert cli.main(["verify", "--n-range", "1..1000000000"]) == 2
+        for n_values in (range(0, 10**6), range(10**6, -1, -1)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                verify_report([GOLDEN], n_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert capsys.readouterr().err == f"error: n = 1000000000 is past verify's bound n <= {cli.VERIFY_MAX_N}\n"
 
 
 # --- one sweep per (member, n): its run summary against the run scan ---
@@ -1446,44 +1450,48 @@ def test_verify_theorems_clean_outside_corpus(text):
     assert verify_theorems(e, 6) == []
 
 
-def sweep_or_deepest(e, n):
-    """sweep_fullness(e, n), or the largest n it names when it refuses n."""
-    try:
-        return sweep_fullness(e, n)
-    except BetaWordsError as exc:
-        hit = re.fullmatch(rf"n = {n} is too deep for the verify sweep, which recurses once per digit: "
-                           rf"at recursion limit {sys.getrecursionlimit()} it reaches n <= (\d+)", str(exc))
-        assert hit, str(exc)
-        return int(hit.group(1))
+@pytest.mark.parametrize("text, n", [("1,1", 2000), ("1,1", 5000), ("2,1,1", 3000), ("3,0,2,0,0,0,0,1", 2000)])
+def test_sweep_runs_past_the_recursion_limit(text, n):
+    """The descent keeps its own stack, so the sweep takes n far past the
+    default recursion limit of 1000: clean, with every word counted."""
+    e = ExpansionOfOne.parse(text)
+    result = sweep_fullness(e, n)
+    assert (result.failures, result.undecided, result.words) == ([], 0, count(e, n))
 
 
-def test_sweep_refuses_n_past_its_deepest_descent():
-    """The sweep recurses once per digit.  Past the n it names it raises
-    BetaWordsError before it walks; at that n it sweeps clean.  The n moves
-    with the recursion limit."""
-    e = ExpansionOfOne.parse("1,1")
-    deepest = sweep_or_deepest(e, 10**4)
-    result = sweep_or_deepest(e, deepest)
-    assert (result.failures, result.undecided, result.words) == ([], 0, count(e, deepest))
-    assert sweep_or_deepest(e, deepest + 1) == deepest
-    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep"):
-        verify_mod.sweep_shard(e, 10**4, DEFAULT_TOL, 0, 1)
-    limit = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(limit + 100)
-        assert sweep_or_deepest(e, 10**4) == deepest + 100
-    finally:
-        sys.setrecursionlimit(limit)
+def near_the_recursion_limit(fn, room=50):
+    """fn() called with about room frames left below the recursion limit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(k):
+        return fn() if k <= 0 else down(k - 1)
+
+    return down(sys.getrecursionlimit() - room - depth)
 
 
-def test_sweep_fullness_refuses_a_deep_n_before_any_table(monkeypatch):
-    """sweep_fullness leaves the depth check to sweep_shard, which refuses
+def test_sweep_opens_no_frame_per_digit(monkeypatch):
+    """Called about 50 frames below the recursion limit, sweep_fullness
+    still sweeps n = 200, clean: the descent opens no Python frame per
+    digit.  With a fault injected it names the same failures there as at a
+    shallow depth, so a failure message needs few frames too (a faulted
+    sweep memoizes nothing, so it stays at n = 9)."""
+    for e in (GOLDEN, PEARL):
+        assert near_the_recursion_limit(lambda: sweep_fullness(e, 200)) == sweep_fullness(e, 200)
+    tau_off_by_one(monkeypatch)
+    faulted = sweep_fullness(PEARL, 9)
+    assert faulted.failures and near_the_recursion_limit(lambda: sweep_fullness(PEARL, 9)) == faulted
+
+
+def test_sweep_fullness_refuses_a_bad_n_before_any_table(monkeypatch):
+    """sweep_fullness leaves the n check to sweep_shard, which refuses n < 1
     before it counts prefixes or reads a count table."""
     built = []
     monkeypatch.setattr(verify_mod, "prefix_count", lambda *args: built.append(args))
     monkeypatch.setattr(verify_mod, "_count_table", lambda *args: built.append(args))
-    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep"):
-        sweep_fullness(GOLDEN, 10**4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sweep_fullness(GOLDEN, 0)
     assert built == []
 
 
@@ -1497,18 +1505,15 @@ def test_sweep_shard_defaults_to_the_whole_range(e):
             e, n, DEFAULT_TOL, prefixes // 2, prefixes)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, shards):
-    """verify_report refuses an n past the deepest sweep before any work,
-    naming the largest n, and that n it verifies clean, in this process and
-    through a pool's map (two sweeps, so that two shards start a pool)."""
+def test_report_sweeps_past_the_recursion_limit(monkeypatch):
+    """verify_report takes any n: at n = 1500 it verifies clean, in this
+    process and through a pool's map (two sweeps, so that two shards start
+    a pool), with the same bytes."""
     fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-    with pytest.raises(BetaWordsError, match=r"^n = 10000 is too deep") as refused:
-        verify_report([GOLDEN, GOLDEN], [10**4], shards=shards)
-    deepest = int(re.search(r"n <= (\d+)$", str(refused.value)).group(1))
-    rows, failures = verify_report([GOLDEN, GOLDEN], [deepest], shards=shards)
-    assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(deepest, True)] * 2
-    with pytest.raises(BetaWordsError, match=rf"^n = {deepest + 1} is too deep.* n <= {deepest}$"):
-        verify_report([GOLDEN, GOLDEN], [deepest + 1], shards=shards)
-    assert FakeExecutor.sizes == ([shards] if shards > 1 else [])
+    rows, failures = verify_report([GOLDEN, GOLDEN], [1500])
+    assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(1500, True)] * 2
+    assert FakeExecutor.sizes == []
+    pooled, failures = verify_report([GOLDEN, GOLDEN], [1500], shards=2)
+    assert failures == [] and render_report(pooled) == render_report(rows)
+    assert FakeExecutor.sizes == [2]
