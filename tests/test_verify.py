@@ -1505,15 +1505,25 @@ def test_sweep_shard_defaults_to_the_whole_range(e):
             e, n, DEFAULT_TOL, prefixes // 2, prefixes)
 
 
-def test_report_sweeps_past_the_recursion_limit(monkeypatch):
-    """verify_report takes any n: at n = 1500 it verifies clean, in this
-    process and through a pool's map (two sweeps, so that two shards start
-    a pool), with the same bytes."""
+@pytest.mark.parametrize("shards", [1, 2])
+def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, capsys, tmp_path, shards):
+    """The deepest sweep a report takes is the CLI's bound VERIFY_MAX_N:
+    verify refuses one n past it in one line, before any pool.  The library
+    takes any n: verify_report at n = 1500 verifies clean, in this process
+    and through a pool's map (two sweeps, so that two shards start a pool),
+    with the same bytes."""
     fake_pool(monkeypatch)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("1,1\n")
+    past = cli.VERIFY_MAX_N + 1
+    argv = ["verify", "--n-range", f"{past}..{past}", "--corpus", str(corpus), "--shards", str(shards)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: n = {past} is past verify's bound n <= {cli.VERIFY_MAX_N}\n"
+    assert FakeExecutor.sizes == []
     rows, failures = verify_report([GOLDEN, GOLDEN], [1500])
     assert failures == [] and [(row["n"], row["match"]) for row in rows] == [(1500, True)] * 2
     assert FakeExecutor.sizes == []
-    pooled, failures = verify_report([GOLDEN, GOLDEN], [1500], shards=2)
-    assert failures == [] and render_report(pooled) == render_report(rows)
-    assert FakeExecutor.sizes == [2]
+    swept, failures = verify_report([GOLDEN, GOLDEN], [1500], shards=shards)
+    assert failures == [] and render_report(swept) == render_report(rows)
+    assert FakeExecutor.sizes == ([shards] if shards > 1 else [])
