@@ -11,10 +11,10 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from math import log2
-from typing import Iterator
 
 from .corpus import default_corpus, load_corpus
 from .errors import BetaWordsError, IntegerBeta, VerificationError
@@ -460,6 +460,8 @@ def cmd_verify(args, out, err) -> int:
     if n_values[-1] > VERIFY_MAX_N:
         raise BetaWordsError(f"n = {n_values[-1]} is past verify's bound n <= {VERIFY_MAX_N}")
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
+    if not corpus:
+        raise BetaWordsError(f"corpus file {args.corpus} holds no expansion, so there is nothing to verify")
     for e in corpus:
         _check_tail_budget(e, n_values[-1])
     rows, failures = verify_report(corpus, n_values, tol, args.shards)

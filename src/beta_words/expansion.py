@@ -11,9 +11,9 @@ beta with certified floors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import attrgetter
 
 from .errors import InvalidSequence, NotSelfDominant, PrecisionExhausted
 
@@ -56,49 +56,103 @@ def lex_compare(a: SeqPair, b: SeqPair) -> int:
     return 0
 
 
-def shifted(pair: SeqPair, k: int) -> SeqPair:
-    """The sequence with its first k digits removed."""
-    pre, per = pair
-    if k <= len(pre):
-        return (pre[k:], per)
-    r = (k - len(pre)) % len(per)
-    return ((), per[r:] + per[:r])
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields in ``__slots__``, in constructor order.  Two
+    values are equal, and hash alike, when their types are the same and their
+    fields are equal; the repr reads ``Word(digits=(1, 0))``.  Fields cannot
+    be set or deleted once built.  Class keywords: ``derived`` names slots
+    that construction fills from the fields, and ``hidden`` names fields left
+    out of equality, hashing and repr.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, derived=(), hidden=()):
+        cls._fields = tuple(name for name in cls.__slots__ if name not in derived)
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._key = attrgetter(*cls._shown)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):
+        # rebuild through the constructor: restoring the slots one by one
+        # would go through __setattr__, which refuses
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
-class ExpansionOfOne:
+class ExpansionOfOne(Frozen, derived=("_hash",)):
     """A validated expansion of 1: eps(1, beta) for some beta > 1.
 
     Finite expansions (digit at position M nonzero, zeros after) carry an
     empty period.  Construction validates shape and the shifted-comparison
     condition sigma^k(seq) < seq for every k >= 1, checked for k up to one
-    full cycle past the preperiod.
+    full cycle past the preperiod in one pass over the first 2 L digits,
+    L = preperiod + cycle length: sigma^k(seq) and seq agree everywhere once
+    they agree on L digits.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period", "_hash")
 
-    def __post_init__(self):
-        digits = self.preperiod + self.period
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        digits = preperiod + period
         if not digits:
             raise InvalidSequence("empty digit sequence")
         if any(not isinstance(d, int) or d < 0 for d in digits):
             raise InvalidSequence("digits must be nonnegative integers")
-        first = digits[0] if self.preperiod else self.period[0]
-        if first == 0:
+        if digits[0] == 0:
             raise InvalidSequence("leading zero: eps_1 = floor(beta) must be >= 1")
-        if self.period:
-            if all(d == 0 for d in self.period):
+        if period:
+            if not any(period):
                 raise InvalidSequence("period of zeros: use the finite form instead")
         else:
-            if self.preperiod[-1] == 0:
+            if preperiod[-1] == 0:
                 raise InvalidSequence("finite expansion must end in a nonzero digit")
-            if self.preperiod == (1,):
+            if preperiod == (1,):
                 raise InvalidSequence("sequence 1,0,0,... solves beta = 1, which is not a base")
-        pair = self.as_pair()
-        for k in range(1, len(self.preperiod) + max(len(self.period), 1) + 1):
-            if lex_compare(shifted(pair, k), pair) >= 0:
+        Frozen.__init__(self, preperiod, period)
+        span = len(preperiod) + max(len(period), 1)
+        seq = seq_prefix(self.as_pair(), 2 * span)
+        # lcp: the length of the common prefix of sigma^k(seq) and seq.  When
+        # k passes, every k + j with 0 < j < lcp passes too: sigma^(k+j)(seq)
+        # falls below sigma^j(seq) at the digit where sigma^k(seq) falls below
+        # seq, and sigma^j(seq) < seq as j < k passed.  So the next k to
+        # compare is k + lcp, and each digit is matched at most once.
+        k = 1
+        while k <= span:
+            lcp = 0
+            while lcp < span and seq[k + lcp] == seq[lcp]:
+                lcp += 1
+            if lcp == span or seq[k + lcp] > seq[lcp]:
                 raise NotSelfDominant(k)
+            k += lcp or 1
+        object.__setattr__(self, "_hash", hash((preperiod, period)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def finite(cls, digits: Sequence[int]) -> "ExpansionOfOne":
@@ -174,13 +228,11 @@ def validate_expansion_of_one(seq) -> ExpansionOfOne:
     return ExpansionOfOne.finite(seq)
 
 
-@dataclass(frozen=True)
-class ModifiedExpansion:
+class ModifiedExpansion(Frozen):
     """eps*(1, beta): equal to eps(1, beta) when infinite, otherwise the
     finite expansion with its last digit decremented, repeated forever."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
     def as_pair(self) -> SeqPair:
         return (self.preperiod, self.period)
@@ -216,8 +268,7 @@ def max_zero_run(e: ExpansionOfOne, n: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class BetaInterval:
+class BetaInterval(Frozen, hidden=("refine",)):
     """An exact rational interval certified to contain beta.
 
     lo == hi means beta is known exactly (a rational base, e.g. an integer).
@@ -225,13 +276,12 @@ class BetaInterval:
     requested width; intervals produced by solve_beta carry one.
     """
 
-    lo: Fraction
-    hi: Fraction
-    refine: Callable[[Fraction], "BetaInterval"] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("lo", "hi", "refine")
 
-    def __post_init__(self):
-        if not (1 <= self.lo <= self.hi):
-            raise InvalidSequence(f"beta interval [{self.lo}, {self.hi}] is not ordered or not > 1")
+    def __init__(self, lo: Fraction, hi: Fraction, refine: Callable[[Fraction], BetaInterval] | None = None):
+        if not (1 <= lo <= hi):
+            raise InvalidSequence(f"beta interval [{lo}, {hi}] is not ordered or not > 1")
+        Frozen.__init__(self, lo, hi, refine)
 
     @property
     def width(self) -> Fraction:

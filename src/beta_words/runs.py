@@ -11,11 +11,10 @@ single streamed pass, so they can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
-from .expansion import ExpansionOfOne
+from .expansion import ExpansionOfOne, Frozen
 from .structure import _tail_matches, is_full, tail_cap
 from .words import Word, _check_n, automaton, count, predecessor, start_at, walk
 
@@ -209,24 +208,16 @@ def min_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
 # --- enumerated runs ---
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Frozen):
     """One maximal run of consecutive equal-fullness words."""
 
-    kind: str
-    start_index: int
-    length: int
-    first_word: Word
-    last_word: Word
+    __slots__ = ("kind", "start_index", "length", "first_word", "last_word")
 
 
-@dataclass(frozen=True)
-class RunSets:
+class RunSets(Frozen):
     """Run-length sets with their provenance ('enumerated' or 'formula')."""
 
-    full: tuple[int, ...]
-    nonfull: tuple[int, ...]
-    provenance: str
+    __slots__ = ("full", "nonfull", "provenance")
 
 
 def run_sets_formula(e: ExpansionOfOne, n: int) -> RunSets:
@@ -427,12 +418,10 @@ def tail_run_prediction(w: Word, e: ExpansionOfOne, s: int | None = None) -> int
     return steps
 
 
-@dataclass(frozen=True)
-class LastRunClassification:
+class LastRunClassification(Frozen):
     """Shape of the run containing the maximal word eps*(1, beta)|_n."""
 
-    kind: str
-    length: int | None
+    __slots__ = ("kind", "length")
 
 
 def classify_last_run(e: ExpansionOfOne, n: int) -> LastRunClassification:

@@ -11,14 +11,13 @@ three criteria are implemented independently and cross-checked in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
 
 from .errors import VerificationError
-from .expansion import ExpansionOfOne, solve_beta
+from .expansion import ExpansionOfOne, Frozen, solve_beta
 from .words import Word, scan_states, successor
 
 
@@ -46,8 +45,7 @@ def mismatch(w: Word, e: ExpansionOfOne) -> int | None:
     return next((k for k in range(1, len(states)) if states[k] == 1), None)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Blocks and tail of an admissible word.
 
     Each entry is (length, last_digit): a block is eps_1..eps_{k-1} followed
@@ -55,8 +53,11 @@ class Decomposition:
     position.
     """
 
-    blocks: tuple[tuple[int, int], ...]
-    tail: tuple[int, int]
+    __slots__ = ("blocks", "tail")
+
+    def __init__(self, blocks: tuple[tuple[int, int], ...], tail: tuple[int, int]):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "tail", tail)
 
     def reconstruct(self, e: ExpansionOfOne) -> Word:
         """The word the pieces spell, in one pass; the expansion prefix is
@@ -242,13 +243,11 @@ def cylinder_calc(e: ExpansionOfOne, n: int, tol: Fraction | float | str = DEFAU
     return _calc(e, n, _bits_for(e, n, tol))
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(Frozen):
     """The half-open interval [left, right) of reals whose expansion starts
     with a given word; endpoints are certified rational enclosures."""
 
-    left: tuple[Fraction, Fraction]
-    right: tuple[Fraction, Fraction]
+    __slots__ = ("left", "right")
 
     def length_bounds(self) -> tuple[Fraction, Fraction]:
         return (max(Fraction(0), self.right[0] - self.left[1]), self.right[1] - self.left[0])

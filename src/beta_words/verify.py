@@ -37,12 +37,11 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
-from .expansion import ExpansionOfOne, max_zero_run, nonzero_sequence
+from .expansion import ExpansionOfOne, Frozen, max_zero_run, nonzero_sequence
 from .runs import (
     FULL,
     classify_last_run,
@@ -340,16 +339,11 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     return chunk
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Frozen):
     """Aggregated outcome of a full-word sweep at one (e, n); runs is the
     run summary of every word, in the shape runs.scan_run_lengths returns."""
 
-    words: int
-    undecided: int
-    length_sum: tuple[Fraction, Fraction]
-    failures: list[str]
-    runs: tuple
+    __slots__ = ("words", "undecided", "length_sum", "failures", "runs")
 
 
 def _sweep_worker(args):

@@ -28,24 +28,23 @@ word from iter_words or word_at arrives with its scan already stored there.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections.abc import Iterator, Sequence
+from functools import lru_cache
 from itertools import repeat
-from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, NotAdmissible, VerificationError
-from .expansion import ExpansionOfOne, lex_compare, modified_expansion
+from .expansion import ExpansionOfOne, Frozen, lex_compare, modified_expansion
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A fixed-length digit word over {0, ..., eps_1}."""
 
-    digits: tuple[int, ...]
+    __slots__ = ("digits",)
 
-    def __post_init__(self):
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...]):
+        if not digits:
             raise ValueError("words must have length >= 1")
+        object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -66,24 +65,21 @@ class Word:
         return ",".join(str(d) for d in self.digits)
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Frozen, derived=("zero",)):
     """Block-match transition tables, 1-indexed by state (index 0 unused).
 
     cmp[j]: digit that extends the match in state j.
     adv[j]: state after an extension; 0 when extending is inadmissible
             (a finite expansion fully matched).
     maxdig[j]: largest admissible digit in state j.
+    zero[j]: state after the digit 0 in state j.
     """
 
-    cmp: tuple[int, ...]
-    adv: tuple[int, ...]
-    maxdig: tuple[int, ...]
+    __slots__ = ("cmp", "adv", "maxdig", "zero")
 
-    @cached_property
-    def zero(self) -> tuple[int, ...]:
-        """zero[j]: state after the digit 0 in state j."""
-        return tuple(a if c == 0 else 1 for c, a in zip(self.cmp, self.adv))
+    def __init__(self, cmp: tuple[int, ...], adv: tuple[int, ...], maxdig: tuple[int, ...]):
+        Frozen.__init__(self, cmp, adv, maxdig)
+        object.__setattr__(self, "zero", tuple(a if c == 0 else 1 for c, a in zip(cmp, adv)))
 
 
 @lru_cache(maxsize=64)

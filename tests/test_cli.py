@@ -401,6 +401,57 @@ def test_classify_check_window_bytes_pinned(capsys):
         "87a3a4742f7e9ec0cdde18aef6971c6014790dd5feec085a3ac6227fd22e4702")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  # indented comment\n\n   \n"])
+def test_verify_refuses_a_corpus_file_without_an_expansion(capsys, monkeypatch, tmp_path, text):
+    """A corpus file of blank lines and comments holds nothing to check: an
+    input error in one line, not an empty report that passes."""
+    def no_report(*args):
+        raise AssertionError("verify_report ran")
+
+    monkeypatch.setattr(cli, "verify_report", no_report)
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert (code, out) == (2, "")
+    assert err == f"error: corpus file {corpus} holds no expansion, so there is nothing to verify\n"
+
+
+# Loads a corpus file and prints the shift its one line fails at (None when
+# it is valid), whether its spec reads back as the line, and the seconds taken.
+LOAD_ONE_LINE = """
+import sys, time
+from beta_words import load_corpus
+from beta_words.errors import NotSelfDominant
+line = open(sys.argv[1]).read().strip()
+start = time.perf_counter()
+try:
+    [e] = load_corpus(sys.argv[1])
+    verdict, same = None, e.text() == line
+except NotSelfDominant as exc:
+    verdict, same = exc.shift, None
+print(verdict, same, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("line, verdict", [("2," * 499_999 + "1", None), ("3;" + "2,1," * 249_999 + "2", None),
+                                           ("1;" + "0," * 499_999 + "1", 500_000)],
+                         ids=["finite", "periodic", "periodic-from-1"])
+def test_a_megabyte_corpus_line_is_judged_in_under_a_second(tmp_path, line, verdict):
+    """Validating a corpus line takes time linear in its digits: a 1 MB
+    line, a valid one or one whose 500,000th shift equals it, is parsed or
+    refused in under a second.  It runs in a child process, so a quadratic
+    check fails at the timeout instead of running for hours."""
+    corpus = tmp_path / "big.txt"
+    corpus.write_text(line + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", LOAD_ONE_LINE, str(corpus)], env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    got, same, seconds = done.stdout.split()
+    assert (got, same) == (str(verdict), "None" if verdict else "True")
+    assert float(seconds) < 1.0
+
+
 @pytest.mark.parametrize("shards", ["1", "2"])
 def test_verify_past_the_deepest_sweep_is_an_input_error(tmp_path, shards):
     """verify sweeps n up to VERIFY_MAX_N, 959, the deepest n its recursive

@@ -1,5 +1,6 @@
 """Digit sequence validation, beta solving, and digit extraction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,36 @@ def test_self_dominance_counterexample():
     with pytest.raises(NotSelfDominant) as info:
         ExpansionOfOne.parse("1,0;0,0,0,1")
     assert info.value.shift == 5
+
+
+def first_dominating_shift(pre, per):
+    """The least k >= 1 with sigma^k(seq) >= seq, or None: each shift
+    compared from scratch over the L = preperiod + cycle digits after which
+    two such sequences agree everywhere (the quadratic check)."""
+    span = len(pre) + max(len(per), 1)
+    digits = list(pre) + [per[(i - len(pre)) % len(per)] if per else 0 for i in range(len(pre), 2 * span)]
+    return next((k for k in range(1, span + 1) if digits[k:k + span] >= digits[:span]), None)
+
+
+def test_self_dominance_matches_the_quadratic_check():
+    """Every preperiod of up to 4 and period of up to 3 digits in 0..2 that
+    passes the shape checks: the one-pass check accepts exactly when no
+    shift dominates, and otherwise names the least such shift."""
+    accepted = 0
+    for pre in itertools.chain.from_iterable(itertools.product(range(3), repeat=m) for m in range(5)):
+        for per in itertools.chain.from_iterable(itertools.product(range(3), repeat=m) for m in range(4)):
+            if not (pre + per) or (pre + per)[0] == 0 or (per and not any(per)) \
+                    or (not per and (pre[-1] == 0 or pre == (1,))):
+                continue
+            want = first_dominating_shift(pre, per)
+            if want is None:
+                ExpansionOfOne(pre, per)
+                accepted += 1
+            else:
+                with pytest.raises(NotSelfDominant) as info:
+                    ExpansionOfOne(pre, per)
+                assert info.value.shift == want, (pre, per)
+    assert accepted > 100
 
 
 def test_validate_accepts_many_forms():

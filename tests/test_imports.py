@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-importing the package or verifying in one process loads no process pool."""
+"""Source hygiene: every name a module imports is used in that module,
+importing the package or verifying in one process loads no process pool, and
+importing the package loads neither the dataclass machinery nor typing."""
 
 import ast
 import os
@@ -64,3 +65,21 @@ def test_import_and_small_verify_load_no_pool_modules():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
+# Imports the package without site (so no .pth file preloads a module),
+# loads the bundled corpus, and prints the heavy modules then loaded.
+LOADED_HEAVY_MODULES = """
+import sys
+import beta_words
+beta_words.default_corpus()
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("dataclasses", "inspect", "typing", "concurrent", "multiprocessing")))
+"""
+
+
+def test_import_without_site_loads_no_dataclass_typing_or_pool_modules():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", LOADED_HEAVY_MODULES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
