@@ -28,7 +28,7 @@ from .expansion import (
     nonzero_sequence,
     solve_beta,
 )
-from .runs import FULL, maximal_runs, one_run, run_sets_formula, stitch_run_scans, tau_table
+from .runs import FULL, maximal_runs, one_run, stitch_run_scans, tau_table
 from .structure import (
     DEFAULT_TOL,
     UNDECIDED,
@@ -52,8 +52,8 @@ PRECONDITION = 4
 # --check hold the tail table to it, as n * eps_1 grows.
 COUNT_TABLE_BUDGET = 2**28
 # The greatest n verify sweeps: its memo grows faster than n^2 on a periodic
-# member, and `verify --n-range 958..958` on 3,0,0,2;0,0,0,2 alone took 15 s
-# and peaked at 950 MiB RSS (2 vCPUs, Python 3.11).
+# member, and `verify --n-range 958..958` on 3,0,0,2;0,0,0,2 alone took 8.9 s
+# and peaked at 784 MiB RSS (2 vCPUs, Python 3.11).
 VERIFY_MAX_N = 959
 
 
@@ -179,8 +179,8 @@ def _cylinder_table_bytes(e: ExpansionOfOne, n: int, tol: Fraction) -> float:
     """An upper estimate of the bytes of the power tables of
     structure.cylinder_calc(e, n, tol): two lists of n + 1 integers, entry
     i of at most bits - i * log2(eps_1) + 1 bits, 4 bytes per 30 bits past
-    40 bytes of header, list slot and spare capacity, and a list of n + 1
-    small integers."""
+    40 bytes of header, list slot and spare capacity, and 40 bytes a row to
+    spare."""
     bits = _bits_for(e, n, tol) + 1 - n * log2(e.alphabet_max) / 2  # the entries' mean bound
     return (n + 1) * (3 * 40 + 2 * bits / 7.5)
 
@@ -408,7 +408,6 @@ def cmd_runs(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     _check_table_budget(e, n)
-    formula = run_sets_formula(e, n)
     records = maximal_runs(e, n)
     runs = stitch_run_scans(one_run(r.kind == FULL, r.length) for r in records)
     row, failures = _compare_run_sets(e, n, runs)
@@ -416,13 +415,8 @@ def cmd_runs(args, out, err) -> int:
         (r.kind, r.start_index, r.length, r.first_word.text(), r.last_word.text())
         for r in records
     ]
-    summary = {
-        "F_formula": sorted(formula.full),
-        "F_enum": row["F_enum"],
-        "N_formula": sorted(formula.nonfull),
-        "N_enum": row["N_enum"],
-        "match": row["match"] and not failures,
-    }
+    summary = {key: row[key] for key in ("F_formula", "F_enum", "N_formula", "N_enum")}
+    summary["match"] = row["match"] and not failures
     if args.format == "json":
         payload = {
             "records": [dict(zip(["kind", "start_index", "length", "first_word", "last_word"], r))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from operator import mul
 
 from .errors import VerificationError
 from .expansion import ExpansionOfOne, Frozen, solve_beta
@@ -194,7 +193,6 @@ class CylinderCalc:
             pow_lo.append((pow_lo[-1] * self.x_lo) >> bits)
             pow_hi.append(-((-pow_hi[-1] * self.x_hi) >> bits))
         self.pow_lo, self.pow_hi = pow_lo, pow_hi
-        self.pow_width = [h - l for l, h in zip(pow_lo, pow_hi)]  # small integers
         self.one = one
 
     def pi_bounds(self, digits, offset: int = 0) -> tuple[int, int]:
@@ -227,8 +225,13 @@ class CylinderCalc:
 
 
 def _bits_for(e: ExpansionOfOne, n: int, tol: Fraction) -> int:
+    """The fixed-point precision of the cylinder arithmetic at (e, n, tol).
+    A length gap can be as small as about beta^-(n + digits of e), when beta
+    lies near an integer, so the digit count adds to n.  Rounded up to a
+    multiple of 64, so that nearby n share one solve of beta."""
     tol_bits = max(0, tol.denominator.bit_length() - tol.numerator.bit_length())
-    return max(320, tol_bits + n * (e.alphabet_max + 1).bit_length() + 64)
+    bits = tol_bits + (n + len(e.preperiod) + len(e.period)) * (e.alphabet_max + 1).bit_length() + 64
+    return max(320, -(-bits // 64) * 64)
 
 
 @lru_cache(maxsize=64)
@@ -261,10 +264,9 @@ def _cylinder_ends(w: Word, e: ExpansionOfOne, tol,
     The successor agrees with w before its last nonzero digit, at index t,
     so the first t digits are summed once and shared.  Both enclosures are
     the same integer sums that a full pass over each word gives.  When
-    shifted, both ends are moved down by the lower sum of that shared
-    prefix, so the prefix enters only through its width
-    sum_i w_i (pow_hi[i] - pow_lo[i]), a sum of small integers; the
-    differences of the ends, and so the length, are unchanged.
+    shifted, that shared prefix is left out of both ends: it moves both by
+    the same real amount, which cancels in the length, so the ends'
+    differences still enclose the length, without the prefix's width.
     """
     calc = cylinder_calc(e, len(w), tol)
     nxt = successor(w, e)
@@ -274,10 +276,7 @@ def _cylinder_ends(w: Word, e: ExpansionOfOne, tol,
     t = len(succ) - 1
     while not succ[t]:
         t -= 1
-    if shifted:
-        lo, hi = 0, sum(map(mul, w.digits[:t], calc.pow_width[1:]))
-    else:
-        lo, hi = calc.pi_bounds(w.digits[:t])
+    lo, hi = (0, 0) if shifted else calc.pi_bounds(w.digits[:t])
     rest_lo, rest_hi = calc.pi_bounds(w.digits[t:], t)
     d = succ[t]
     return calc, (lo + rest_lo, hi + rest_hi), (lo + d * calc.pow_lo[t + 1], hi + d * calc.pow_hi[t + 1])

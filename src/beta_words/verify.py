@@ -14,13 +14,15 @@ needs a computed length, and its test is two subtractions against
 thresholds built once per block state.  Words in lex order follow the
 recursion S(m, j) = S(m-1, 1)^cmp[j] . S(m-1, adv[j]) (Lecomte and Rigo's
 numeration systems on a regular language), so a subtree that records no
-failure is memoized on (block state, KMP state, depth) and reused, with
-its gap sums shifted by the node's enclosure width, wherever its verdicts
-provably hold.  A clean sweep runs about n * pairs * (eps_1 + 1) family
-bodies, pairs being the (block, KMP) states reachable at one depth, not
-one per family.  The same pass tallies the maximal full and non-full runs,
-so one sweep per (member, n) gives both the run sets that the closed forms
-are checked against and the three fullness criteria.
+failure is memoized on (block state, KMP state, depth) and reused wherever
+that key comes up again.  Each gap is bounded relative to the node where
+its two families split: the digits above that node are shared and cancel,
+so a subtree's verdicts and gap sums depend on nothing above it.  A clean
+sweep runs about n * pairs * (eps_1 + 1) family bodies, pairs being the
+(block, KMP) states reachable at one depth, not one per family.  The
+same pass tallies the maximal full and non-full runs, so one sweep per
+(member, n) gives both the run sets that the closed forms are checked
+against and the three fullness criteria.
 
 For multiprocess verification, verify_report hands every (member, n) sweep
 to one pool map as a whole task once the report's estimated work, the
@@ -38,7 +40,6 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import inf
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, Frozen, max_zero_run, nonzero_sequence
@@ -65,7 +66,6 @@ from .words import (Word, _check_n, _count_table, automaton, count, iter_words, 
                     walk, word_at)
 
 MAX_FAILURES = 24
-NO_SHIFT = (inf, -inf)  # the shifts of W under which a failed verdict is clean: none
 # The estimated family bodies (_sweep_work) below which verify_report
 # sweeps in this process at any shard count: about what one pool start-up
 # costs.  Fresh `verify --shards 2` processes on the bundled corpus, 2 vCPUs,
@@ -114,25 +114,28 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
 
     The sweep descends the prefix tree in lex order.  A node at depth t
     carries its block state j, its KMP state k and the enclosure [pl, ph]
-    of its left endpoint, of width W = ph - pl; its subtree's families are
-    the length-(n-1) prefixes that extend it.  Every non-last word of a
-    family has cylinder length exactly beta^-n by cancellation.  The last,
-    with last digit d, has the gap from its prefix's endpoint to the next
-    prefix's less d * beta^-n, so the gap is held against (d + 1) * beta^-n
-    with and without the tolerance: four thresholds per block state, exact
-    integer rearrangements of comparing the cylinder with beta^-n.  A
-    family's gap is closed when the next family's left endpoint is known,
-    so each subtree leaves its last family open for the caller.
+    of its left endpoint; its subtree's families are the length-(n-1)
+    prefixes that extend it.  Every non-last word of a family has cylinder
+    length exactly beta^-n by cancellation.  The last, with last digit d,
+    has the gap from its prefix's endpoint to the next prefix's less
+    d * beta^-n, so the gap is held against (d + 1) * beta^-n with and
+    without the tolerance: four thresholds per block state, exact integer
+    rearrangements of comparing the cylinder with beta^-n.  A family's gap
+    is closed when the next family's left endpoint is known, at the node
+    where the two prefixes split, so each subtree leaves its last family
+    open for the caller.  The two prefixes share that node's digits, which
+    cancel in the gap, so its enclosure width ph - pl is taken off both
+    ends of the gap's enclosure; the gap then depends only on the digits
+    below the split.
 
     A subtree that lies inside the window and records no failure and no
     undecided word is clean, and it is memoized on (j, k, t) for the rest
-    of the call: its run summary, its gap sums (each gap moves by exactly
-    -W and +W), the range of W over which every closed gap keeps its
-    verdict, the non-full run length it was entered with when it starts
-    with a non-full word (its leading tail-run positions count from
-    there), and its open last family.  A later subtree with the same key
-    reuses the entry when its W lies in that range and its entry run length
-    matches; the chunk is then the family-by-family result exactly.
+    of the call: its run summary, its gap sums, the non-full run length it
+    was entered with when it starts with a non-full word (its leading
+    tail-run positions count from there), and its open last family, each
+    end relative to the node's.  A later subtree with the same key reuses
+    the entry when its entry run length matches; the chunk is then the
+    family-by-family result exactly.
     Otherwise, and at the window's edges, the sweep descends, so failures
     name their words by rank and come in word order.  Before the descent,
     the families before the window are stepped back over, as the window's
@@ -194,55 +197,54 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
         faults += 1
         _record(failures, message)
 
-    def close(next_lo: int, next_hi: int) -> tuple:
+    def close(next_lo: int, next_hi: int, w: int) -> None:
         """Decide the open family's length from the next family's left
-        endpoint; return the shifts of W that keep a clean verdict."""
+        endpoint; w is the enclosure width of the node where the two
+        families split (0 at the top), whose digits cancel in the gap."""
         nonlocal pending, sum_lo, sum_hi, undecided, faults
         rank, j, left_lo, left_hi = pending
         pending = None
         last_digit, last_full, short_hi, long_lo, full_lo, full_hi = families[j]
-        diff_lo = next_lo - left_hi  # moves by -W
-        diff_hi = next_hi - left_lo  # moves by +W
+        diff_lo = next_lo - left_hi + w
+        diff_hi = next_hi - left_lo - w
         sum_lo += diff_lo
         sum_hi += diff_hi
         if diff_hi < short_hi:
-            if not last_full:
-                return -inf, short_hi - 1 - diff_hi
+            full = False
         elif diff_lo > long_lo:
             fail(lambda: f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
                          "certified longer than beta^-n")
-            return NO_SHIFT
+            return
         elif diff_lo >= full_lo and diff_hi <= full_hi:
-            if last_full:
-                return max(short_hi - diff_hi, diff_lo - long_lo), min(diff_lo - full_lo, full_hi - diff_hi)
+            full = True
         else:
             undecided += 1
             faults += 1
-            return NO_SHIFT
-        fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
-                     f"{'full' if last_full else 'non-full'} structurally but the "
-                     "cylinder-length criterion disagrees")
-        return NO_SHIFT
+            return
+        if full != last_full:
+            fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
+                         f"{'full' if last_full else 'non-full'} structurally but the "
+                         "cylinder-length criterion disagrees")
 
     def reuse(t: int, rank: int, size: int, j: int, k: int, pl: int, ph: int):
-        """Apply the memo entry of (j, k, t) to the subtree at this node, or
-        return None when there is none or it does not hold here."""
+        """Apply the memo entry of (j, k, t) to the subtree at this node and
+        return its run summary, or return None when there is none or its
+        entry run length differs."""
         nonlocal pending, run_len, sum_lo, sum_hi
         entry = memo.get((j, k, t))
         if entry is None:
             return None
-        runs, gaps, base_lo, base_hi, w_lo, w_hi, entry_run, j_last, off_lo, off_hi = entry
-        w = ph - pl
-        if not w_lo <= w <= w_hi or entry_run is not None and entry_run != run_len:
+        runs, gap_lo, gap_hi, entry_run, j_last, off_lo, off_hi = entry
+        if entry_run is not None and entry_run != run_len:
             return None
-        sum_lo += base_lo - gaps * w
-        sum_hi += base_hi + gaps * w
+        sum_lo += gap_lo
+        sum_hi += gap_hi
         if runs[4] == 1 and not runs[2][0]:  # no full word
             run_len += runs[5]
         else:
             run_len = 0 if runs[3][0] else runs[3][1]
         pending = (rank + size - 1, j_last, pl + off_lo, ph + off_hi)
-        return runs, w_lo - w, w_hi - w
+        return runs
 
     def body(rank: int, j: int, k: int, pl: int, ph: int) -> tuple:
         """Sweep the family of a depth-last node; leave its gap open."""
@@ -265,22 +267,20 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
                 if run_len != taus[sv]:
                     fail(lambda: _tail_run_failure(e, n, rank, c, sv, run_len, taus[sv]))
         pending = (rank, j, pl, ph)
-        return family_runs[j], -inf, inf
+        return family_runs[j]
 
     def visit(t: int, rank: int, j: int, k: int, pl: int, ph: int, whole: bool):
         """Sweep the families below a depth-t node, t < last, whose first
         family has the given rank, all of them when whole, else those in the
         window.  Yields each child visit's arguments and reads its result
-        once resumed; leaves in result the run summary and the shifts of W
-        that keep every gap closed inside the subtree clean, and leaves the
-        last family open."""
+        once resumed; leaves the run summary in result, and leaves the last
+        family open."""
         nonlocal result
         entry_faults, entry_lo, entry_hi, entry_run = faults, sum_lo, sum_hi, run_len
         runs = one_run(True, 0)
-        down, up = -inf, inf
+        w = ph - pl
         below = sizes[last - t - 1]
         p_lo, p_hi = pow_lo[t + 1], pow_hi[t + 1]
-        first = rank
         leaf = t + 1 == last
         for d in range(maxdig[j] + 1):
             cj = adv_[j] if d == cmp_[j] else 1
@@ -290,9 +290,8 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
                 rank += size
                 continue
             cl, ch = pl + d * p_lo, ph + d * p_hi
-            if pending is not None:
-                lo, hi = close(cl, ch)
-                down, up = max(down, lo), min(up, hi)
+            if pending is not None:  # the open family is in child d - 1, so the split is here
+                close(cl, ch, w)
             ck = trans[k][d]
             if leaf:
                 sub = body(rank, cj, ck, cl, ch)
@@ -301,22 +300,19 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
                 if not sub:
                     yield t + 1, rank, cj, ck, cl, ch, inside
                     sub = result
-            runs = merge_runs(runs, sub[0])
-            down, up = max(down, sub[1]), min(up, sub[2])
+            runs = merge_runs(runs, sub)
             rank += size
         if whole and faults == entry_faults:
-            w = ph - pl
-            gaps = rank - first - 1
             _, j_last, left_lo, left_hi = pending
-            memo[j, k, t] = (runs, gaps, sum_lo - entry_lo + gaps * w, sum_hi - entry_hi - gaps * w, w + down,
-                             w + up, None if runs[2][0] else entry_run, j_last, left_lo - pl, left_hi - ph)
-        result = runs, down, up
+            memo[j, k, t] = (runs, sum_lo - entry_lo, sum_hi - entry_hi, None if runs[2][0] else entry_run,
+                             j_last, left_lo - pl, left_hi - ph)
+        result = runs
 
     if last == 0:
         result = body(0, 1, 0, 0, 0)
     else:
         # resume the deepest open visit until it yields a child or ends; it
-        # leaves (runs, down, up) in result, as a return raises StopIteration
+        # leaves its run summary in result, as a return raises StopIteration
         stack = [visit(0, 0, 1, 0, 0, 0, prefix_start == 0 and prefix_stop == pcount)]
         while stack:
             child = next(stack[-1], None)
@@ -324,11 +320,11 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
                 stack.pop()
             else:
                 stack.append(visit(*child))
-    runs = result[0]
+    runs = result
     if prefix_stop == pcount:
-        close(calc.one, calc.one)
+        close(calc.one, calc.one, 0)
     else:
-        close(*calc.pi_bounds(word_at(e, last, prefix_stop).digits))
+        close(*calc.pi_bounds(word_at(e, last, prefix_stop).digits), 0)
     words = runs[5]
     spare = words - (prefix_stop - prefix_start)  # the last digits' sum: a family has last digit + 1 words
     chunk["words"] = words

@@ -18,6 +18,7 @@ import pytest
 
 from beta_words import cli
 from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
+from beta_words import runs as runs_mod
 from beta_words import structure as structure_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
@@ -342,9 +343,11 @@ def test_runs_output_matches_two_walk_path(text, capsys, monkeypatch):
 
 
 def test_runs_failures_match_two_walk_path(capsys, monkeypatch):
-    # a wrong closed form must give the same report, messages and exit code
+    # a wrong closed form must give the same report, messages and exit code;
+    # it is wrong in both modules that call it, as a real fault would be
     real = verify_mod.full_run_lengths_formula
-    monkeypatch.setattr(verify_mod, "full_run_lengths_formula", lambda e, n: real(e, n) + (99,))
+    for module in (verify_mod, runs_mod):
+        monkeypatch.setattr(module, "full_run_lengths_formula", lambda e, n: real(e, n) + (99,))
     for text in ("1,1", "3,0,0,2;0,0,0,2"):
         argv = ("runs", "--seq", text, "--n", "5", "--format", "json")
         got = run_cli(capsys, *argv)
@@ -414,6 +417,17 @@ def test_verify_refuses_a_corpus_file_without_an_expansion(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
     assert (code, out) == (2, "")
     assert err == f"error: corpus file {corpus} holds no expansion, so there is nothing to verify\n"
+
+
+def test_verify_resolves_beta_near_an_integer(capsys, tmp_path):
+    """With 200 twos before the 1, beta lies within about 3^-200 of 3 and
+    the word 2 is non-full by a length gap of about beta^-201, which a fixed
+    320-bit precision took for full: verify agrees with itself once the
+    precision grows with the digit count."""
+    corpus = tmp_path / "near-three.txt"
+    corpus.write_text(",".join(["2"] * 200 + ["1"]) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--n-range", "1..2")
+    assert (code, err) == (0, "") and len(json.loads(out)) == 2
 
 
 # Loads a corpus file and prints the shift its one line fails at (None when

@@ -673,7 +673,10 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
     call time, so an injected fault reaches the oracle and the sweep alike.
     Its messages are formatted only when kept, as the sweep's are.  The
     non-full run it enters the window in is read off scan_run_lengths over
-    the prefixes before the window, not stepped back over as the sweep does."""
+    the prefixes before the window, not stepped back over as the sweep does.
+    A gap to the next prefix in the window drops the enclosure width of the
+    digits the two prefixes share, which cancel exactly; the window's last
+    gap shares none."""
     tol = Fraction(tol)
     chunk = verify_mod._empty_sweep_chunk()
     if prefix_stop <= prefix_start:
@@ -752,6 +755,7 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
             last_digit, last_full = c - 1, True
         cur_lo = pl[last] + last_digit * pow_lo[n]
         cur_hi = ph[last] + last_digit * pow_hi[n]
+        shared = 0
         if rank != prefix_stop - 1:
             for t in range(last, 0, -1):
                 st = states[t - 1]
@@ -773,12 +777,13 @@ def sweep_shard_oracle(e, n, tol, prefix_start, prefix_stop):
                         ph[u + 1] = ph[u]
                     break
             next_lo, next_hi = pl[last], ph[last]
+            shared = ph[t - 1] - pl[t - 1]  # the prefixes agree on their first t - 1 digits
         elif prefix_stop == pcount:
             next_lo = next_hi = one
         else:
             next_lo, next_hi = calc.pi_bounds(word_at(e, n - 1, prefix_stop).digits)
-        len_lo = next_lo - cur_hi
-        len_hi = next_hi - cur_lo
+        len_lo = next_lo - cur_hi + shared
+        len_hi = next_hi - cur_lo - shared
         sum_lo += (children - 1) * pow_lo[n] + len_lo
         sum_hi += (children - 1) * pow_hi[n] + len_hi
         if len_hi - xn_lo < 0:
@@ -849,6 +854,39 @@ def test_sweep_shard_matches_unrolled_oracle(monkeypatch, name):
     assert (undecided > 0) == (name.endswith("1.5)") or name.endswith("pow_hi_n1"))
 
 
+def widened_pow_hi_1(monkeypatch):
+    """Raise the upper end of 1/beta by beta^-n: every prefix with a nonzero
+    first digit gets an enclosure wider than any length margin, so a gap
+    that keeps that width is undecided."""
+    real = verify_mod.cylinder_calc
+
+    def fake(e, n, tol):
+        calc = copy.copy(real(e, n, tol))
+        calc.pow_hi = [calc.pow_hi[0], calc.pow_hi[1] + calc.pow_lo[n], *calc.pow_hi[2:]]
+        return calc
+
+    monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
+
+
+@pytest.mark.parametrize("text", ["1,1", "2;1"])
+def test_shared_digits_cancel_in_the_gaps(monkeypatch, text):
+    """Under a wide first power, only the gaps that split at the root, one
+    per first digit below eps_1, and the last gap up to 1 read the wide
+    digit on one side only.  Every other gap splits below a shared first
+    digit, whose width cancels, so at most eps_1 + 1 words are undecided
+    (a gap that kept the width left every family under a nonzero first
+    digit undecided: 14 and 610 words), and the sweep equals the oracle
+    over the whole range and in windows."""
+    widened_pow_hi_1(monkeypatch)
+    e, n = ExpansionOfOne.parse(text), 8
+    prefixes = runs_mod.prefix_count(e, n)
+    chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL)
+    assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes)
+    assert chunk["undecided"] <= e.alphabet_max + 1 and chunk["words"] == count(e, n)
+    for a, b in seeded_windows(random.Random(text), prefixes):
+        assert verify_mod.sweep_shard(e, n, DEFAULT_TOL, a, b) == sweep_shard_oracle(e, n, DEFAULT_TOL, a, b)
+
+
 def body_runs(e, n, prefix_start=0, prefix_stop=None):
     """How many times sweep_shard's per-family body runs over a window, all
     prefixes by default, counted by a line tracer on the body's first line."""
@@ -912,8 +950,8 @@ def test_verify_runs_few_bodies():
 
 @pytest.mark.parametrize("e", SWEEP_CASES, ids=lambda e: e.text())
 def test_super_family_width_bound_holds_and_keeps_the_shortcut(e):
-    """The memo's width ranges hold far from the prefixes they were built
-    on, as the one width bound of the super-family tally did: whole-range
+    """The memo's entries hold far from the prefixes they were built on, as
+    the one width bound of the super-family tally did: whole-range
     sweeps at n = 12, 50 and 120 are clean, count every word and stay under
     the body bound, and a window of 64 prefixes at n = 50 runs fewer than
     64 bodies."""
@@ -924,113 +962,6 @@ def test_super_family_width_bound_holds_and_keeps_the_shortcut(e):
         assert chunk["words"] == count(e, n), n
         assert body_runs(e, n) <= body_bound(e, n), n
     assert body_runs(e, 50, 0, 64) < 64
-
-
-def reused_width(e, n, calc):
-    """The widest depth-(n-2) prefix with two or more families whose
-    (block state, KMP state) key first came up at a narrower prefix: the
-    sweep meets it with that key memoized."""
-    aut = words_mod.automaton(e)
-    trans = verify_mod.tail_automaton(e, tail_cap(e, n))[0]
-    first, widest = {}, 0
-    for w in iter_words(e, n - 2):
-        j = words_mod.scan_states(w.digits, e)[-1]
-        if aut.maxdig[j]:
-            k = 0
-            for d in w.digits:
-                k = trans[k][d]
-            lo, hi = calc.pi_bounds(w.digits)
-            if first.setdefault((j, k), hi - lo) < hi - lo:
-                widest = max(widest, hi - lo)
-    return widest
-
-
-@pytest.mark.parametrize("e", map(ExpansionOfOne.parse, ["1,1", "2;1", "2,1,1"]), ids=lambda e: e.text())
-def test_width_guard_sits_at_wmax(monkeypatch, e):
-    """Put both ends of beta^-(n-1) at X = short - Wt - offset, where short
-    is the state-1 threshold (eps_1 + 1) * beta^-n and Wt = reused_width.
-    Every gap between two families of one depth-(n-2) prefix q is then
-    W(q) + X, certified short exactly when W(q) < short - X.  At offset 1
-    the prefix of width Wt has a margin of Wt + 1 and its subtree is
-    reused from the entry of a narrower one; at offset 0 it has a margin of
-    Wt and the sweep descends into it, running the bodies of its families.
-    Both chunks equal the oracle's, so the memo's width range is exact at
-    its edge."""
-    real = verify_mod.cylinder_calc
-
-    def fake(e, n, tol):  # reads offset and widest from the loop below
-        calc = copy.copy(real(e, n, tol))
-        x = (e.alphabet_max + 1) * calc.pow_lo[n] - widest - offset
-        calc.pow_lo = [*calc.pow_lo[:n - 1], x, calc.pow_lo[n]]
-        calc.pow_hi = [*calc.pow_hi[:n - 1], x, calc.pow_hi[n]]
-        return calc
-
-    for n in range(4, 9):
-        prefixes = runs_mod.prefix_count(e, n)
-        widest = reused_width(e, n, real(e, n, DEFAULT_TOL))
-        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
-        bodies = {}
-        for offset in (1, 0):
-            bodies[offset] = body_runs(e, n)
-            chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
-            assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes), (n, offset)
-        monkeypatch.setattr(verify_mod, "cylinder_calc", real)
-        assert widest and bodies[0] > bodies[1], (n, bodies)
-
-
-def widened_full_gap(e, n, calc):
-    """The largest diff_hi (the next prefix's upper left end less the
-    prefix's lower one) of a full family's gap that closes below a depth-s
-    node whose (block state, KMP state, s) key first came up, with the same
-    gap at the same place in its subtree, at a narrower node: the sweep
-    meets that gap in a subtree it reuses from a smaller W."""
-    aut = words_mod.automaton(e)
-    trans = verify_mod.tail_automaton(e, tail_cap(e, n))[0]
-    prefixes = [w.digits for w in iter_words(e, n - 1)]
-    first, widest = {}, None
-    for p, q in zip(prefixes, prefixes[1:]):
-        s = next(i for i in range(n - 1) if p[i] != q[i])
-        j, k = 1, 0
-        for d in p[:s]:
-            j, k = aut.adv[j] if d == aut.cmp[j] else 1, trans[k][d]
-        lo, hi = calc.pi_bounds(p[:s])
-        diff_hi = calc.pi_bounds(q)[1] - calc.pi_bounds(p)[0]
-        full = not aut.adv[words_mod.scan_states(p, e)[-1]]
-        if first.setdefault((j, k, s, diff_hi - (hi - lo)), hi - lo) < hi - lo and full:
-            widest = max(widest or diff_hi, diff_hi)
-    return widest
-
-
-@pytest.mark.parametrize("e", map(ExpansionOfOne.parse, ["1,1", "2,1,1", "1,1,1"]), ids=lambda e: e.text())
-def test_full_verdict_width_edge(monkeypatch, e):
-    """The upper end of a full verdict's width range.  Each case ends its
-    expansion with the digit 1, so a family whose last word is full holds
-    that one word; put the lower end of beta^-n so that the gap bound of
-    such a family, beta^-n + tol, is D - 1 + offset, with
-    D = widened_full_gap.  At offset 1
-    that gap is certified full in a subtree reused from a narrower one; at
-    offset 0 it is undecided, and the sweep descends to count it.  Both
-    chunks equal the oracle's."""
-    real = verify_mod.cylinder_calc
-    assert e.digit(e.finite_length) == 1
-
-    def fake(e, n, tol):  # reads gap and offset from the loop below
-        calc = copy.copy(real(e, n, tol))
-        slack = DEFAULT_TOL.numerator * calc.one // DEFAULT_TOL.denominator
-        calc.pow_lo = [*calc.pow_lo[:n], gap - slack - 1 + offset]
-        return calc
-
-    for n in range(6, 10):
-        prefixes = runs_mod.prefix_count(e, n)
-        gap = widened_full_gap(e, n, real(e, n, DEFAULT_TOL))
-        monkeypatch.setattr(verify_mod, "cylinder_calc", fake)
-        undecided = {}
-        for offset in (1, 0):
-            chunk = verify_mod.sweep_shard(e, n, DEFAULT_TOL, 0, prefixes)
-            assert chunk == sweep_shard_oracle(e, n, DEFAULT_TOL, 0, prefixes), (n, offset)
-            undecided[offset] = chunk["undecided"]
-        monkeypatch.setattr(verify_mod, "cylinder_calc", real)
-        assert undecided[0] > undecided[1], (n, undecided)
 
 
 def test_no_memo_survives_between_calls(monkeypatch):
