@@ -7,6 +7,10 @@ the structural block decomposition with three independent fullness
 criteria, the greedy step-count function tau, closed forms for the sets
 of run lengths of consecutive full and non-full words, and a verification
 harness that cross-checks every closed form against enumeration.
+
+The harness, ``beta_words.verify``, loads on first use of one of its names
+(``beta_words.verify`` itself, or ``verify_theorems`` and the other names
+it re-exports here), so the point API imports without it.
 """
 
 from .corpus import DEFAULT_CORPUS, default_corpus, load_corpus
@@ -67,15 +71,6 @@ from .structure import (
     is_full_by_tail,
     mismatch,
     smallest_tail_length,
-)
-from .verify import (
-    SweepResult,
-    render_report,
-    run_sets_check,
-    sweep_fullness,
-    verify_member,
-    verify_report,
-    verify_theorems,
 )
 from .words import (
     Automaton,
@@ -166,3 +161,29 @@ __all__ = [
     "verify_theorems",
     "word_at",
 ]
+
+# Re-exported from the verification harness, which loads on first use.
+_VERIFY_NAMES = frozenset({
+    "SweepResult",
+    "render_report",
+    "run_sets_check",
+    "sweep_fullness",
+    "verify_member",
+    "verify_report",
+    "verify_theorems",
+})
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _VERIFY_NAMES:
+        # import_module, not `from . import verify`: the from-import looks the
+        # submodule up on this package first and so would call back here.
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "verify", *_VERIFY_NAMES})

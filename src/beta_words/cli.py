@@ -55,6 +55,15 @@ COUNT_TABLE_BUDGET = 2**28
 # member, and `verify --n-range 958..958` on 3,0,0,2;0,0,0,2 alone took 8.9 s
 # and peaked at 784 MiB RSS (2 vCPUs, Python 3.11).
 VERIFY_MAX_N = 959
+# The most digits M (preperiod plus period) of an expansion whose beta verify
+# and classify --check solve: near an integer beta the certified Newton step
+# fails, so solve_beta runs Horner over the degree-M root polynomial once per
+# bit of a precision that grows with M, and its time grows faster than M^3.
+# `verify` at the default 1..12 on 2,...,2,1 took 3.1 s with 256 digits,
+# 7.9 s with 257, 19 s with 384 and 71 s with 512; wider digits cost more,
+# 1000,...,1000,1 took 9.6 s with 128 digits (2 vCPUs, Python 3.11, one run
+# each).
+MAX_DIGITS = 256
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,6 +227,14 @@ def _tail_table_bytes(e: ExpansionOfOne, n: int) -> float:
     return (cap + 2) * (64 + 8 * (e.alphabet_max + 1)) + (cap + 1) * 160
 
 
+def _check_digits(e: ExpansionOfOne) -> None:
+    """Refuse, before beta is solved, an expansion past MAX_DIGITS digits."""
+    digits = len(e.preperiod) + len(e.period)
+    if digits > MAX_DIGITS:
+        raise BetaWordsError(f"an expansion of {digits} digits is past the bound of {MAX_DIGITS} digits "
+                             "(preperiod plus period) that verify and classify --check solve beta for")
+
+
 def _check_tail_budget(e: ExpansionOfOne, n: int) -> None:
     """Refuse, before the table is built, an expansion whose tail table at
     length n would pass COUNT_TABLE_BUDGET."""
@@ -359,6 +376,8 @@ def cmd_classify(args, out, err) -> int:
         n_values = _parse_n_range(args.n_range)
     else:
         n_values = [_parse_n(args)]
+    if args.check:
+        _check_digits(e)
     _check_table_budget(e, n_values[-1], tol if args.check else None)
     if args.check:
         _check_tail_budget(e, n_values[-1])
@@ -457,6 +476,7 @@ def cmd_verify(args, out, err) -> int:
     if not corpus:
         raise BetaWordsError(f"corpus file {args.corpus} holds no expansion, so there is nothing to verify")
     for e in corpus:
+        _check_digits(e)
         _check_tail_budget(e, n_values[-1])
     rows, failures = verify_report(corpus, n_values, tol, args.shards)
     out.write(render_report(rows))

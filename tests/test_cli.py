@@ -430,6 +430,25 @@ def test_verify_resolves_beta_near_an_integer(capsys, tmp_path):
     assert (code, err) == (0, "") and len(json.loads(out)) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_a_line_past_the_digit_bound_is_refused_at_once(capsys, tmp_path, command):
+    """verify and classify --check solve beta in a time that grows faster
+    than the cube of the digit count (more than 60 s at 512 digits); a line
+    one digit past MAX_DIGITS is an input error in one line, well under a
+    second."""
+    line = ",".join(["2"] * cli.MAX_DIGITS + ["1"])
+    corpus = tmp_path / "long.txt"
+    corpus.write_text(line + "\n")
+    argv = {"verify": ["verify", "--corpus", str(corpus)],
+            "classify": ["classify", "--check", "--seq", line, "--n", "12"]}[command]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == (f"error: an expansion of {cli.MAX_DIGITS + 1} digits is past the bound of {cli.MAX_DIGITS} "
+                   "digits (preperiod plus period) that verify and classify --check solve beta for\n")
+
+
 # Loads a corpus file and prints the shift its one line fails at (None when
 # it is valid), whether its spec reads back as the line, and the seconds taken.
 LOAD_ONE_LINE = """

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-importing the package or verifying in one process loads no process pool, and
-importing the package loads neither the dataclass machinery nor typing."""
+importing the package or verifying in one process loads no process pool,
+importing the package loads neither the dataclass machinery nor typing nor
+the verification harness, and the harness's names load it on first use."""
 
 import ast
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from beta_words.verify import POOL_MIN_WORK
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beta_words"
 # __init__.py imports names only to re-export them
@@ -68,13 +71,15 @@ def test_import_and_small_verify_load_no_pool_modules():
 
 
 # Imports the package without site (so no .pth file preloads a module),
-# loads the bundled corpus, and prints the heavy modules then loaded.
+# loads the bundled corpus, and prints the heavy modules then loaded: the
+# harness and the CLI (with json) load only when a name of theirs is used.
 LOADED_HEAVY_MODULES = """
 import sys
 import beta_words
 beta_words.default_corpus()
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] in ("dataclasses", "inspect", "typing", "concurrent", "multiprocessing")))
+             if m.split(".")[0] in ("dataclasses", "inspect", "typing", "concurrent", "multiprocessing", "json")
+             or m in ("beta_words.verify", "beta_words.cli")))
 """
 
 
@@ -83,3 +88,26 @@ def test_import_without_site_loads_no_dataclass_typing_or_pool_modules():
     done = subprocess.run([sys.executable, "-S", "-c", LOADED_HEAVY_MODULES], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+# Asks the package for a name it lacks and lists its names, neither of which
+# may load the harness, then uses the harness's names every way a caller can.
+LAZY_HARNESS = """
+import sys
+import beta_words
+print(hasattr(beta_words, "nope"), set(beta_words.__all__) <= set(dir(beta_words)),
+      "beta_words.verify" in sys.modules)
+from beta_words import verify_theorems
+print(verify_theorems is beta_words.verify.verify_theorems, beta_words.verify.POOL_MIN_WORK)
+names = {}
+exec("from beta_words import *", names)
+print(sorted(set(beta_words.__all__) - set(names)))
+"""
+
+
+def test_harness_names_load_it_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", LAZY_HARNESS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["False True False", f"True {POOL_MIN_WORK}", "[]"]

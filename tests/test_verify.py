@@ -2,7 +2,6 @@
 
 import copy
 import hashlib
-import inspect
 import random
 import re
 import sys
@@ -889,19 +888,18 @@ def test_shared_digits_cancel_in_the_gaps(monkeypatch, text):
 
 def body_runs(e, n, prefix_start=0, prefix_stop=None):
     """How many times sweep_shard's per-family body runs over a window, all
-    prefixes by default, counted by a line tracer on the body's first line."""
-    lines, first = inspect.getsourcelines(verify_mod.sweep_shard)
-    target = first + next(i for i, line in enumerate(lines) if "c, a = cmp_[j], adv_[j]" in line)
+    prefixes by default, counted by a tracer on the calls of the nested body's
+    code object, as loaded (not as the source file now reads)."""
+    body_code = next(c for c in verify_mod.sweep_shard.__code__.co_consts if getattr(c, "co_name", "") == "body")
     stop = runs_mod.prefix_count(e, n) if prefix_stop is None else prefix_stop
     hits = 0
 
-    def local(frame, event, arg):
+    def calls(frame, event, arg):
         nonlocal hits
-        hits += event == "line" and frame.f_lineno == target
-        return local
+        hits += event == "call" and frame.f_code is body_code
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == verify_mod.__file__ else None)
+    sys.settrace(calls)
     try:
         verify_mod.sweep_shard(e, n, DEFAULT_TOL, prefix_start, stop)
     finally:

@@ -1,5 +1,6 @@
 """Admissible words: enumeration, counting, ranking, neighbors."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -487,16 +488,22 @@ def test_word_at_work_per_digit_does_not_grow_with_the_alphabet(monkeypatch, tex
     """On expansions with a large first digit, word_at at high indices reads
     digits near eps_1 and still compares the index with each count at most
     twice; a budget on those comparisons fails the call at once if it ever
-    loops per unit of a digit."""
+    loops per unit of a digit.  Every order comparison with a count is
+    spent, whichever side and operator it is written with, so the budget is
+    two per digit plus the one of word_at's range check on the index."""
     e = ExpansionOfOne.parse(text)
     real = words_mod._count_table
     budget = [0]
 
-    class Count(int):
-        def __le__(self, index):
+    def spent(compare):
+        def counted(self, index):
             budget[0] -= 1
             assert budget[0] >= 0, "more than two comparisons per digit"
-            return int(self) <= index
+            return compare(int(self), index)
+        return counted
+
+    class Count(int):
+        __lt__, __le__, __gt__, __ge__ = map(spent, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def counting(e_, n):
         return [tuple(Count(c) for c in row) for row in real(e_, n)]
@@ -506,7 +513,7 @@ def test_word_at_work_per_digit_does_not_grow_with_the_alphabet(monkeypatch, tex
         total = count(e, n)
         for index in {0, total - 1, total // 2, *(rng.randrange(total) for _ in range(4))}:
             monkeypatch.setattr(words_mod, "_count_table", counting)
-            budget[0] = 2 * n
+            budget[0] = 2 * n + 1
             w = word_at(e, n, index)
             monkeypatch.setattr(words_mod, "_count_table", real)
             assert w == word_at_oracle(e, n, index), (n, index)
