@@ -56,13 +56,12 @@ COUNT_TABLE_BUDGET = 2**28
 # and peaked at 784 MiB RSS (2 vCPUs, Python 3.11).
 VERIFY_MAX_N = 959
 # The most digits M (preperiod plus period) of an expansion whose beta verify
-# and classify --check solve: near an integer beta the certified Newton step
-# fails, so solve_beta runs Horner over the degree-M root polynomial once per
-# bit of a precision that grows with M, and its time grows faster than M^3.
-# `verify` at the default 1..12 on 2,...,2,1 took 3.1 s with 256 digits,
-# 7.9 s with 257, 19 s with 384 and 71 s with 512; wider digits cost more,
-# 1000,...,1000,1 took 9.6 s with 128 digits (2 vCPUs, Python 3.11, one run
-# each).
+# and classify --check solve.  solve_beta makes about 2 log2(bits) Horner
+# passes over the degree-M root polynomial at a precision of about M times
+# the bits per digit, so its time grows faster than M^3, and faster for wide
+# digits: `verify` at the default 1..12 took 0.33 s on 2,...,2,1 and 5.7 s on
+# 1000,...,1000,1 with 256 digits, and verify_report 1.4 s on the twos with
+# 512 and 18 s on the thousands with 384 (2 vCPUs, Python 3.11, one run each).
 MAX_DIGITS = 256
 
 

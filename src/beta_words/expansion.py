@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import InvalidSequence, NotSelfDominant, PrecisionExhausted
+from .errors import InvalidSequence, NotSelfDominant, PrecisionExhausted, VerificationError
 
 MAX_PRECISION = 4096
 
@@ -349,54 +349,50 @@ def _point_interval(value: Fraction) -> BetaInterval:
     return BetaInterval(value, value, lambda target: _point_interval(value))
 
 
-# Bits bisected before Newton steps start, and bits each Newton step stays
-# below doubling, so that the step's error (about |p''/2p'| times the
-# squared bracket width) lands well inside one cell of the new level.
-_NEWTON_FROM_BITS = 16
-_NEWTON_SLACK_BITS = 4
+def _newton_bracket(coeffs: tuple[int, ...], pre: int, per: int, num_lo: int, k: int, target) -> BetaInterval:
+    """Narrow the root's dyadic cell [num_lo, num_lo + 1] / 2^k to width <= target.
 
-
-def _dyadic_bisect(coeffs: tuple[int, ...], num_lo: int, k: int, target) -> BetaInterval:
-    """Narrow the root's dyadic cell [num_lo, num_lo + 1] / 2^k until its
-    width is at most target.
-
-    Invariant: the polynomial is positive at num_lo / 2^k and negative at
-    (num_lo + 1) / 2^k, and the root is its only one there.  Below
-    _NEWTON_FROM_BITS each step bisects.  From there on each step is one
-    integer Newton step from the cell's midpoint that nearly doubles the
-    level, certified by the same sign test: the new cell must lie inside the
-    old one, with + at its left end and - at its right end.  A step that
-    fails the test, or meets a zero slope, falls back to bisecting by the
-    midpoint's sign.  The cell at each level holding the root is unique, so
-    the result (and its refine chain) is bit-identical to pure bisection;
-    a midpoint that is the root gives the same point interval.
+    The root polynomial is p = -w g, with g(x) = 1 - sum_n eps_n x^-n and
+    w(x) = x^pre (x^per - 1), or x^pre when per = 0.  Each term of g is
+    increasing and concave on x > 0, so g lies below its tangents and a
+    Newton step for g, g/g' = p / (p' - p w'/w), taken from a point below
+    beta lands below beta again.  Each round signs the right end: one still
+    below beta becomes the left end; one past beta at the target level ends
+    the loop; otherwise the Newton step from the left end, floored at level
+    min(2k + 1, target), is the next left end.  The final left end is signed
+    too, so the bracket is certified as bisection's is; the root's cell at
+    each level is unique, so the result and its refine chain are
+    bit-identical to bisection's.  No cell end is the root: p is monic up
+    to sign, so its rational roots are integers, and eps_1 < beta < eps_1 + 1.
     """
     target = Fraction(target)
     if target <= 0:
         raise InvalidSequence("solve_beta tolerance must be positive")
     # the least level whose cell width 2^-top is at most target
     top = (-(-target.denominator // target.numerator) - 1).bit_length()
-    while k < top:
-        mid = 2 * num_lo + 1
-        if k < _NEWTON_FROM_BITS:
-            sign = _poly_sign_at_dyadic(coeffs, mid, k + 1)
+    while True:
+        if _poly_sign_at_dyadic(coeffs, num_lo + 1, k) > 0:
+            num_lo += 1
+        elif k >= top:
+            break
+        value, slope = _poly_and_slope(coeffs, num_lo, k)
+        # x w'(x) / w(x) = a / b at x = num_lo / 2^k
+        if per:
+            power = num_lo**per
+            b = power - (1 << k * per)
+            a = pre * b + per * power
         else:
-            value, slope = _poly_and_slope(coeffs, mid, k + 1)
-            sign = (value > 0) - (value < 0)
-            step = min(max(2 * k - _NEWTON_SLACK_BITS, k + 1), top)
-            if sign and slope:
-                # x - p(x)/p'(x) at x = mid / 2^(k+1), floored at level step
-                cell = ((mid * slope - value) << (step - k - 1)) // slope
-                first, last = num_lo << (step - k), ((num_lo + 1) << (step - k)) - 1
-                if (first <= cell <= last
-                        and (cell == first or _poly_sign_at_dyadic(coeffs, cell, step) > 0)
-                        and (cell == last or _poly_sign_at_dyadic(coeffs, cell + 1, step) < 0)):
-                    num_lo, k = cell, step
-                    continue
-        if sign == 0:
-            return _point_interval(Fraction(mid, 1 << (k + 1)))
-        num_lo, k = mid if sign > 0 else mid - 1, k + 1
-    refine = lambda t: _dyadic_bisect(coeffs, num_lo, k, t)
+            a, b = pre, 1
+        # the step lands at x (denom + value b) / denom, where denom is
+        # (p x w'/w - p' x) b 2^(kd) = w g' x b 2^(kd) > 0 for x > 1
+        denom = value * a - slope * num_lo * b
+        if value <= 0 or denom <= 0:
+            raise VerificationError(f"root polynomial step at {num_lo}/2^{k}: value {value}, denominator {denom}")
+        step = min(2 * k + 1, top)
+        num_lo, k = (num_lo * (denom + value * b) << (step - k)) // denom, step
+    if _poly_sign_at_dyadic(coeffs, num_lo, k) <= 0:
+        raise VerificationError(f"root polynomial is not positive at the bracket's left end {num_lo}/2^{k}")
+    refine = lambda t: _newton_bracket(coeffs, pre, per, num_lo, k, t)
     return BetaInterval(Fraction(num_lo, 1 << k), Fraction(num_lo + 1, 1 << k), refine)
 
 
@@ -404,19 +400,18 @@ def solve_beta(e: ExpansionOfOne, tol: Fraction | float | str = Fraction(1, 10**
     """Bracket the unique beta > 1 with expansion of 1 equal to e.
 
     Narrows a dyadic cell of the cleared-denominator root polynomial from
-    [eps_1, eps_1 + 1]: 16 bits by bisection, then certified Newton steps
-    that each nearly double the bits, falling back to a bisection step when
-    a step's cell fails the sign test.  The interval is the one plain
-    bisection gives, with width <= tol (width 0 when the root is hit
-    exactly), and carries a refine callback that resumes from it instead of
-    restarting.
+    [eps_1, eps_1 + 1] by integer Newton steps for the increasing, concave
+    g(x) = 1 - sum_n eps_n x^-n, which from below never pass beta and about
+    double the bits each.  The interval is the one plain bisection gives,
+    with width <= tol (width 0 when the root is hit exactly), and carries a
+    refine callback that resumes from it instead of restarting.
     """
     coeffs = _root_polynomial(e)
     base = e.alphabet_max
     # beta = eps_1 exactly only happens for the one-digit finite form
     if _poly_sign_at_dyadic(coeffs, base, 0) == 0:
         return _point_interval(Fraction(base))
-    return _dyadic_bisect(coeffs, base, 0, tol)
+    return _newton_bracket(coeffs, len(e.preperiod), len(e.period), base, 0, tol)
 
 
 def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
