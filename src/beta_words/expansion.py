@@ -71,14 +71,15 @@ class Frozen:
 
     def __init_subclass__(cls, derived=(), hidden=()):
         cls._fields = tuple(name for name in cls.__slots__ if name not in derived)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         cls._shown = tuple(name for name in cls._fields if name not in hidden)
         cls._key = attrgetter(*cls._shown)
 
     def __init__(self, *values):
-        if len(values) != len(self._fields):
+        if len(values) != len(self._setters):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -359,11 +360,13 @@ def _newton_bracket(coeffs: tuple[int, ...], pre: int, per: int, num_lo: int, k:
     beta lands below beta again.  Each round signs the right end: one still
     below beta becomes the left end; one past beta at the target level ends
     the loop; otherwise the Newton step from the left end, floored at level
-    min(2k + 1, target), is the next left end.  The final left end is signed
-    too, so the bracket is certified as bisection's is; the root's cell at
-    each level is unique, so the result and its refine chain are
-    bit-identical to bisection's.  No cell end is the root: p is monic up
-    to sign, so its rational roots are integers, and eps_1 < beta < eps_1 + 1.
+    2m + 1 for a step of about 2^-m (which leaves about 2^-2m), between k + 1
+    and the target, is the next left end; a step of 0 (x = 1, where w = 0)
+    takes level 2k + 1.  The final left end is signed too, so the bracket is
+    certified as bisection's is; the root's cell at each level is unique, so
+    the result and its refine chain are bit-identical to bisection's.  No
+    cell end is the root: p is monic up to sign, so its rational roots are
+    integers, and eps_1 < beta < eps_1 + 1.
     """
     target = Fraction(target)
     if target <= 0:
@@ -388,7 +391,9 @@ def _newton_bracket(coeffs: tuple[int, ...], pre: int, per: int, num_lo: int, k:
         denom = value * a - slope * num_lo * b
         if value <= 0 or denom <= 0:
             raise VerificationError(f"root polynomial step at {num_lo}/2^{k}: value {value}, denominator {denom}")
-        step = min(2 * k + 1, top)
+        move = num_lo * value * b
+        m = k + denom.bit_length() - move.bit_length()
+        step = min(max(k + 1, 2 * m + 1) if move else 2 * k + 1, top)
         num_lo, k = (num_lo * (denom + value * b) << (step - k)) // denom, step
     if _poly_sign_at_dyadic(coeffs, num_lo, k) <= 0:
         raise VerificationError(f"root polynomial is not positive at the bracket's left end {num_lo}/2^{k}")

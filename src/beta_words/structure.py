@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import VerificationError
 from .expansion import ExpansionOfOne, Frozen, solve_beta
@@ -55,22 +55,41 @@ class Decomposition(Frozen):
     __slots__ = ("blocks", "tail")
 
     def __init__(self, blocks: tuple[tuple[int, int], ...], tail: tuple[int, int]):
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "tail", tail)
+        _set_blocks(self, blocks)
+        _set_tail(self, tail)
 
     def reconstruct(self, e: ExpansionOfOne) -> Word:
-        """The word the pieces spell, in one pass; the expansion prefix is
-        fetched again only for a piece longer than all before it."""
-        eps: tuple[int, ...] = ()
+        """The word the pieces spell, joined from _spellings(e); a piece with L < 1 raises ValueError."""
+        spell = _spellings(e)
         digits: list[int] = []
-        for length, last in chain(self.blocks, (self.tail,)):
-            if length < 1:
-                raise ValueError("decomposition pieces must have length >= 1")
-            if length > len(eps):
-                eps = e.digits_prefix(length)
-            digits += eps[:length - 1]
-            digits.append(last)
+        for piece in self.blocks:
+            digits += spell[piece]
+        digits += spell[self.tail]
         return Word(tuple(digits))
+
+
+_set_blocks, _set_tail = Decomposition.blocks.__set__, Decomposition.tail.__set__
+SPELL_CAP = 256  # the most pieces kept spelled per expansion, and the longest piece kept
+
+
+class _Spellings(dict):
+    """Piece (L, d) -> eps_1..eps_(L-1) d in one expansion, spelled on first
+    use; at most SPELL_CAP pieces, of at most SPELL_CAP digits, are kept."""
+
+    def __init__(self, e: ExpansionOfOne):
+        self.e = e
+
+    def __missing__(self, piece: tuple[int, int]) -> tuple[int, ...]:
+        length, last = piece
+        if length < 1:
+            raise ValueError("decomposition pieces must have length >= 1")
+        spelled = self.e.digits_prefix(length - 1) + (last,)
+        if length <= SPELL_CAP and len(self) < SPELL_CAP:
+            self[piece] = spelled
+        return spelled
+
+
+_spellings = lru_cache(maxsize=16)(_Spellings)
 
 
 def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:

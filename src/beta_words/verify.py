@@ -40,6 +40,7 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, Frozen, max_zero_run, nonzero_sequence
@@ -539,9 +540,10 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
     suffixes.  j is read off the walker; the states of the prefix minus its
     first digit are a second list, updated from the first digit the walker
     changed.  Lengths up to deep_cap also get every suffix scanned directly,
-    once per distinct suffix, with the full words streamed and never listed:
-    suffixes that scanned full are kept in a set, so a suffix shared by many
-    full words is looked up, not rescanned.
+    once per distinct suffix, with the full words streamed and never listed.
+    A suffix is clean once it and all its suffixes scanned full: a word's
+    offsets stop at its first clean suffix, which can hide no failure, and
+    its suffixes past its last failing offset become clean.
     """
     case = e.text()
     aut = automaton(e)
@@ -573,21 +575,29 @@ def check_suffix_closure(e: ExpansionOfOne, cap: int, deep_cap: int, failures: l
             elif c > cmp_[js]:
                 _record(failures, f"{case}: suffix of full word {Word(tuple(digits) + (cmp_[js],)).text()} "
                                   "is not full")
-    full_suffixes: set[tuple[int, ...]] = set()
+    clean: dict[tuple[int, ...], bool] = {}  # scanned full: True once no suffix of it failed
     for w in _full_words_upto(e, deep_cap):
+        bad = 0  # the last offset whose suffix failed
         for k in range(1, len(w)):
             suffix = w[k:]
-            if suffix in full_suffixes:
+            verdict = clean.get(suffix)
+            if verdict:
+                break
+            if verdict is not None:
                 continue
             try:
-                full = scan_states(suffix, e)[-1] == 1
+                full, problem = scan_states(suffix, e)[-1] == 1, "not full"
             except NotAdmissible:
-                _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not admissible")
-                continue
+                full, problem = False, "not admissible"
             if full:
-                full_suffixes.add(suffix)
+                clean[suffix] = False
             else:
-                _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is not full")
+                _record(failures, f"{case}: suffix at offset {k} of full {Word(w).text()} is {problem}")
+                bad = k
+        else:
+            k = len(w)
+        for i in range(bad + 1, k):
+            clean[w[i:]] = True
 
 
 def check_decrement_closure(e: ExpansionOfOne, cap: int, failures: list[str]) -> None:
@@ -648,12 +658,14 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
     decompose and reconstruct run once per word, and a walked word arrives
     with its scan, so decompose scans nothing.  A block's verdict depends
     only on its (length, last digit), so it is worked out once per distinct
-    pair, and the expansion digits come from one prefix.
+    pair, and the expansion digits come from one prefix; a word whose blocks
+    all came out clean skips the per-block loop.
     """
     case = e.text()
     n_values = tuple(n_values)
     eps = e.digits_prefix(max(n_values, default=0))
     verdicts: dict[tuple[int, int], str] = {}
+    good: set[tuple[int, int]] = set()  # the blocks whose verdict is clean
     for n in n_values:
         total = count(e, n)
         if n <= exhaustive_to or total <= samples:
@@ -667,12 +679,12 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
             if back.digits != w.digits:
                 _record(failures, f"{case} n={n}: decomposition of {w.text()} reconstructs to {back.text()}")
                 continue
-            length_sum = dec.tail[0]
-            for length, _ in dec.blocks:
-                length_sum += length
-            if length_sum != n:
+            blocks = dec.blocks
+            if dec.tail[0] + sum(map(itemgetter(0), blocks)) != n:
                 _record(failures, f"{case} n={n}: decomposition lengths of {w.text()} do not sum to n")
-            for block in dec.blocks:
+            if good.issuperset(blocks):
+                continue
+            for block in blocks:
                 verdict = verdicts.get(block)
                 if verdict is None:
                     length, lastd = block
@@ -682,6 +694,7 @@ def check_decompose(e: ExpansionOfOne, n_values, exhaustive_to: int, samples: in
                         verdict = "is not full"
                     else:
                         verdict = ""
+                        good.add(block)
                     verdicts[block] = verdict
                 if verdict:
                     _record(failures, f"{case} n={n}: block ({block[0]},{block[1]}) of {w.text()} {verdict}")

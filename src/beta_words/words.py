@@ -44,7 +44,7 @@ class Word(Frozen):
     def __init__(self, digits: tuple[int, ...]):
         if not digits:
             raise ValueError("words must have length >= 1")
-        object.__setattr__(self, "digits", digits)
+        _set_digits(self, digits)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -63,6 +63,9 @@ class Word(Frozen):
         if all(d <= 9 for d in self.digits):
             return "".join(str(d) for d in self.digits)
         return ",".join(str(d) for d in self.digits)
+
+
+_set_digits = Word.digits.__set__
 
 
 class Automaton(Frozen, derived=("zero",)):

@@ -366,3 +366,46 @@ def test_solve_beta_evaluation_count_near_an_integer(digit, monkeypatch):
     calls = count_evaluations(monkeypatch)
     solve_beta(e, Fraction(1, 2 ** (_bits_for(e, 12, DEFAULT_TOL) - 16)))
     assert calls[0] <= MAX_EVALUATIONS
+
+
+def newton_levels(monkeypatch):
+    """The level k of every Newton round (_poly_and_slope call), in order."""
+    levels = []
+    real = expansion_mod._poly_and_slope
+
+    def counted(coeffs, num, k):
+        levels.append(k)
+        return real(coeffs, num, k)
+
+    monkeypatch.setattr(expansion_mod, "_poly_and_slope", counted)
+    return levels
+
+
+# Newton rounds at 304 and 1136 bits when each level was min(2k + 1, target)
+# (the 1136-bit solve is the one behind the cylinder arithmetic at 1152 bits)
+THOUSANDS_256 = ",".join(["1000"] * 255 + ["1"])
+POOR_START = "1,0,0,0,0,1;0,0,0,0,0,1"
+DOUBLING_ROUNDS = {**{text: (9, 11) for text in DEFAULT_CORPUS}, POOR_START: (11, 13), THOUSANDS_256: (9, 11)}
+
+
+@pytest.mark.parametrize("text", list(DOUBLING_ROUNDS))
+def test_newton_rounds_no_more_than_doubling_levels(text, monkeypatch):
+    e = ExpansionOfOne.parse(text)
+    for bits, bound in zip((304, 1136), DOUBLING_ROUNDS[text]):
+        levels = newton_levels(monkeypatch)
+        solve_beta(e, Fraction(1, 2**bits))
+        assert len(levels) <= bound, (bits, levels)
+        assert levels == sorted(levels) and all(k < bits for k in levels[:-1]), levels
+
+
+def test_poor_start_runs_no_newton_round_at_the_target_level(monkeypatch):
+    """At x = 1, where w vanishes, the first step is 0, and the iterates lag
+    the doubling levels: those ran two Newton rounds at 1136 bits, about 2.5
+    times the cost of the whole solve.  Levels read off the step run none
+    there, in the same 13 rounds, and give bisection's bracket."""
+    e = ExpansionOfOne.parse(POOR_START)
+    levels = newton_levels(monkeypatch)
+    got = solve_beta(e, Fraction(1, 2**1136))
+    assert len(levels) == 13 and max(levels) < 1136, levels
+    want = solve_oracle(e, Fraction(1, 2**1136))
+    assert (got.lo, got.hi) == (want.lo, want.hi)

@@ -472,6 +472,39 @@ def test_reconstruct_refuses_short_pieces_like_its_oracle(pieces, text):
     assert str(got.value) == str(want.value) == "decomposition pieces must have length >= 1"
 
 
+def test_spelled_pieces_stay_with_their_expansion():
+    """The same pieces spell each expansion's own digits, cold and warm, in
+    either order: eps_1 eps_2 = 1,1 under 1,1 and 2,1 under 2,1,1."""
+    dec = Decomposition(((2, 0), (1, 0)), (3, 0))
+    golden, other = ExpansionOfOne.parse("1,1"), ExpansionOfOne.parse("2,1,1")
+    for e in (golden, other, golden, other):
+        assert dec.reconstruct(e) == reconstruct_oracle(dec, e)
+    assert dec.reconstruct(golden).digits == (1, 0, 0, 1, 1, 0)
+    assert dec.reconstruct(other).digits == (2, 0, 0, 2, 1, 0)
+
+
+@pytest.mark.parametrize("pieces", [((1, 0), (0, 1)), ((0, 0), (2, 0)), ((2, 0), (1, 0), (-1, 0))])
+def test_short_piece_refused_with_the_store_warm(pieces):
+    e = ExpansionOfOne.parse("2,1,1")
+    warm = Decomposition(((2, 0), (1, 0), (1, 1)), (2, 1))
+    assert warm.reconstruct(e) == reconstruct_oracle(warm, e)
+    assert set(warm.blocks) <= set(structure_mod._spellings(e))
+    with pytest.raises(ValueError, match="decomposition pieces must have length >= 1"):
+        Decomposition(pieces[:-1], pieces[-1]).reconstruct(e)
+
+
+def test_spelled_piece_store_stays_bounded():
+    """Many distinct pieces, up to twice SPELL_CAP digits long, spell right
+    and leave at most SPELL_CAP pieces of at most SPELL_CAP digits kept."""
+    e = ExpansionOfOne.parse("3,0,0,2;0,0,0,2")
+    cap = structure_mod.SPELL_CAP
+    for length in range(1, 2 * cap + 1, 3):
+        dec = Decomposition(tuple((length, d) for d in range(3)), (length, 3))
+        assert dec.reconstruct(e) == reconstruct_oracle(dec, e)
+    kept = structure_mod._spellings(e)
+    assert 0 < len(kept) <= cap and max(map(len, kept.values())) <= cap
+
+
 @pytest.mark.parametrize("call", [decompose, mismatch, *POINT_CALLS])
 def test_alphabet_error_wins_over_an_earlier_inadmissible_digit(call):
     # 1,1 is inadmissible at position 2 for 1,1; the digit 2 comes after it

@@ -156,3 +156,23 @@ def test_beta_interval_equality_and_repr_ignore_refine():
 def test_construction_still_validates(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_slot_setters_build_frozen_values():
+    """Word and Decomposition set their slots through the slot descriptors,
+    the other types through the setters Frozen builds per class: either way
+    the fields come out in constructor order, refuse assignment and
+    deletion, and survive a pickle round trip at every protocol."""
+    dec = decompose(Word((1, 0, 0, 1)), GOLDEN)
+    assert (dec.blocks, dec.tail) == (((2, 0), (1, 0)), (1, 1)) and dec.reconstruct(GOLDEN) == Word((1, 0, 0, 1))
+    for name in NAMES:
+        value = make(name)
+        assert len(type(value)._setters) == len(FIELDS[name])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+    for value in (Word((2, 0)), dec):
+        for field in FIELDS[type(value).__name__]:
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(value, field)

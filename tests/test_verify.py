@@ -1027,14 +1027,23 @@ def oracle_concat_closure(e, cap, failures):
 
 
 def oracle_deep_suffix_closure(e, deep_cap, failures):
+    """Every suffix of every full word scanned; a scan that raises is a
+    failure, and a word whose own scan raises is not looked at."""
     case = e.text()
     for n in range(2, deep_cap + 1):
         for w in iter_words(e, n):
-            if verify_mod.scan_states(w.digits, e)[-1] != 1:
+            try:
+                if verify_mod.scan_states(w.digits, e)[-1] != 1:
+                    continue
+            except NotAdmissible:
                 continue
             for k in range(1, n):
-                if verify_mod.scan_states(w.digits[k:], e)[-1] != 1:
-                    verify_mod._record(failures, f"{case}: suffix at offset {k} of full {w.text()} is not full")
+                try:
+                    problem = "not full" if verify_mod.scan_states(w.digits[k:], e)[-1] != 1 else None
+                except NotAdmissible:
+                    problem = "not admissible"
+                if problem:
+                    verify_mod._record(failures, f"{case}: suffix at offset {k} of full {w.text()} is {problem}")
 
 
 def oracle_decompose(e, n_values, exhaustive_to, samples, failures):
@@ -1141,6 +1150,46 @@ def test_suffix_closure_clean_matches_oracle():
             verify_mod.check_suffix_closure(e, cap, cap, got)
             oracle_deep_suffix_closure(e, cap, want)
             assert got == want == [], (e.text(), cap)
+
+
+def suffixes_of_one_length_non_full(e, length):
+    """Every word of the given length scans non-full."""
+    real = words_mod.scan_states
+    return lambda digits, e_: real(digits, e_)[:-1] + [0] if len(digits) == length else real(digits, e_)
+
+
+def one_suffix_not_admissible(e, length):
+    """The lex-largest full word of the given length fails its scan."""
+    real = words_mod.scan_states
+    bad = full_words_of_length(e, length)[-1]
+
+    def fake(digits, e_):
+        if tuple(digits) == bad:
+            raise NotAdmissible("injected")
+        return real(digits, e_)
+    return fake
+
+
+@pytest.mark.parametrize("max_failures", CAPS_SHARDED, ids=["capped", "lifted"])
+@pytest.mark.parametrize("fault", [suffixes_of_one_length_non_full, one_suffix_not_admissible])
+def test_clean_suffixes_keep_the_oracle_failures(monkeypatch, fault, max_failures):
+    """A word's offsets stop at its first clean suffix, and a suffix turns
+    clean only past its word's last failing offset.  Under a fault at every
+    suffix length, with the failure cap and without it, the deep check
+    records exactly the per-word oracle's messages."""
+    monkeypatch.setattr(verify_mod, "MAX_FAILURES", max_failures)
+    cap = 6
+    longest = 0
+    for e in ORACLE_INPUTS:
+        for length in range(1, cap):
+            monkeypatch.setattr(verify_mod, "scan_states", fault(e, length))
+            got, want = [], []
+            verify_mod.check_suffix_closure(e, 1, cap, got)
+            oracle_deep_suffix_closure(e, cap, want)
+            assert got == want, (e.text(), length)
+            assert want, (e.text(), length)
+            longest = max(longest, len(want))
+    assert (longest > CAPS_SHARDED[0]) == (max_failures > CAPS_SHARDED[0])
 
 
 def test_deep_suffix_closure_streams_the_full_words():
