@@ -175,12 +175,13 @@ def _parse_n(args) -> int:
 def _count_table_bytes(e: ExpansionOfOne, n: int) -> float:
     """An upper estimate of the bytes of the count table that words of
     length n read: rows 0..n, each a tuple (about 64 bytes) of one integer
-    per block state, and an integer of row m has at most
+    per block state, and a slot (8 bytes and spare capacity, 16 in all) in
+    the state-1 column kept beside the rows; an integer of row m has at most
     m * log2(eps_1 + 1) bits, 4 bytes per 30 bits past its 36 bytes of
     header and tuple slot; averaged over the rows, n * log2(eps_1 + 1) / 15
     bytes."""
     states = len(automaton(e).cmp) - 1
-    return (n + 1) * (64 + states * (36 + n * log2(e.alphabet_max + 1) / 15))
+    return (n + 1) * (80 + states * (36 + n * log2(e.alphabet_max + 1) / 15))
 
 
 def _cylinder_table_bytes(e: ExpansionOfOne, n: int, tol: Fraction) -> float:

@@ -357,7 +357,9 @@ def _newton_bracket(coeffs: tuple[int, ...], pre: int, per: int, num_lo: int, k:
     w(x) = x^pre (x^per - 1), or x^pre when per = 0.  Each term of g is
     increasing and concave on x > 0, so g lies below its tangents and a
     Newton step for g, g/g' = p / (p' - p w'/w), taken from a point below
-    beta lands below beta again.  Each round signs the right end: one still
+    beta lands below beta again.  Each round signs the right end, except the
+    first, whose cell is known to end past beta (solve_beta's start cell, or
+    a bracket this function made, which refine resumes): one still
     below beta becomes the left end; one past beta at the target level ends
     the loop; otherwise the Newton step from the left end, floored at level
     2m + 1 for a step of about 2^-m (which leaves about 2^-2m), between k + 1
@@ -373,11 +375,13 @@ def _newton_bracket(coeffs: tuple[int, ...], pre: int, per: int, num_lo: int, k:
         raise InvalidSequence("solve_beta tolerance must be positive")
     # the least level whose cell width 2^-top is at most target
     top = (-(-target.denominator // target.numerator) - 1).bit_length()
+    signed = True  # the right end lies past beta
     while True:
-        if _poly_sign_at_dyadic(coeffs, num_lo + 1, k) > 0:
+        if not signed and _poly_sign_at_dyadic(coeffs, num_lo + 1, k) > 0:
             num_lo += 1
         elif k >= top:
             break
+        signed = False
         value, slope = _poly_and_slope(coeffs, num_lo, k)
         # x w'(x) / w(x) = a / b at x = num_lo / 2^k
         if per:

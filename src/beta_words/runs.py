@@ -22,9 +22,38 @@ FULL = "full"
 NONFULL = "nonfull"
 
 
-def _reject_integer_beta(e: ExpansionOfOne) -> None:
-    if e.is_finite and e.finite_length == 1:
-        raise IntegerBeta("closed forms require a non-integer beta")
+@lru_cache(maxsize=64)
+def _tau_row(e: ExpansionOfOne) -> tuple[list[int], list[int]]:
+    """The tau row of e so far, tau(0) = 0 at first, and its prefix maxima
+    (top[s] = max of tau(1..s), top[0] = 0); _tau extends both in place."""
+    return [0], [0]
+
+
+def _tau(e: ExpansionOfOne, bound: int) -> tuple[list[int], list[int]]:
+    """_tau_row(e) grown to at least bound + 1 entries, for reading only.
+
+    The greedy walk from s first subtracts P(s), the largest nonzero digit
+    position <= s, and then walks on from s - P(s), so
+    tau(s) = 1 + tau(s - P(s)).  The rows grow in chunks, to bound + 1 or
+    twice their length, whichever is more, so rising bounds slice the digit
+    prefix O(log bound) times, not once per bound.
+    """
+    table, top = _tau_row(e)
+    start = len(table)
+    if start <= bound:
+        stop = max(bound, 2 * start)
+        digits = e.digits_prefix(stop)
+        last = next((s for s in range(start - 1, 0, -1) if digits[s - 1]), 0)
+        high = top[-1]
+        for s in range(start, stop + 1):
+            if digits[s - 1]:
+                last = s
+            t = table[s - last] + 1
+            table.append(t)
+            if t > high:
+                high = t
+            top.append(high)
+    return table, top
 
 
 def tau(e: ExpansionOfOne, s: int) -> int:
@@ -36,70 +65,69 @@ def tau(e: ExpansionOfOne, s: int) -> int:
     return tau_table(e, s)[s]
 
 
-@lru_cache(maxsize=64)
-def _tau_row(e: ExpansionOfOne) -> list[int]:
-    """The tau row of e so far, tau(0) = 0 at first; tau_table extends the
-    list in place."""
-    return [0]
-
-
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
     """tau(e, s) for s = 1..bound; index 0 holds tau(0) = 0.
 
-    The greedy walk from s first subtracts P(s), the largest nonzero digit
-    position <= s, and then walks on from s - P(s), so
-    tau(s) = 1 + tau(s - P(s)).  One row per expansion (_tau_row) is
-    extended in increasing s as far as the largest bound asked for; each
-    call gets a copy of its first bound + 1 entries.
+    A copy of the first bound + 1 entries of one row per expansion, which
+    _tau grows in chunks (see there) as far as the largest bound asked for.
     """
     if bound < 0:
         raise ValueError("tau_table bound must be >= 0")
-    table = _tau_row(e)
-    start = len(table)
-    if start <= bound:
-        digits = e.digits_prefix(bound)
-        last = next((s for s in range(start - 1, 0, -1) if digits[s - 1]), 0)
-        for s in range(start, bound + 1):
-            if digits[s - 1]:
-                last = s
-            table.append(table[s - last] + 1)
-    return table[:bound + 1]
+    return _tau(e, bound)[0][:bound + 1]
+
+
+class _Shape:
+    """What the closed forms read of one expansion, found once (_shape):
+    M (None when infinite), eps_1, eps_M, the first |preperiod| + |period|
+    digits (past them the nonzero values repeat), the second nonzero
+    position n2 (the period holds a nonzero digit, so n2 lies among those
+    digits), the sorted nonzero values of those digits and of the first
+    M - 1, and tau's first-seen map from s = n2 - 1 on (value -> first s,
+    in rising s) for every s <= seen_to."""
+
+    __slots__ = ("m", "eps_1", "eps_m", "digits", "n2", "values", "early", "seen", "seen_to")
+
+    def __init__(self, e: ExpansionOfOne):
+        if e.is_finite and len(e.preperiod) == 1:
+            raise IntegerBeta("closed forms require a non-integer beta")
+        self.digits = digits = e.preperiod + e.period
+        self.m = len(digits) if e.is_finite else None
+        self.eps_1, self.eps_m = digits[0], digits[-1]
+        self.n2 = next(i for i, d in enumerate(digits[1:], start=2) if d)
+        self.values = tuple(sorted(set(digits) - {0}))
+        self.early = tuple(sorted(set(digits[:-1]) - {0}))
+        self.seen, self.seen_to = {}, self.n2 - 2
+
+    def nonzero(self, upto: int) -> tuple[int, ...]:
+        """The sorted nonzero digit values among the first upto digits."""
+        if upto >= len(self.digits):
+            return self.values
+        return tuple(sorted(set(self.digits[:upto]) - {0}))
+
+
+_shape = lru_cache(maxsize=64)(_Shape)
 
 
 def second_nonzero_position(e: ExpansionOfOne) -> int:
     """The second nonzero digit position of eps(1, beta); requires beta not
     an integer, in which case it always exists."""
-    _reject_integer_beta(e)
-    digits = e.digits_prefix(len(e.preperiod) + len(e.period) + 1)
-    for i, d in enumerate(digits[1:], start=2):
-        if d:
-            return i
-    raise VerificationError("no second nonzero digit found")
+    return _shape(e).n2
 
 
 # --- closed-form run-length sets ---
 
 
-def _nonzero_values(e: ExpansionOfOne, upto: int) -> set[int]:
-    """The nonzero digit values among the first upto digits of eps(1, beta).
-
-    Past the first |preperiod| + |period| digits the values repeat (a finite
-    expansion has only zeros there), so the prefix stops at that horizon.
-    """
-    return {d for d in e.digits_prefix(min(upto, len(e.preperiod) + len(e.period))) if d}
-
-
 def _full_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    m = e.finite_length
-    if not e.is_finite or m >= n:
-        return "short-or-infinite", tuple(sorted(_nonzero_values(e, n)))
-    boundary = e.digit(1) + e.digit(m)
+    m = sh.m
+    if m is None or m >= n:
+        return "short-or-infinite", sh.nonzero(n)
+    boundary = sh.eps_1 + sh.eps_m
     if n % m == 0:
-        return "finite-multiple", tuple(sorted(_nonzero_values(e, n) | {boundary}))
+        return "finite-multiple", tuple(sorted({*sh.values, boundary}))
     # m < n, so the digits past position m - 1 are eps_M and zeros
-    return "finite-nonmultiple", tuple(sorted(_nonzero_values(e, m - 1) | {boundary}))
+    return "finite-nonmultiple", tuple(sorted({*sh.early, boundary}))
 
 
 def full_run_lengths_formula(e: ExpansionOfOne, n: int) -> tuple[int, ...]:
@@ -114,37 +142,36 @@ def full_run_case(e: ExpansionOfOne, n: int) -> str:
 
 
 def max_full_run_length(e: ExpansionOfOne, n: int) -> int:
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    m = e.finite_length
-    if e.is_finite and m < n:
-        return e.alphabet_max + e.digit(m)
-    return e.alphabet_max
+    if sh.m is not None and sh.m < n:
+        return sh.eps_1 + sh.eps_m
+    return sh.eps_1
 
 
 def min_full_run_length(e: ExpansionOfOne, n: int) -> int:
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    m = e.finite_length
-    if e.is_finite and m < n and n % m != 0:
-        return min(_nonzero_values(e, m - 1))
-    return min(_nonzero_values(e, n))
+    m = sh.m
+    if m is not None and m < n and n % m != 0:
+        return sh.early[0]
+    return sh.nonzero(n)[0]
 
 
 def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    m = e.finite_length
-    if e.alphabet_max >= 2:
-        if not e.is_finite:
-            return "eps1>=2 infinite", _range_set(max(tau_table(e, n)[1:]))
+    m = sh.m
+    if sh.eps_1 >= 2:
+        if m is None:
+            return "eps1>=2 infinite", _range_set(_tau(e, n)[1][n])
         bound = min(m - 1, n)
-        return "eps1>=2 finite", _range_set(max(tau_table(e, bound)[1:]))
-    n2 = second_nonzero_position(e)
-    if not e.is_finite:
+        return "eps1>=2 finite", _range_set(_tau(e, bound)[1][bound])
+    n2 = sh.n2
+    if m is None:
         if n < n2:
             return "eps1=1 infinite n<n2", (n,)
-        return "eps1=1 infinite n>=n2", _with_low_range(e, n, n2)
+        return "eps1=1 infinite n>=n2", _with_low_range(e, sh, n)
     if n2 == m:
         if n < m:
             return "eps1=1 finite n2=M n<M", (n,)
@@ -155,8 +182,8 @@ def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     if n < n2:
         return "eps1=1 finite n2<M n<n2", (n,)
     if n < m:
-        return "eps1=1 finite n2<M n2<=n<M", _with_low_range(e, n, n2)
-    return "eps1=1 finite n2<M n>=M", _range_set(max(tau_table(e, m - 1)[1:]))
+        return "eps1=1 finite n2<M n2<=n<M", _with_low_range(e, sh, n)
+    return "eps1=1 finite n2<M n>=M", _range_set(_tau(e, m - 1)[1][m - 1])
 
 
 def nonfull_run_lengths_formula(e: ExpansionOfOne, n: int) -> tuple[int, ...]:
@@ -179,29 +206,39 @@ def _range_set(top: int) -> tuple[int, ...]:
     return tuple(range(1, top + 1))
 
 
-def _with_low_range(e: ExpansionOfOne, n: int, n2: int) -> tuple[int, ...]:
-    taus = tau_table(e, n)
-    values = set(range(1, min(n2 - 1, n - n2 + 1) + 1))
-    values.update(taus[n2 - 1:])
+def _with_low_range(e: ExpansionOfOne, sh: _Shape, n: int) -> tuple[int, ...]:
+    """1..min(n2 - 1, n - n2 + 1) and every tau(s), n2 - 1 <= s <= n; the
+    taus come off the first-seen map, which grows with n as the row does."""
+    seen = sh.seen
+    if sh.seen_to < n:
+        taus = _tau(e, n)[0]
+        for s in range(sh.seen_to + 1, n + 1):
+            seen.setdefault(taus[s], s)
+        sh.seen_to = n
+    values = set(range(1, min(sh.n2 - 1, n - sh.n2 + 1) + 1))
+    for value, s in seen.items():
+        if s > n:
+            break
+        values.add(value)
     return tuple(sorted(values))
 
 
 def max_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
-    _reject_integer_beta(e)
+    _shape(e)
     _check_n(n)
-    return max(tau_table(e, tail_cap(e, n))[1:])
+    cap = tail_cap(e, n)
+    return _tau(e, cap)[1][cap]
 
 
 def min_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    if e.alphabet_max >= 2:
+    if sh.eps_1 >= 2:
         return 1
-    n2 = second_nonzero_position(e)
-    if n < n2:
+    if n < sh.n2:
         return n
-    if e.is_finite and e.finite_length == n2 == n:
-        return n2 - 1
+    if sh.m == sh.n2 == n:
+        return sh.n2 - 1
     return 1
 
 
@@ -427,9 +464,8 @@ class LastRunClassification(Frozen):
 def classify_last_run(e: ExpansionOfOne, n: int) -> LastRunClassification:
     """The maximal word's run is full of length eps_M exactly when the
     expansion is finite with M dividing n; otherwise it is non-full."""
-    _reject_integer_beta(e)
+    sh = _shape(e)
     _check_n(n)
-    m = e.finite_length
-    if e.is_finite and n % m == 0:
-        return LastRunClassification(FULL, e.digit(m))
+    if sh.m is not None and n % sh.m == 0:
+        return LastRunClassification(FULL, sh.eps_m)
     return LastRunClassification(NONFULL, None)

@@ -16,8 +16,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import VerificationError
-from .expansion import ExpansionOfOne, Frozen, solve_beta
-from .words import Word, scan_states, successor
+from .expansion import BetaInterval, ExpansionOfOne, Frozen, solve_beta
+from .words import Word, scan_states, walk
 
 
 class _Undecided:
@@ -183,12 +183,27 @@ def smallest_tail_length(w: Word, e: ExpansionOfOne) -> int | None:
     return matches[0] if matches else None
 
 
+@lru_cache(maxsize=16)
+def _narrowest(e: ExpansionOfOne) -> list[BetaInterval | None]:
+    """The narrowest beta bracket of e that _scaled_inverse has made, in a
+    one-slot list (None before the first)."""
+    return [None]
+
+
 @lru_cache(maxsize=64)
 def _scaled_inverse(e: ExpansionOfOne, bits: int) -> tuple[int, int]:
     """(x_lo, x_hi): 1/beta scaled by 2^bits, rounded down and up, from a
     beta bracket 2^-(bits - 16) wide.  It depends on bits only, not on n,
-    so every n that shares bits solves beta once."""
-    beta = solve_beta(e, Fraction(1, 2 ** (bits - 16)))
+    so every n that shares bits solves beta once.  When the narrowest
+    bracket made so far is at least that wide, it is refined rather than
+    beta solved again; refining gives the bracket solve_beta gives, bit for
+    bit, and the refined bracket becomes the narrowest."""
+    target = Fraction(1, 2 ** (bits - 16))
+    slot = _narrowest(e)
+    wide = slot[0] is not None and slot[0].width >= target
+    beta = slot[0].refine(target) if wide else solve_beta(e, target)
+    if wide or slot[0] is None:
+        slot[0] = beta
     q, r = divmod(beta.lo.denominator << bits, beta.lo.numerator)
     return (beta.hi.denominator << bits) // beta.hi.numerator, q if r == 0 else q + 1
 
@@ -243,6 +258,11 @@ class CylinderCalc:
         return Fraction(scaled, self.one)
 
 
+def _fraction(tol: Fraction | float | str) -> Fraction:
+    """tol as a Fraction; one that is already a Fraction is taken as it is."""
+    return tol if isinstance(tol, Fraction) else Fraction(tol)
+
+
 def _bits_for(e: ExpansionOfOne, n: int, tol: Fraction) -> int:
     """The fixed-point precision of the cylinder arithmetic at (e, n, tol).
     A length gap can be as small as about beta^-(n + digits of e), when beta
@@ -259,8 +279,8 @@ def _calc(e: ExpansionOfOne, n: int, bits: int) -> CylinderCalc:
 
 
 def cylinder_calc(e: ExpansionOfOne, n: int, tol: Fraction | float | str = DEFAULT_TOL) -> CylinderCalc:
-    tol = Fraction(tol)
-    if tol <= 0:
+    tol = _fraction(tol)
+    if tol.numerator <= 0:
         raise ValueError("tolerance must be positive")
     return _calc(e, n, _bits_for(e, n, tol))
 
@@ -275,29 +295,30 @@ class CylinderInterval(Frozen):
         return (max(Fraction(0), self.right[0] - self.left[1]), self.right[1] - self.left[0])
 
 
-def _cylinder_ends(w: Word, e: ExpansionOfOne, tol,
+def _cylinder_ends(w: Word, e: ExpansionOfOne, tol: Fraction,
                    shifted: bool = False) -> tuple[CylinderCalc, tuple[int, int], tuple[int, int]]:
     """The calculator for (e, |w|) and the scaled enclosures of the left
     endpoint of w and of its successor (1 for the maximal word).
 
-    The successor agrees with w before its last nonzero digit, at index t,
-    so the first t digits are summed once and shared.  Both enclosures are
-    the same integer sums that a full pass over each word gives.  When
-    shifted, that shared prefix is left out of both ends: it moves both by
-    the same real amount, which cancels in the length, so the ends'
-    differences still enclose the length, without the prefix's width.
+    One step of the lex walk from w's scan, as successor takes it, gives
+    the index t it increments and the digit d it writes there; the
+    successor is w's first t digits, then d, then zeros, so no successor
+    word is built, and the first t digits are summed once and shared.  Both
+    enclosures are the same integer sums that a full pass over each word
+    gives.  When shifted, that shared prefix is left out of both ends: it
+    moves both by the same real amount, which cancels in the length, so the
+    ends' differences still enclose the length, without the prefix's width.
     """
     calc = cylinder_calc(e, len(w), tol)
-    nxt = successor(w, e)
-    if nxt is None:
+    digits = list(w.digits)
+    steps = walk(e, digits, scan_states(w.digits, e)[:])
+    next(steps)
+    t = next(steps, None)
+    if t is None:
         return calc, calc.pi_bounds(w.digits), (calc.one, calc.one)
-    succ = nxt.digits
-    t = len(succ) - 1
-    while not succ[t]:
-        t -= 1
     lo, hi = (0, 0) if shifted else calc.pi_bounds(w.digits[:t])
     rest_lo, rest_hi = calc.pi_bounds(w.digits[t:], t)
-    d = succ[t]
+    d = digits[t]
     return calc, (lo + rest_lo, hi + rest_hi), (lo + d * calc.pow_lo[t + 1], hi + d * calc.pow_hi[t + 1])
 
 
@@ -307,7 +328,7 @@ def cylinder(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = DEFAULT_T
     The left endpoint is sum w_i beta^-i; the right endpoint is the left
     endpoint of the successor, or 1 for the maximal word.
     """
-    calc, left, right = _cylinder_ends(w, e, tol)
+    calc, left, right = _cylinder_ends(w, e, _fraction(tol))
     return CylinderInterval(tuple(map(calc.as_fraction, left)), tuple(map(calc.as_fraction, right)))
 
 
@@ -317,6 +338,6 @@ def is_full_by_length(w: Word, e: ExpansionOfOne, tol: Fraction | float | str = 
     Returns True, False, or UNDECIDED when the enclosures overlap too
     loosely for the requested tolerance.
     """
-    tol = Fraction(tol)
+    tol = _fraction(tol)
     calc, left, right = _cylinder_ends(w, e, tol, shifted=True)
     return calc.compare_length(left, right, tol)

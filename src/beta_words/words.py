@@ -17,12 +17,14 @@ one (0 for the first word).  It stops after the lex-largest word or after a
 given number of words.
 
 Random access runs on the count table (table[m][j]: admissible length-m
-continuations from state j).  rank_of sums each digit times the count of
-the words one digit shorter; word_at reads the digits back by comparing
-the index with that count, subtracting it once for a digit 1 and dividing
-by it for a larger digit, and steps the block-match state as it goes.  The
-point queries share one scan through a one-slot memo (scan_states), and a
-word from iter_words or word_at arrives with its scan already stored there.
+continuations from state j), and reads only its state-1 column, the word
+counts count(e, m), which each expansion keeps beside its rows and extends
+with them.  rank_of sums each digit times the count of the words one digit
+shorter; word_at reads the digits back by comparing the index with that
+count, subtracting it once for a digit 1 and dividing by it for a larger
+digit, and steps the block-match state as it goes.  The point queries
+share one scan through a one-slot memo (scan_states), and a word from
+iter_words or word_at arrives with its scan already stored there.
 """
 
 from __future__ import annotations
@@ -278,14 +280,22 @@ def iter_words(
         yield Word(word)
 
 
+class _CountRows(list):
+    """Count rows, and beside them their state-1 column: column[m] = rows[m][1]."""
+
+    __slots__ = ("column",)
+
+
 @lru_cache(maxsize=64)
-def _count_rows(e: ExpansionOfOne) -> list[tuple[int, ...]]:
+def _count_rows(e: ExpansionOfOne) -> _CountRows:
     """The count rows of e so far, row 0 at first; _count_table extends the
-    list in place."""
-    return [(0,) + (1,) * (len(automaton(e).cmp) - 1)]
+    rows and their column together, in place."""
+    rows = _CountRows([(0,) + (1,) * (len(automaton(e).cmp) - 1)])
+    rows.column = [1]
+    return rows
 
 
-def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
+def _count_table(e: ExpansionOfOne, n: int) -> _CountRows:
     """table[m][j] = number of admissible length-m continuations from state j.
 
     One row list per expansion (_count_rows), extended on demand, so it holds
@@ -296,6 +306,7 @@ def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
         aut = automaton(e)
         cmp, adv = aut.cmp, aut.adv
         width = len(cmp)
+        column = table.column
         while len(table) <= n:
             prev = table[-1]
             row = [0] * width
@@ -305,7 +316,14 @@ def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
                     total += prev[adv[j]]
                 row[j] = total
             table.append(tuple(row))
+            column.append(row[1])
     return table
+
+
+def _count_column(e: ExpansionOfOne, n: int) -> list[int]:
+    """column[m] = count(e, m) for m <= n (column[0] = 1): state 1 of the
+    count table, the only state random access reads."""
+    return _count_table(e, n).column
 
 
 def count(e: ExpansionOfOne, n: int) -> int:
@@ -323,14 +341,14 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
     """
     _check_n(n)
     index = operator.index(index)
-    table = _count_table(e, n)
-    if not 0 <= index < table[n][1]:
-        raise ValueError(f"index {index} out of range for {table[n][1]} words")
+    column = _count_column(e, n)
+    if not 0 <= index < column[n]:
+        raise ValueError(f"index {index} out of range for {column[n]} words")
     aut = automaton(e)
     cmp, adv, maxdig = aut.cmp, aut.adv, aut.maxdig
-    # rank_of sums w_t * table[n - t][1].  The terms after position t sum to
+    # rank_of sums w_t * column[n - t].  The terms after position t sum to
     # the rank of an admissible suffix of length m = n - t, which is below
-    # table[m][1], so the digit at t is how many times table[m][1] still fits
+    # column[m], so the digit at t is how many times column[m] still fits
     # into what is left of the index.  A 0 digit costs one comparison and a 1
     # digit one subtraction; a larger digit takes one divmod, so the work per
     # digit does not grow with eps_1.  The block-match state steps as in
@@ -340,8 +358,7 @@ def word_at(e: ExpansionOfOne, n: int, index: int) -> Word:
     digits = []
     states = [1]
     s = 1
-    for row in table[n - 1::-1]:
-        block = row[1]
+    for block in column[n - 1::-1]:
         d = 0
         if index >= block:
             index -= block
@@ -367,9 +384,8 @@ def rank_of(w: Word, e: ExpansionOfOne) -> int:
     """0-based position of w in the lex enumeration of its length."""
     scan_states(w.digits, e)
     n = len(w)
-    table = _count_table(e, n)
     rank = 0
-    for d, row in zip(w.digits, table[n - 1::-1]):
+    for d, block in zip(w.digits, _count_column(e, n)[n - 1::-1]):
         if d:
-            rank += d * row[1]
+            rank += d * block
     return rank

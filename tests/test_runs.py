@@ -37,7 +37,7 @@ from beta_words import (
     word_at,
 )
 from beta_words import TailMismatch, VerificationError, predecessor
-from beta_words.structure import _tail_matches
+from beta_words.structure import _tail_matches, tail_cap
 
 GOLDEN = ExpansionOfOne.parse("1,1")
 PEARL = ExpansionOfOne.parse("3,0,2,0,0,0,0,1")
@@ -357,6 +357,198 @@ def test_tau_and_positions_match_per_position_oracles(text):
     assert second_nonzero_position(e) == oracle_second_nonzero_position(e)
 
 
+# --- the closed forms against the code that re-derived each expansion per call ---
+#
+# The head_* functions are the closed forms as they were before one record per
+# expansion (runs._shape) and one prefix-max tau row took over: every call
+# reads the expansion's properties again, slices its digits and scans a fresh
+# tau table.  Their tau row comes from the greedy-walk oracle above.
+
+HEAD_MEMBERS = MEMBERS + ["2;1", "4;2", "1;1,0", "1,1;0,1", "2;0,1", "1,0,1", "3,2,1", "1,1,0,1", "1000,1"]
+HEAD_MAX_N = 600
+HEAD_TAUS = {}
+
+
+def head_tau_table(e, bound):
+    if e not in HEAD_TAUS:
+        HEAD_TAUS[e] = oracle_tau_table(e, HEAD_MAX_N)
+    return HEAD_TAUS[e][:bound + 1]
+
+
+def head_reject_integer_beta(e):
+    if e.is_finite and e.finite_length == 1:
+        raise IntegerBeta("closed forms require a non-integer beta")
+
+
+def head_second_nonzero_position(e):
+    head_reject_integer_beta(e)
+    digits = e.digits_prefix(len(e.preperiod) + len(e.period) + 1)
+    for i, d in enumerate(digits[1:], start=2):
+        if d:
+            return i
+    raise VerificationError("no second nonzero digit found")
+
+
+def head_nonzero_values(e, upto):
+    return {d for d in e.digits_prefix(min(upto, len(e.preperiod) + len(e.period))) if d}
+
+
+def head_full_case(e, n):
+    head_reject_integer_beta(e)
+    m = e.finite_length
+    if not e.is_finite or m >= n:
+        return "short-or-infinite", tuple(sorted(head_nonzero_values(e, n)))
+    boundary = e.digit(1) + e.digit(m)
+    if n % m == 0:
+        return "finite-multiple", tuple(sorted(head_nonzero_values(e, n) | {boundary}))
+    return "finite-nonmultiple", tuple(sorted(head_nonzero_values(e, m - 1) | {boundary}))
+
+
+def head_max_full_run_length(e, n):
+    head_reject_integer_beta(e)
+    m = e.finite_length
+    if e.is_finite and m < n:
+        return e.alphabet_max + e.digit(m)
+    return e.alphabet_max
+
+
+def head_min_full_run_length(e, n):
+    head_reject_integer_beta(e)
+    m = e.finite_length
+    if e.is_finite and m < n and n % m != 0:
+        return min(head_nonzero_values(e, m - 1))
+    return min(head_nonzero_values(e, n))
+
+
+def head_range_set(top):
+    return tuple(range(1, top + 1))
+
+
+def head_with_low_range(e, n, n2):
+    values = set(range(1, min(n2 - 1, n - n2 + 1) + 1))
+    values.update(head_tau_table(e, n)[n2 - 1:])
+    return tuple(sorted(values))
+
+
+def head_nonfull_case(e, n):
+    head_reject_integer_beta(e)
+    m = e.finite_length
+    if e.alphabet_max >= 2:
+        if not e.is_finite:
+            return "eps1>=2 infinite", head_range_set(max(head_tau_table(e, n)[1:]))
+        return "eps1>=2 finite", head_range_set(max(head_tau_table(e, min(m - 1, n))[1:]))
+    n2 = head_second_nonzero_position(e)
+    if not e.is_finite:
+        if n < n2:
+            return "eps1=1 infinite n<n2", (n,)
+        return "eps1=1 infinite n>=n2", head_with_low_range(e, n, n2)
+    if n2 == m:
+        if n < m:
+            return "eps1=1 finite n2=M n<M", (n,)
+        if n == m:
+            return "eps1=1 finite n2=M n=M", (m - 1,)
+        return "eps1=1 finite n2=M n>M", tuple(sorted(set(head_range_set(min(n - m, m - 1))) | {m - 1}))
+    if n < n2:
+        return "eps1=1 finite n2<M n<n2", (n,)
+    if n < m:
+        return "eps1=1 finite n2<M n2<=n<M", head_with_low_range(e, n, n2)
+    return "eps1=1 finite n2<M n>=M", head_range_set(max(head_tau_table(e, m - 1)[1:]))
+
+
+def head_max_nonfull_run_length(e, n):
+    head_reject_integer_beta(e)
+    cap = n if not e.is_finite else min(e.finite_length - 1, n)
+    return max(head_tau_table(e, cap)[1:])
+
+
+def head_min_nonfull_run_length(e, n):
+    head_reject_integer_beta(e)
+    if e.alphabet_max >= 2:
+        return 1
+    n2 = head_second_nonzero_position(e)
+    if n < n2:
+        return n
+    if e.is_finite and e.finite_length == n2 == n:
+        return n2 - 1
+    return 1
+
+
+def head_closed_forms(e, n):
+    """The ten public closed-form values at (e, n), in closed_forms' order."""
+    head_reject_integer_beta(e)
+    full_case, nonfull_case = head_full_case(e, n), head_nonfull_case(e, n)
+    if e.is_finite and n % e.finite_length == 0:
+        last = runs.LastRunClassification(runs.FULL, e.digit(e.finite_length))
+    else:
+        last = runs.LastRunClassification(runs.NONFULL, None)
+    return [
+        full_case[0],
+        full_case[1],
+        head_max_full_run_length(e, n),
+        head_min_full_run_length(e, n),
+        nonfull_case[0],
+        nonfull_case[1],
+        head_max_nonfull_run_length(e, n),
+        head_min_nonfull_run_length(e, n),
+        runs.RunSets(full_case[1], nonfull_case[1], "formula"),
+        last,
+    ]
+
+
+HEAD_EXPANSIONS = [ExpansionOfOne.parse(text) for text in HEAD_MEMBERS]
+HEAD_VALUES = {}
+
+
+def head_values(e, n):
+    if (e, n) not in HEAD_VALUES:
+        HEAD_VALUES[e, n] = head_closed_forms(e, n)
+    return HEAD_VALUES[e, n]
+
+
+HEAD_ORDERS = {
+    "ascending": [(e, n) for e in HEAD_EXPANSIONS for n in range(1, HEAD_MAX_N + 1)],
+    "descending": [(e, n) for e in HEAD_EXPANSIONS for n in range(HEAD_MAX_N, 0, -1)],
+    "interleaved": [(e, n) for n in range(1, HEAD_MAX_N + 1) for e in HEAD_EXPANSIONS],
+}
+
+
+@pytest.mark.parametrize("order", HEAD_ORDERS)
+def test_closed_forms_match_the_per_call_code(order):
+    """Every public closed form at every n in 1..600 equals the per-call
+    code's value, whichever order the (expansion, n) pairs come in and so
+    however the per-expansion records and rows have grown."""
+    runs._shape.cache_clear()
+    runs._tau_row.cache_clear()
+    for e, n in HEAD_ORDERS[order]:
+        assert closed_forms(e, n) == head_values(e, n), (e.text(), n)
+        assert second_nonzero_position(e) == head_second_nonzero_position(e), e.text()
+
+
+@pytest.mark.parametrize("text", HEAD_MEMBERS)
+def test_prefix_max_row_is_the_max_of_the_tau_table(text):
+    runs._tau_row.cache_clear()
+    e = ExpansionOfOne.parse(text)
+    for n in [*range(1, 80), *range(HEAD_MAX_N, 79, -1)]:
+        table, top = runs._tau(e, n)
+        assert len(table) == len(top) > n
+        assert top[n] == max(tau_table(e, n)[1:]), n
+
+
+@pytest.mark.parametrize("text", ["2", "7"])
+def test_integer_betas_raise_from_every_closed_form(text):
+    e = ExpansionOfOne.parse(text)
+    for _ in range(2):
+        for fn in (run_sets_formula, full_run_lengths_formula, nonfull_run_lengths_formula, full_run_case,
+                   nonfull_run_case, max_full_run_length, min_full_run_length, max_nonfull_run_length,
+                   min_nonfull_run_length, classify_last_run):
+            for n in (1, 5, 600):
+                with pytest.raises(IntegerBeta, match="^closed forms require a non-integer beta$"):
+                    fn(e, n)
+        with pytest.raises(IntegerBeta):
+            second_nonzero_position(e)
+    assert tau_table(e, 5) == oracle_tau_table(e, 5)
+
+
 # --- tail_run_prediction reads one tau table ---
 
 
@@ -542,8 +734,36 @@ def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
         if table:
             table[-1] += 1
             table.append(-1)
-    # one row per expansion, extended in place
-    assert runs._tau_row(e) == fresh
+    # one row per expansion, extended in place in chunks, and its prefix maxima
+    row, top = runs._tau_row(e)
+    assert len(row) == len(top) >= 301
+    assert row[:301] == fresh
+    assert top[1:301] == [max(fresh[1:s + 1]) for s in range(1, 301)]
+
+
+@pytest.mark.parametrize("text", ["3,0,0,2;0,0,0,2", "1,0,0,0,0,1;0,0,0,0,0,1", "2,1,1"])
+def test_rising_bounds_grow_the_tau_row_in_chunks(text, monkeypatch):
+    """Bounds 1..4096 in turn slice the digit prefix once per doubling of the
+    row, 12 times, not once per bound, and read the values a fresh walk
+    gives; so do the prefix maxima that max_nonfull_run_length reads."""
+    runs._tau_row.cache_clear()
+    e = ExpansionOfOne.parse(text)
+    real = ExpansionOfOne.digits_prefix
+    slices = []
+
+    def counted(self, n):
+        slices.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(ExpansionOfOne, "digits_prefix", counted)
+    tables = [tau_table(e, bound) for bound in range(1, 4097)]
+    assert slices == [2 ** (k + 1) - 2 for k in range(1, 13)], slices
+    monkeypatch.setattr(ExpansionOfOne, "digits_prefix", real)
+    fresh = oracle_tau_table(e, 4096)
+    assert all(table == fresh[:len(table)] for table in tables)
+    cap = tail_cap(e, 4096)
+    assert [max_nonfull_run_length(e, n) for n in range(1, 4097)] == [
+        max(fresh[1:min(n, cap) + 1]) for n in range(1, 4097)]
 
 
 def lookups(cache, call):

@@ -213,6 +213,73 @@ def test_cylinder_ends_match_two_passes(text, n):
         assert c.right == tuple(map(calc.as_fraction, right))
 
 
+def successor_built_ends(w, e, tol, shifted=False):
+    """The cylinder ends as they were built from the successor Word: its
+    last nonzero digit, at index t, is where it leaves w."""
+    calc = cylinder_calc(e, len(w), tol)
+    nxt = successor(w, e)
+    if nxt is None:
+        return calc, calc.pi_bounds(w.digits), (calc.one, calc.one)
+    succ = nxt.digits
+    t = max(i for i, d in enumerate(succ) if d)
+    lo, hi = (0, 0) if shifted else calc.pi_bounds(w.digits[:t])
+    rest_lo, rest_hi = calc.pi_bounds(w.digits[t:], t)
+    d = succ[t]
+    return calc, (lo + rest_lo, hi + rest_hi), (lo + d * calc.pow_lo[t + 1], hi + d * calc.pow_hi[t + 1])
+
+
+def successor_free_words(e):
+    """Every word at n <= 9; at n = 512 rank 0, the maximal word, the last
+    word of each first digit below eps_1 (its successor increments position
+    0) and seeded ranks."""
+    words = [w for n in range(1, 10) for w in iter_words(e, n)]
+    total, block = count(e, 512), count(e, 511)
+    rng = random.Random(e.text())
+    ranks = {0, total - 1, *((d + 1) * block - 1 for d in range(e.alphabet_max)),
+             *(rng.randrange(total) for _ in range(40))}
+    return words + [word_at(e, 512, r) for r in sorted(ranks)]
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_successor_free_ends_match_successor_built_ends(text):
+    e = ExpansionOfOne.parse(text)
+    tops = {n: max_word(e, n).digits for n in (*range(1, 9), 511)}
+    increments_at_0 = 0
+    for w in successor_free_words(e):
+        calc, left, right = whole = successor_built_ends(w, e, DEFAULT_TOL)
+        shifted = successor_built_ends(w, e, DEFAULT_TOL, shifted=True)
+        assert _cylinder_ends(w, e, DEFAULT_TOL) == whole, w.text()
+        assert _cylinder_ends(w, e, DEFAULT_TOL, shifted=True) == shifted, w.text()
+        c = cylinder(w, e)
+        assert (c.left, c.right) == (tuple(map(calc.as_fraction, left)), tuple(map(calc.as_fraction, right)))
+        verdict = calc.compare_length(shifted[1], shifted[2], DEFAULT_TOL)
+        assert is_full_by_length(w, e) is verdict is is_full(w, e), w.text()
+        # the last word of a first digit below eps_1: its successor increments position 0
+        increments_at_0 += len(w) > 1 and w.digits[0] < e.alphabet_max and w.digits[1:] == tops[len(w) - 1]
+    assert increments_at_0 == 9 * e.alphabet_max  # n = 2..9 and 512
+
+
+@pytest.mark.parametrize("text", DEFAULT_CORPUS)
+def test_length_verdicts_take_tol_as_str_float_or_fraction(text):
+    e = ExpansionOfOne.parse(text)
+    ways = [("1e-12", 1e-12, Fraction(1, 10**12)), ("0.001", 0.001, Fraction(1, 1000)),
+            ("1/1099511627776", 2.0**-40, Fraction(1, 2**40))]
+    for n in (1, 5, 9, 512):
+        for w in length_words(e, n):
+            for spellings in ways:
+                verdicts = [is_full_by_length(w, e, tol) for tol in spellings]
+                ends = [cylinder(w, e, tol) for tol in spellings]
+                assert verdicts[0] is verdicts[1] is verdicts[2] is is_full(w, e), (n, w.text(), spellings)
+                assert ends[0] == ends[1] == ends[2], (n, w.text(), spellings)
+    w = word_at(e, 5, 0)
+    for tol in (0, 0.0, "0", Fraction(0), -1, "-1e-12", -0.5, Fraction(-1, 3)):
+        for call in (is_full_by_length, cylinder):
+            with pytest.raises(ValueError, match="^tolerance must be positive$"):
+                call(w, e, tol)
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            cylinder_calc(e, 5, tol)
+
+
 @pytest.mark.parametrize("text", DEFAULT_CORPUS)
 def test_pi_bounds_split_at_any_index(text):
     e = ExpansionOfOne.parse(text)
@@ -241,6 +308,7 @@ def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
     members = [ExpansionOfOne.parse(text) for text in DEFAULT_CORPUS]
     structure_mod._calc.cache_clear()
     structure_mod._scaled_inverse.cache_clear()
+    structure_mod._narrowest.cache_clear()
     try:
         for e in members:
             for n in range(1, 13):
@@ -258,6 +326,40 @@ def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
         structure_mod._calc.cache_clear()
         structure_mod._scaled_inverse.cache_clear()
     assert calls == members
+
+
+def test_wider_bits_refine_the_narrowest_bracket_made(monkeypatch):
+    """On the 256-digit 1000,...,1000,1 line, verify's n = 1..12 need 1/beta
+    at three precisions.  Beta is solved once; the next two brackets refine
+    the one before, and every (x_lo, x_hi) equals the one a fresh solve_beta
+    at the same bits gives.  Fewer bits than the narrowest bracket made are
+    solved afresh, as a narrower bracket cannot be refined to a wider one,
+    and that bracket stays the one to refine."""
+    e = ExpansionOfOne.parse(",".join(["1000"] * 255 + ["1"]))
+    widths = sorted({structure_mod._bits_for(e, n, DEFAULT_TOL) for n in range(1, 13)})
+    assert widths == [2688, 2752, 2816]
+    real = structure_mod.solve_beta
+    calls = []
+
+    def spy(e_, tol):
+        calls.append(tol)
+        return real(e_, tol)
+
+    monkeypatch.setattr(structure_mod, "solve_beta", spy)
+    structure_mod._scaled_inverse.cache_clear()
+    structure_mod._narrowest.cache_clear()
+    try:
+        got = [structure_mod._scaled_inverse(e, bits) for bits in widths]
+        assert calls == [Fraction(1, 2 ** (2688 - 16))]
+        assert structure_mod._scaled_inverse(e, 320) and calls[1:] == [Fraction(1, 2 ** (320 - 16))]
+        assert structure_mod._narrowest(e)[0].width == Fraction(1, 2 ** (2816 - 16))
+    finally:
+        structure_mod._scaled_inverse.cache_clear()
+        structure_mod._narrowest.cache_clear()
+    for bits, (x_lo, x_hi) in zip(widths, got):
+        beta = real(e, Fraction(1, 2 ** (bits - 16)))
+        assert x_lo == (beta.hi.denominator << bits) // beta.hi.numerator, bits
+        assert x_hi == -(-(beta.lo.denominator << bits) // beta.lo.numerator), bits
 
 
 @pytest.mark.parametrize("text", DEFAULT_CORPUS)

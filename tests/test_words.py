@@ -463,17 +463,18 @@ def test_word_at_seeds_the_scan_memo(e):
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 @pytest.mark.parametrize("row, fault", [(1, "row 0"), (0, "zeros")])
 def test_word_at_refuses_a_count_table_out_of_step(monkeypatch, e, row, fault):
-    """Row 1 of the count table set to row 0, or row 0 set to zeros: the
-    digits read back from the largest index exceed what their states admit,
-    so word_at raises, after finitely many subtractions, and stores no scan."""
-    real = words_mod._count_table
+    """Row 1 of the count table set to row 0, or row 0 set to zeros, in the
+    state-1 column that word_at reads: the digits read back from the largest
+    index exceed what their states admit, so word_at raises, after finitely
+    many subtractions, and stores no scan."""
+    real = words_mod._count_column
 
     def out_of_step(e_, n):
-        table = list(real(e_, n))
-        table[row] = table[0] if fault == "row 0" else (0,) * len(table[0])
-        return table
+        column = list(real(e_, n))
+        column[row] = column[0] if fault == "row 0" else 0
+        return column
 
-    monkeypatch.setattr(words_mod, "_count_table", out_of_step)
+    monkeypatch.setattr(words_mod, "_count_column", out_of_step)
     kept = (1,) + (0,) * 5
     scan_states(kept, e)
     before = words_mod._LAST_SCAN[0]
@@ -492,7 +493,7 @@ def test_word_at_work_per_digit_does_not_grow_with_the_alphabet(monkeypatch, tex
     spent, whichever side and operator it is written with, so the budget is
     two per digit plus the one of word_at's range check on the index."""
     e = ExpansionOfOne.parse(text)
-    real = words_mod._count_table
+    real = words_mod._count_column
     budget = [0]
 
     def spent(compare):
@@ -506,16 +507,16 @@ def test_word_at_work_per_digit_does_not_grow_with_the_alphabet(monkeypatch, tex
         __lt__, __le__, __gt__, __ge__ = map(spent, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def counting(e_, n):
-        return [tuple(Count(c) for c in row) for row in real(e_, n)]
+        return [Count(c) for c in real(e_, n)]
 
     rng = random.Random(text)
     for n in (1, 2, 3, 12, 64):
         total = count(e, n)
         for index in {0, total - 1, total // 2, *(rng.randrange(total) for _ in range(4))}:
-            monkeypatch.setattr(words_mod, "_count_table", counting)
+            monkeypatch.setattr(words_mod, "_count_column", counting)
             budget[0] = 2 * n + 1
             w = word_at(e, n, index)
-            monkeypatch.setattr(words_mod, "_count_table", real)
+            monkeypatch.setattr(words_mod, "_count_column", real)
             assert w == word_at_oracle(e, n, index), (n, index)
             assert rank_of(w, e) == index, (n, index)
 
