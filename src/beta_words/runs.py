@@ -12,10 +12,11 @@ single streamed pass, so they can be checked against each other.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
 from .expansion import ExpansionOfOne, Frozen
-from .structure import _tail_matches, is_full, tail_cap
+from .structure import _tail_matches, is_full
 from .words import Word, _check_n, automaton, count, predecessor, start_at, walk
 
 FULL = "full"
@@ -23,37 +24,33 @@ NONFULL = "nonfull"
 
 
 @lru_cache(maxsize=64)
-def _tau_row(e: ExpansionOfOne) -> tuple[list[int], list[int]]:
-    """The tau row of e so far, tau(0) = 0 at first, and its prefix maxima
-    (top[s] = max of tau(1..s), top[0] = 0); _tau extends both in place."""
-    return [0], [0]
+def _tau_row(e: ExpansionOfOne) -> list[int]:
+    """The tau row of e so far, tau(0) = 0 at first; _tau extends it in
+    place.  tau_table and tau read it; the closed forms read _shape(e),
+    which reads it once, through its stable position (see _Shape)."""
+    return [0]
 
 
-def _tau(e: ExpansionOfOne, bound: int) -> tuple[list[int], list[int]]:
+def _tau(e: ExpansionOfOne, bound: int) -> list[int]:
     """_tau_row(e) grown to at least bound + 1 entries, for reading only.
 
     The greedy walk from s first subtracts P(s), the largest nonzero digit
     position <= s, and then walks on from s - P(s), so
-    tau(s) = 1 + tau(s - P(s)).  The rows grow in chunks, to bound + 1 or
-    twice their length, whichever is more, so rising bounds slice the digit
+    tau(s) = 1 + tau(s - P(s)).  The row grows in chunks, to bound + 1 or
+    twice its length, whichever is more, so rising bounds slice the digit
     prefix O(log bound) times, not once per bound.
     """
-    table, top = _tau_row(e)
+    table = _tau_row(e)
     start = len(table)
     if start <= bound:
         stop = max(bound, 2 * start)
         digits = e.digits_prefix(stop)
         last = next((s for s in range(start - 1, 0, -1) if digits[s - 1]), 0)
-        high = top[-1]
         for s in range(start, stop + 1):
             if digits[s - 1]:
                 last = s
-            t = table[s - last] + 1
-            table.append(t)
-            if t > high:
-                high = t
-            top.append(high)
-    return table, top
+            table.append(table[s - last] + 1)
+    return table
 
 
 def tau(e: ExpansionOfOne, s: int) -> int:
@@ -62,7 +59,7 @@ def tau(e: ExpansionOfOne, s: int) -> int:
     greedy walk terminates."""
     if s < 1:
         raise ValueError("tau is defined for s >= 1")
-    return tau_table(e, s)[s]
+    return _tau(e, s)[s]
 
 
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
@@ -73,30 +70,49 @@ def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
     """
     if bound < 0:
         raise ValueError("tau_table bound must be >= 0")
-    return _tau(e, bound)[0][:bound + 1]
+    return _tau(e, bound)[:bound + 1]
 
 
-class _Shape:
-    """What the closed forms read of one expansion, found once (_shape):
-    M (None when infinite), eps_1, eps_M, the first |preperiod| + |period|
-    digits (past them the nonzero values repeat), the second nonzero
-    position n2 (the period holds a nonzero digit, so n2 lies among those
-    digits), the sorted nonzero values of those digits and of the first
-    M - 1, and tau's first-seen map from s = n2 - 1 on (value -> first s,
-    in rising s) for every s <= seen_to."""
+class _Shape(Frozen):
+    """What the closed forms read of one expansion, built whole once
+    (_shape) and never changed: M (None when infinite), eps_1, eps_M, the
+    first |preperiod| + |period| digits (past them the nonzero values
+    repeat), the second nonzero position n2 (the period holds a nonzero
+    digit, so n2 lies among those digits), the sorted nonzero values of
+    those digits, the full-run sets of the finite branches with M < n (M | n
+    or not), and tau through position stable: its prefix maxima top
+    (top[s] = max of tau(1..s), top[0] = 0) and its first-seen pairs
+    (value, first s) for s >= n2 - 1, in rising s.
 
-    __slots__ = ("m", "eps_1", "eps_m", "digits", "n2", "values", "early", "seen", "seen_to")
+    Neither changes past stable, so top[min(n, stable)] and the pairs with
+    s <= n serve every n.  A finite expansion's closed forms read tau only
+    through M - 1 = stable.  For an eventually periodic one, p = |preperiod|
+    and q = |period|: every q consecutive positions past p hold a nonzero
+    digit, so for s >= p + q the offset s - P(s) is below q and repeats with
+    period q, and tau(s) = 1 + tau(s - P(s)) = tau(s - q) for s >= p + 2q;
+    stable = p + 2q - 1.  The build is linear in stable.
+    """
+
+    __slots__ = ("m", "eps_1", "eps_m", "digits", "n2", "values", "multiple", "nonmultiple", "stable", "top",
+                 "seen")
 
     def __init__(self, e: ExpansionOfOne):
         if e.is_finite and len(e.preperiod) == 1:
             raise IntegerBeta("closed forms require a non-integer beta")
-        self.digits = digits = e.preperiod + e.period
-        self.m = len(digits) if e.is_finite else None
-        self.eps_1, self.eps_m = digits[0], digits[-1]
-        self.n2 = next(i for i, d in enumerate(digits[1:], start=2) if d)
-        self.values = tuple(sorted(set(digits) - {0}))
-        self.early = tuple(sorted(set(digits[:-1]) - {0}))
-        self.seen, self.seen_to = {}, self.n2 - 2
+        digits = e.preperiod + e.period
+        m = len(digits) if e.is_finite else None
+        eps_1, eps_m = digits[0], digits[-1]
+        n2 = next(i for i, d in enumerate(digits[1:], start=2) if d)
+        values = tuple(sorted(set(digits) - {0}))
+        multiple = tuple(sorted({*values, eps_1 + eps_m}))
+        nonmultiple = tuple(sorted(set(digits[:-1]) - {0} | {eps_1 + eps_m}))
+        stable = m - 1 if m else len(e.preperiod) + 2 * len(e.period) - 1
+        taus = _tau(e, stable)
+        first: dict[int, int] = {}
+        for s in range(n2 - 1, stable + 1):
+            first.setdefault(taus[s], s)
+        Frozen.__init__(self, m, eps_1, eps_m, digits, n2, values, multiple, nonmultiple, stable,
+                        tuple(accumulate(taus[:stable + 1], max)), tuple(first.items()))
 
     def nonzero(self, upto: int) -> tuple[int, ...]:
         """The sorted nonzero digit values among the first upto digits."""
@@ -123,11 +139,9 @@ def _full_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     m = sh.m
     if m is None or m >= n:
         return "short-or-infinite", sh.nonzero(n)
-    boundary = sh.eps_1 + sh.eps_m
     if n % m == 0:
-        return "finite-multiple", tuple(sorted({*sh.values, boundary}))
-    # m < n, so the digits past position m - 1 are eps_M and zeros
-    return "finite-nonmultiple", tuple(sorted({*sh.early, boundary}))
+        return "finite-multiple", sh.multiple
+    return "finite-nonmultiple", sh.nonmultiple
 
 
 def full_run_lengths_formula(e: ExpansionOfOne, n: int) -> tuple[int, ...]:
@@ -142,20 +156,11 @@ def full_run_case(e: ExpansionOfOne, n: int) -> str:
 
 
 def max_full_run_length(e: ExpansionOfOne, n: int) -> int:
-    sh = _shape(e)
-    _check_n(n)
-    if sh.m is not None and sh.m < n:
-        return sh.eps_1 + sh.eps_m
-    return sh.eps_1
+    return _full_case(e, n)[1][-1]
 
 
 def min_full_run_length(e: ExpansionOfOne, n: int) -> int:
-    sh = _shape(e)
-    _check_n(n)
-    m = sh.m
-    if m is not None and m < n and n % m != 0:
-        return sh.early[0]
-    return sh.nonzero(n)[0]
+    return _full_case(e, n)[1][0]
 
 
 def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
@@ -163,15 +168,13 @@ def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     _check_n(n)
     m = sh.m
     if sh.eps_1 >= 2:
-        if m is None:
-            return "eps1>=2 infinite", _range_set(_tau(e, n)[1][n])
-        bound = min(m - 1, n)
-        return "eps1>=2 finite", _range_set(_tau(e, bound)[1][bound])
+        label = "eps1>=2 infinite" if m is None else "eps1>=2 finite"
+        return label, _range_set(sh.top[min(n, sh.stable)])
     n2 = sh.n2
     if m is None:
         if n < n2:
             return "eps1=1 infinite n<n2", (n,)
-        return "eps1=1 infinite n>=n2", _with_low_range(e, sh, n)
+        return "eps1=1 infinite n>=n2", _with_low_range(sh, n)
     if n2 == m:
         if n < m:
             return "eps1=1 finite n2=M n<M", (n,)
@@ -182,8 +185,8 @@ def _nonfull_case(e: ExpansionOfOne, n: int) -> tuple[str, tuple[int, ...]]:
     if n < n2:
         return "eps1=1 finite n2<M n<n2", (n,)
     if n < m:
-        return "eps1=1 finite n2<M n2<=n<M", _with_low_range(e, sh, n)
-    return "eps1=1 finite n2<M n>=M", _range_set(_tau(e, m - 1)[1][m - 1])
+        return "eps1=1 finite n2<M n2<=n<M", _with_low_range(sh, n)
+    return "eps1=1 finite n2<M n>=M", _range_set(sh.top[m - 1])
 
 
 def nonfull_run_lengths_formula(e: ExpansionOfOne, n: int) -> tuple[int, ...]:
@@ -206,28 +209,20 @@ def _range_set(top: int) -> tuple[int, ...]:
     return tuple(range(1, top + 1))
 
 
-def _with_low_range(e: ExpansionOfOne, sh: _Shape, n: int) -> tuple[int, ...]:
+def _with_low_range(sh: _Shape, n: int) -> tuple[int, ...]:
     """1..min(n2 - 1, n - n2 + 1) and every tau(s), n2 - 1 <= s <= n; the
-    taus come off the first-seen map, which grows with n as the row does."""
-    seen = sh.seen
-    if sh.seen_to < n:
-        taus = _tau(e, n)[0]
-        for s in range(sh.seen_to + 1, n + 1):
-            seen.setdefault(taus[s], s)
-        sh.seen_to = n
+    taus come off the record's first-seen pairs."""
     values = set(range(1, min(sh.n2 - 1, n - sh.n2 + 1) + 1))
-    for value, s in seen.items():
-        if s > n:
-            break
-        values.add(value)
+    values.update(value for value, s in sh.seen if s <= n)
     return tuple(sorted(values))
 
 
 def max_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:
-    _shape(e)
+    """max tau(1..tail_cap(e, n)): tail_cap is n, or min(M - 1, n) when
+    finite, and the record's prefix maxima are final past stable."""
+    sh = _shape(e)
     _check_n(n)
-    cap = tail_cap(e, n)
-    return _tau(e, cap)[1][cap]
+    return sh.top[min(n, sh.stable)]
 
 
 def min_nonfull_run_length(e: ExpansionOfOne, n: int) -> int:

@@ -343,22 +343,15 @@ class SweepResult(Frozen):
     __slots__ = ("words", "undecided", "length_sum", "failures", "runs")
 
 
-def _sweep_worker(args):
-    # the pool pickles this function by name; sweep_shard may be rebound
-    # to a wrapper at run time, which would not pickle
-    return sweep_shard(*args)
-
-
-def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL, chunk=None) -> SweepResult:
-    """Check every word at (e, n): the chunk of a whole-range sweep_shard,
-    swept here when none is given, plus the global checks.
+def sweep_fullness(e: ExpansionOfOne, n: int, tol=DEFAULT_TOL) -> SweepResult:
+    """Check every word at (e, n): one whole-range sweep_shard plus the
+    global checks.
 
     The cylinder lengths must sum to 1 within n * tol, and the visited-word
     tally must equal the counting recursion.
     """
     tol = Fraction(tol)
-    if chunk is None:
-        chunk = sweep_shard(e, n, tol)
+    chunk = sweep_shard(e, n, tol)
     case = e.text()
     failures = list(chunk["failures"])
     words, sum_lo, sum_hi = chunk["words"], chunk["sum_lo"], chunk["sum_hi"]
@@ -742,29 +735,35 @@ def verify_theorems(e: ExpansionOfOne, max_n: int) -> list[str]:
     return failures[:MAX_FAILURES]
 
 
-def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL, chunks=None):
+def _member_row(task):
+    """The report row and failures of one (e, n, tol) task: one sweep, its
+    global checks, the closed forms against its run sets, and a note of any
+    undecided words.  The pool pickles this function by name."""
+    e, n, tol = task
+    sweep = sweep_fullness(e, n, tol)
+    row, failures = _compare_run_sets(e, n, sweep.runs)
+    failures.extend(sweep.failures)
+    if sweep.undecided:
+        _record(failures, f"{e.text()} n={n}: {sweep.undecided} words undecided by the "
+                          f"length criterion at tol {tol}")
+    return row, failures
+
+
+def _fold_member(results):
+    """One member's rows and failures from its _member_row results, in n
+    order; the failures stop at MAX_FAILURES."""
+    results = list(results)
+    return [row for row, _ in results], [line for _, fails in results for line in fails][:MAX_FAILURES]
+
+
+def verify_member(e: ExpansionOfOne, n_values, tol=DEFAULT_TOL):
     """Formula-versus-enumeration rows plus criterion sweeps for one expansion.
 
     Returns (report_rows, failures): one row per n with the run-length sets
     from both provenances, and failure strings for anything that broke.  One
     sweep per n yields the enumerated run sets and the criterion checks.
-    chunks, when given, holds one whole-range sweep_shard chunk per n, in
-    the order of n_values (a count mismatch raises ValueError); a None
-    chunk, or no chunks at all, is swept here.
     """
-    n_values = list(n_values)
-    rows = []
-    failures: list[str] = []
-    for n, chunk in zip(n_values, [None] * len(n_values) if chunks is None else chunks, strict=True):
-        sweep = sweep_fullness(e, n, tol, chunk)
-        row, fails = _compare_run_sets(e, n, sweep.runs)
-        rows.append(row)
-        failures.extend(fails)
-        failures.extend(sweep.failures)
-        if sweep.undecided:
-            _record(failures, f"{e.text()} n={n}: {sweep.undecided} words undecided by the "
-                              f"length criterion at tol {tol}")
-    return rows, failures[:MAX_FAILURES]
+    return _fold_member(_member_row((e, n, tol)) for n in n_values)
 
 
 def _sweep_work(corpus, n_values) -> int:
@@ -795,11 +794,12 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     min(shards, cores, sweeps) above one and the report's estimated work
     (_sweep_work) at least POOL_MIN_WORK, every task is an item of one
     process-pool map over the whole report, handed out one at a time in
-    report order, and each member is handed its chunks in n order; otherwise verify_member sweeps in this process, as
-    a pool would cost more to start than it saves.  The chunks are those
-    of an in-process sweep, so sharded and unsharded runs render
-    byte-identical reports.  The least n is checked before any table,
-    pool or list of n (for a range) is built.
+    report order, and each returns its finished row and failures, folded
+    here member by member as verify_member folds them; otherwise
+    verify_member sweeps in this process, as a pool would cost more to
+    start than it saves.  A task's result is the same in either process, so
+    sharded and unsharded runs render byte-identical reports.  The least n
+    is checked before any table, pool or list of n (for a range) is built.
     """
     corpus = list(corpus)
     if not isinstance(n_values, range):
@@ -807,21 +807,15 @@ def verify_report(corpus, n_values, tol=DEFAULT_TOL, shards: int = 1):
     if n_values:  # a range's least n is at one of its ends, so it is found without listing the range
         _check_n(min(n_values[0], n_values[-1]) if isinstance(n_values, range) else min(n_values))
     n_values = list(n_values)
-    sweeps = len(corpus) * len(n_values)
-    workers = min(shards, os.cpu_count() or 1, sweeps)
-    chunks = [None] * sweeps
-    if workers > 1 and _sweep_work(corpus, n_values) >= POOL_MIN_WORK:
-        tasks = [(e, n, Fraction(tol)) for e in corpus for n in n_values]
-        with _process_pool(workers) as executor:
-            chunks = list(executor.map(_sweep_worker, tasks))
     k = len(n_values)
-    rows = []
-    failures: list[str] = []
-    for i, e in enumerate(corpus):
-        member_rows, member_failures = verify_member(e, n_values, tol, chunks[i * k:(i + 1) * k])
-        rows.extend(member_rows)
-        failures.extend(member_failures)
-    return rows, failures
+    workers = min(shards, os.cpu_count() or 1, len(corpus) * k)
+    if workers > 1 and _sweep_work(corpus, n_values) >= POOL_MIN_WORK:
+        with _process_pool(workers) as executor:
+            results = list(executor.map(_member_row, [(e, n, tol) for e in corpus for n in n_values]))
+        members = [_fold_member(results[i * k:(i + 1) * k]) for i in range(len(corpus))]
+    else:
+        members = [verify_member(e, n_values, tol) for e in corpus]
+    return [row for rows, _ in members for row in rows], [line for _, fails in members for line in fails]
 
 
 def render_report(rows) -> str:

@@ -23,6 +23,7 @@ from beta_words.runs import prefix_count, scan_run_lengths
 from beta_words.structure import DEFAULT_TOL, _tail_matches
 from beta_words.verify import sweep_shard
 from beta_words.words import automaton, scan_states
+from test_runs import check_closed_form_period
 from test_structure import decompose_oracle, mismatch_oracle, tail_matches_oracle
 from test_verify import fold_windows, sweep_shard_oracle
 
@@ -138,3 +139,12 @@ def test_windows_cut_inside_super_families_match_oracle(e, n, seed_a, seed_b):
     a, b = sorted((inside_super_family(e, n, seed_a), inside_super_family(e, n, seed_b)))
     for start, stop in ((0, a), (a, b), (b, prefix_count(e, n))):
         assert sweep_shard(e, n, DEFAULT_TOL, start, stop) == sweep_shard_oracle(e, n, DEFAULT_TOL, start, stop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions())
+def test_random_closed_forms_are_eventually_periodic(e):
+    """Past n0 = 2 (|preperiod| + |period|) every closed form repeats with
+    period M, or 1 when the expansion is periodic, up to n = 10^18."""
+    assume(not (e.is_finite and e.finite_length == 1))
+    check_closed_form_period(e)

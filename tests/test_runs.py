@@ -1,6 +1,8 @@
 """Run lengths of full and non-full words: formulas against enumeration."""
 
 import random
+import time
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -526,12 +528,93 @@ def test_closed_forms_match_the_per_call_code(order):
 
 @pytest.mark.parametrize("text", HEAD_MEMBERS)
 def test_prefix_max_row_is_the_max_of_the_tau_table(text):
+    """The record's prefix maxima, read at min(n, stable), are the maxima of
+    tau over 1..tail_cap(e, n) at every n, however far the row has grown."""
     runs._tau_row.cache_clear()
+    runs._shape.cache_clear()
     e = ExpansionOfOne.parse(text)
+    sh = runs._shape(e)
+    assert len(sh.top) == sh.stable + 1
     for n in [*range(1, 80), *range(HEAD_MAX_N, 79, -1)]:
-        table, top = runs._tau(e, n)
-        assert len(table) == len(top) > n
-        assert top[n] == max(tau_table(e, n)[1:]), n
+        table = runs._tau(e, n)
+        assert len(table) > n
+        assert sh.top[min(n, sh.stable)] == max(tau_table(e, tail_cap(e, n))[1:]), n
+
+
+# --- the closed forms are eventually periodic in n ---
+
+
+def closed_form_period(e):
+    """(n0, q) with n0 = 2L, L = |preperiod| + |period|, and q = M for a
+    finite expansion, 1 for a periodic one: every closed form at n >= n0
+    equals its value at n + q."""
+    return 2 * (len(e.preperiod) + len(e.period)), e.finite_length if e.is_finite else 1
+
+
+def check_closed_form_period(e):
+    """Every closed form at n in n0..n0 + 3q + 300 equals its value at
+    n + q, and at n = 10^9 and 10^18 its value at the residue in
+    [n0, n0 + q)."""
+    n0, q = closed_form_period(e)
+    for n in range(n0, n0 + 3 * q + 301):
+        assert closed_forms(e, n) == closed_forms(e, n + q), (e.text(), n)
+    for n in (10**9, 10**18):
+        assert closed_forms(e, n) == closed_forms(e, n0 + (n - n0) % q), (e.text(), n)
+
+
+@pytest.mark.parametrize("text", HEAD_MEMBERS)
+def test_closed_forms_are_eventually_periodic(text):
+    """The record is final when built, so a fresh one answers n = 10^18 as
+    it answers the residue, within a megabyte of traced memory."""
+    runs._shape.cache_clear()
+    runs._tau_row.cache_clear()
+    tracemalloc.start()
+    try:
+        check_closed_form_period(ExpansionOfOne.parse(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("text", ["3,0,0,2;0,0,0,2", "1,0,0,0,0,1;0,0,0,0,0,1"])
+def test_periodic_members_answer_a_billion_at_once(text):
+    """Both periodic members' run sets and longest non-full run at n = 10^9,
+    from a fresh record, take well under 10 ms and a megabyte."""
+    e = ExpansionOfOne.parse(text)
+    runs._shape.cache_clear()
+    runs._tau_row.cache_clear()
+    start = time.perf_counter()
+    got = run_sets_formula(e, 10**9), max_nonfull_run_length(e, 10**9)
+    elapsed = time.perf_counter() - start
+    runs._shape.cache_clear()
+    runs._tau_row.cache_clear()
+    tracemalloc.start()
+    try:
+        assert (run_sets_formula(e, 10**9), max_nonfull_run_length(e, 10**9)) == got
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.01 and peak < 2**20, (elapsed, peak)
+    n0, q = closed_form_period(e)
+    assert got == (run_sets_formula(e, n0), max_nonfull_run_length(e, n0))
+
+
+def test_tau_reads_the_row_without_copying_it():
+    """Repeated tau calls on a warm row of 10^5 entries allocate no copy of
+    it (a copy's list alone is 800 kB)."""
+    e = ExpansionOfOne.parse("1,0,0,0,0,1;0,0,0,0,0,1")
+    bound = 10**5
+    want = oracle_tau_table(e, 300)
+    tau(e, bound)  # grows the row to at least bound + 1 entries
+    tracemalloc.start()
+    try:
+        got = [tau(e, s) for s in range(1, 301)] + [tau(e, s) for s in range(bound - 300, bound + 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:300] == want[1:]
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("text", ["2", "7"])
@@ -553,7 +636,7 @@ def test_integer_betas_raise_from_every_closed_form(text):
 
 
 def oracle_tail_run_prediction(w, e, s=None):
-    """The prediction with one tau call, and so one table, per matched s."""
+    """The prediction with one tau table per matched s."""
     matches = _tail_matches(w, e)
     if s is None:
         if not matches:
@@ -561,9 +644,9 @@ def oracle_tail_run_prediction(w, e, s=None):
         s = matches[0]
     elif s not in matches:
         raise TailMismatch(f"word does not end with the first {s} expansion digits")
-    if len({tau(e, m) for m in matches}) != 1:
+    if len({runs.tau_table(e, m)[m] for m in matches}) != 1:
         raise VerificationError("tail lengths disagree on the predicted run length")
-    steps = tau(e, s)
+    steps = runs.tau_table(e, s)[s]
     current = w
     for _ in range(steps):
         if current is None or is_full(current, e):
@@ -734,11 +817,14 @@ def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
         if table:
             table[-1] += 1
             table.append(-1)
-    # one row per expansion, extended in place in chunks, and its prefix maxima
-    row, top = runs._tau_row(e)
-    assert len(row) == len(top) >= 301
+    # one row per expansion, extended in place in chunks, and the prefix
+    # maxima of the expansion's record, final past its stable position
+    row = runs._tau_row(e)
+    assert len(row) >= 301
     assert row[:301] == fresh
-    assert top[1:301] == [max(fresh[1:s + 1]) for s in range(1, 301)]
+    sh = runs._shape(e)
+    assert [sh.top[min(s, sh.stable)] for s in range(1, 301)] == [
+        max(fresh[1:tail_cap(e, s) + 1]) for s in range(1, 301)]
 
 
 @pytest.mark.parametrize("text", ["3,0,0,2;0,0,0,2", "1,0,0,0,0,1;0,0,0,0,0,1", "2,1,1"])

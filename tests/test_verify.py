@@ -275,20 +275,13 @@ def test_one_sweep_starts_no_pool(monkeypatch):
     assert render_report(rows) == render_report(verify_report([PEARL], [7], shards=1)[0])
 
 
-def test_member_chunks_must_match_n_values():
-    chunks = [verify_mod._sweep_worker(task) for task in whole_sweeps([GOLDEN], [3, 4])]
-    assert verify_member(GOLDEN, [3, 4], chunks=chunks) == verify_member(GOLDEN, [3, 4])
-    for wrong in (chunks[:1], chunks + chunks[:1]):
-        with pytest.raises(ValueError):
-            verify_member(GOLDEN, [3, 4], chunks=wrong)
-
-
-def test_sweep_fullness_checks_a_given_chunk():
-    """A chunk handed in gets the global checks of one swept here."""
-    chunk = verify_mod._sweep_worker(whole_sweeps([GOLDEN], [5])[0])
-    assert sweep_fullness(GOLDEN, 5, chunk=chunk) == sweep_fullness(GOLDEN, 5)
+def test_sweep_fullness_checks_a_given_chunk(monkeypatch):
+    """The whole-range chunk gets the global checks: a chunk one word short
+    fails the word count."""
+    chunk = verify_mod.sweep_shard(GOLDEN, 5, DEFAULT_TOL)
     short = dict(chunk, words=chunk["words"] - 1)
-    assert sweep_fullness(GOLDEN, 5, chunk=short).failures == ["1,1 n=5: sweep visited 12 words, count says 13"]
+    monkeypatch.setattr(verify_mod, "sweep_shard", lambda e, n, tol: short)
+    assert sweep_fullness(GOLDEN, 5).failures == ["1,1 n=5: sweep visited 12 words, count says 13"]
 
 
 @pytest.mark.parametrize("corpus, n_values", [([], range(1, 5)), ([GOLDEN], [])])
