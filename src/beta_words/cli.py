@@ -14,7 +14,7 @@ import sys
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
-from math import log2
+from math import floor, log2
 
 from .corpus import default_corpus, load_corpus
 from .errors import BetaWordsError, IntegerBeta, VerificationError
@@ -65,6 +65,38 @@ VERIFY_MAX_N = 959
 MAX_DIGITS = 256
 
 
+# Each option once, with its argparse keywords.
+OPTIONS = {
+    "--seq": dict(metavar="DIGITS", help="expansion of 1 as 'a,b,c' (finite) or 'a,b;c,d' (preperiod;period)"),
+    "--corpus": dict(metavar="FILE", help="file with one digit-sequence spec per line (# comments)"),
+    "--beta": dict(metavar="DECIMAL", help="beta as a decimal string"),
+    "--tol": dict(default=str(DEFAULT_TOL), metavar="T", help="tolerance for numeric work (default 1e-12)"),
+    "--n": dict(type=int, metavar="N", help="word length"),
+    "--n-range": dict(metavar="A..B", help="inclusive range of word lengths"),
+    "--start": dict(type=int, metavar="I", help="lex rank of the first word listed (default 0; with --n only)"),
+    "--limit": dict(type=int, metavar="K", help="list at most K words (default all; with --n only)"),
+    "--shards": dict(type=int, default=1, metavar="K",
+                     help="worker processes for the sweeps, at most one per core and one per (member, n) (default 1)"),
+    "--check": dict(action="store_true", help="cross-check all fullness criteria and fail on disagreement"),
+    "--format": dict(choices=("plain", "csv", "json"), default="plain", help="output format (default plain)"),
+}
+
+# Per command: its help, its options in --help order, and the defaults it
+# sets; main runs cmd_<command>(args, out, err).  verify always prints its
+# JSON report, so it has no --format.
+COMMANDS = {
+    "expand": ("digits of eps(1,beta) and eps*(1,beta)", ("--seq", "--beta", "--tol", "--n", "--format"), {"n": 16}),
+    "validate": ("check that a spec is a valid expansion of 1", ("--seq", "--beta", "--tol", "--n", "--format"),
+                 {"n": 16}),
+    "enumerate": ("admissible words of length n in lex order", ("--seq", "--n", "--start", "--limit", "--format"), {}),
+    "classify": ("fullness of every admissible word of length n",
+                 ("--seq", "--tol", "--n", "--n-range", "--start", "--limit", "--check", "--format"), {}),
+    "runs": ("maximal runs and run-length sets at length n", ("--seq", "--n", "--format"), {}),
+    "tau": ("greedy step counts tau(s) for s = 1..n", ("--seq", "--n", "--format"), {}),
+    "verify": ("formula-vs-enumeration report over a corpus", ("--corpus", "--tol", "--n-range", "--shards"), {}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beta-words",
@@ -72,61 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "admissible words, fullness criteria, run-length sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, beta_ok=False, n_default=None, shards=False, check=False, corpus=False, tol=False,
-                   window=False):
-        if corpus:
-            p.add_argument("--corpus", metavar="FILE",
-                           help="file with one digit-sequence spec per line (# comments)")
-        else:
-            p.add_argument("--seq", metavar="DIGITS",
-                           help="expansion of 1 as 'a,b,c' (finite) or 'a,b;c,d' (preperiod;period)")
-        if beta_ok:
-            p.add_argument("--beta", metavar="DECIMAL", help="beta as a decimal string")
-        if tol:
-            p.add_argument("--tol", default=str(DEFAULT_TOL), metavar="T",
-                           help="tolerance for numeric work (default 1e-12)")
-        if n_default != "range-only":
-            p.add_argument("--n", type=int, metavar="N", default=n_default, help="word length")
-        if n_default == "range-only" or check:
-            p.add_argument("--n-range", dest="n_range", metavar="A..B",
-                           help="inclusive range of word lengths")
-        if window:
-            p.add_argument("--start", type=int, metavar="I",
-                           help="lex rank of the first word listed (default 0; with --n only)")
-            p.add_argument("--limit", type=int, metavar="K",
-                           help="list at most K words (default all; with --n only)")
-        if shards:
-            p.add_argument("--shards", type=int, default=1, metavar="K",
-                           help="worker processes for the sweeps, at most one per core "
-                                "and one per (member, n) (default 1)")
-        if check:
-            p.add_argument("--check", action="store_true",
-                           help="cross-check all fullness criteria and fail on disagreement")
-        if not corpus:  # verify always prints its JSON report
-            p.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
-                           help="output format (default plain)")
-
-    p = sub.add_parser("expand", help="digits of eps(1,beta) and eps*(1,beta)")
-    add_common(p, beta_ok=True, n_default=16, tol=True)
-
-    p = sub.add_parser("validate", help="check that a spec is a valid expansion of 1")
-    add_common(p, beta_ok=True, n_default=16, tol=True)
-
-    p = sub.add_parser("enumerate", help="admissible words of length n in lex order")
-    add_common(p, window=True)
-
-    p = sub.add_parser("classify", help="fullness of every admissible word of length n")
-    add_common(p, check=True, tol=True, window=True)
-
-    p = sub.add_parser("runs", help="maximal runs and run-length sets at length n")
-    add_common(p)
-
-    p = sub.add_parser("tau", help="greedy step counts tau(s) for s = 1..n")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="formula-vs-enumeration report over a corpus")
-    add_common(p, n_default="range-only", shards=True, corpus=True, tol=True)
+    for command, (help_text, options, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -194,14 +176,20 @@ def _cylinder_table_bytes(e: ExpansionOfOne, n: int, tol: Fraction) -> float:
     return (n + 1) * (3 * 40 + 2 * bits / 7.5)
 
 
-def _check_table_budget(e: ExpansionOfOne, n: int, tol: Fraction | None = None) -> None:
-    """Refuse, before any table is built, an n whose count table, and with
-    tol also the cylinder tables that classify --check reads, would pass
-    COUNT_TABLE_BUDGET, naming the largest n that fits."""
+def _digit_rows_bytes(n: int, top: int) -> float:
+    """An upper estimate of the peak bytes of expand at length n when no
+    digit passes top: per position 80 bytes of tuple and list slots, 10 per
+    character of a digit's text, comma included (the digit rows' texts, the
+    lines they are written in and the digit strings joined into them), and
+    8 per character of a position's text (the nonzero row).  validate
+    --beta keeps only the digits."""
+    return n * (80 + 10 * (len(str(top)) + 1) + 8 * (len(str(n)) + 1))
 
-    def size(m: int) -> float:
-        return _count_table_bytes(e, m) + (0 if tol is None else _cylinder_table_bytes(e, m, tol))
 
+def _check_budget(n: int, size, what: str, who: str) -> None:
+    """Refuse, before anything is built, an n whose what would take more
+    than COUNT_TABLE_BUDGET bytes by the estimate size, naming the largest n
+    that fits."""
     if size(n) <= COUNT_TABLE_BUDGET:
         return
     lo, hi = 0, n - 1  # the largest n that fits lies in [lo, hi]
@@ -211,9 +199,19 @@ def _check_table_budget(e: ExpansionOfOne, n: int, tol: Fraction | None = None) 
             lo = mid
         else:
             hi = mid - 1
-    tables = "a count table" if tol is None else "count and cylinder tables"
-    raise BetaWordsError(f"n = {n} needs {tables} of about {size(n) / 2**20:.0f} MiB, "
-                         f"over the {COUNT_TABLE_BUDGET // 2**20} MiB budget: {e.text()} allows n <= {lo}")
+    raise BetaWordsError(f"n = {n} needs {what} of about {size(n) / 2**20:.0f} MiB, "
+                         f"over the {COUNT_TABLE_BUDGET // 2**20} MiB budget: {who} allows n <= {lo}")
+
+
+def _check_table_budget(e: ExpansionOfOne, n: int, tol: Fraction | None = None) -> None:
+    """Refuse, before any table is built, an n whose count table, and with
+    tol also the cylinder tables that classify --check reads, would pass
+    COUNT_TABLE_BUDGET."""
+
+    def size(m: int) -> float:
+        return _count_table_bytes(e, m) + (0 if tol is None else _cylinder_table_bytes(e, m, tol))
+
+    _check_budget(n, size, "a count table" if tol is None else "count and cylinder tables", e.text())
 
 
 def _tail_table_bytes(e: ExpansionOfOne, n: int) -> float:
@@ -312,20 +310,31 @@ def _emit_rows(fmt: str, header: list[str], rows, out) -> None:
             out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def cmd_expand(args, out) -> int:
+def _seq_or_beta(args) -> tuple[int, Fraction, ExpansionOfOne | None, BetaInterval | None]:
+    """expand's and validate's --n and --tol, and exactly one of --seq, as
+    an expansion, and --beta, as an interval of half-width tol whose n
+    digits are held to COUNT_TABLE_BUDGET; the other is None."""
     n = _parse_n(args)
     tol = _parse_tol(args)
-    if args.beta is not None and args.seq is not None:
+    if args.beta is None:
+        return n, tol, _expansion(args), None
+    if args.seq is not None:
         raise BetaWordsError("give exactly one of --seq and --beta")
-    if args.beta is not None:
-        beta = BetaInterval.from_decimal(_parse_fraction(args.beta, "beta"), tol)
+    beta = BetaInterval.from_decimal(_parse_fraction(args.beta, "beta"), tol)
+    _check_budget(n, lambda m: _digit_rows_bytes(m, floor(beta.hi)), "digit rows", f"beta {args.beta}")
+    return n, tol, None, beta
+
+
+def cmd_expand(args, out, err) -> int:
+    n, tol, e, beta = _seq_or_beta(args)
+    if beta is not None:
         digits = tuple(expansion_digits_from_beta(beta, n))
         rows = [
             ("eps", Word(digits).text()),
             ("nonzero", ",".join(str(i) for i, d in enumerate(digits, start=1) if d)),
         ]
     else:
-        e = _expansion(args)
+        _check_budget(n, lambda m: _digit_rows_bytes(m, e.alphabet_max), "digit rows", e.text())
         star = modified_expansion(e)
         star_text = "(" + Word(star.period).text() + ")*"
         if star.preperiod:
@@ -341,24 +350,18 @@ def cmd_expand(args, out) -> int:
     return OK
 
 
-def cmd_validate(args, out) -> int:
-    n = _parse_n(args)
-    tol = _parse_tol(args)
-    if args.beta is not None and args.seq is not None:
-        raise BetaWordsError("give exactly one of --seq and --beta")
-    if args.beta is not None:
-        beta = BetaInterval.from_decimal(_parse_fraction(args.beta, "beta"), tol)
+def cmd_validate(args, out, err) -> int:
+    n, tol, e, beta = _seq_or_beta(args)
+    if beta is not None:
         expansion_digits_from_beta(beta, n)
         out.write(f"ok beta in [{beta.lo}, {beta.hi}]\n")
         return OK
-    e = _expansion(args)
     beta = solve_beta(e, tol)
-    places = _places(tol)
-    out.write(f"ok {e.text()} beta={_interval(beta.lo, beta.hi, places)}\n")
+    out.write(f"ok {e.text()} beta={_interval(beta.lo, beta.hi, _places(tol))}\n")
     return OK
 
 
-def cmd_enumerate(args, out) -> int:
+def cmd_enumerate(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     _check_table_budget(e, n)
@@ -455,7 +458,7 @@ def cmd_runs(args, out, err) -> int:
     return OK if summary["match"] else MISMATCH
 
 
-def cmd_tau(args, out) -> int:
+def cmd_tau(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     _check_table_budget(e, n)
@@ -486,28 +489,13 @@ def cmd_verify(args, out, err) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else OK
     out, err = sys.stdout, sys.stderr
     try:
-        if args.command == "expand":
-            return cmd_expand(args, out)
-        if args.command == "validate":
-            return cmd_validate(args, out)
-        if args.command == "enumerate":
-            return cmd_enumerate(args, out)
-        if args.command == "classify":
-            return cmd_classify(args, out, err)
-        if args.command == "runs":
-            return cmd_runs(args, out, err)
-        if args.command == "tau":
-            return cmd_tau(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out, err)
-        parser.error(f"unknown command {args.command!r}")
+        return globals()[f"cmd_{args.command}"](args, out, err)
     except IntegerBeta as exc:
         err.write(f"error: {exc}\n")
         return PRECONDITION
@@ -517,7 +505,6 @@ def main(argv=None) -> int:
     except (BetaWordsError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return INPUT_ERROR
-    return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -428,7 +428,12 @@ def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
 
     Each digit's floor is certified over the interval; an ambiguous floor
     triggers refinement (when the interval can refine itself) down to width
-    2^-MAX_PRECISION, then raises PrecisionExhausted(position).
+    2^-MAX_PRECISION.  Past that, a floor that straddles one integer is read
+    as its boundary: that digit is the upper one and every later digit is 0,
+    the digits of the beta on the boundary (a decimal input rounded from a
+    simple Parry number reads as that number); only the digits before it
+    hold for the whole interval.  A wider straddle raises
+    PrecisionExhausted(position).
     """
     floor_width = Fraction(1, 2**MAX_PRECISION)
     while True:
@@ -442,9 +447,10 @@ def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
     # Refinement is unavailable or exhausted, so the interval pins beta
     # against a discontinuity of the digit map.  A floor straddling a single
     # integer is resolved by committing to the boundary: the greedy map takes
-    # the upper branch when beta*x lands exactly on an integer, so this yields
-    # the digits of the boundary number itself (the natural reading when the
-    # input is a rounded simple Parry number).  Wider straddles stay errors.
+    # the upper branch when beta*x lands exactly on an integer, whose
+    # remainder is 0, so every later digit is 0.  This yields the digits of
+    # the boundary number itself (the natural reading when the input is a
+    # rounded simple Parry number).  Wider straddles stay errors.
     digits, ambiguous_at = _extract_digits(beta, n, commit_boundary=True)
     if ambiguous_at is None:
         return digits
@@ -461,7 +467,7 @@ def _extract_digits(beta: BetaInterval, n: int, commit_boundary: bool) -> tuple[
         if top != d:
             if not (commit_boundary and top == d + 1):
                 return digits, i
-            d = top
+            return digits + [top] + [0] * (n - i), None
         digits.append(d)
         xlo, xhi = max(Fraction(0), ylo - d), yhi - d
     return digits, None

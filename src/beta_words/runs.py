@@ -76,13 +76,14 @@ def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
 class _Shape(Frozen):
     """What the closed forms read of one expansion, built whole once
     (_shape) and never changed: M (None when infinite), eps_1, eps_M, the
-    first |preperiod| + |period| digits (past them the nonzero values
-    repeat), the second nonzero position n2 (the period holds a nonzero
-    digit, so n2 lies among those digits), the sorted nonzero values of
-    those digits, the full-run sets of the finite branches with M < n (M | n
-    or not), and tau through position stable: its prefix maxima top
-    (top[s] = max of tau(1..s), top[0] = 0) and its first-seen pairs
-    (value, first s) for s >= n2 - 1, in rising s.
+    pairs (value, first position) of the nonzero values among the first
+    |preperiod| + |period| digits, in rising position (past those digits
+    the nonzero values repeat), the second nonzero position n2 (the period
+    holds a nonzero digit, so n2 lies among those digits), the sorted
+    nonzero values of those digits, the full-run sets of the finite branches
+    with M < n (M | n or not), and tau through position stable: its prefix
+    maxima top (top[s] = max of tau(1..s), top[0] = 0) and its first-seen
+    pairs (value, first s) for s >= n2 - 1, in rising s.
 
     Neither changes past stable, so top[min(n, stable)] and the pairs with
     s <= n serve every n.  A finite expansion's closed forms read tau only
@@ -93,7 +94,7 @@ class _Shape(Frozen):
     stable = p + 2q - 1.  The build is linear in stable.
     """
 
-    __slots__ = ("m", "eps_1", "eps_m", "digits", "n2", "values", "multiple", "nonmultiple", "stable", "top",
+    __slots__ = ("m", "eps_1", "eps_m", "firsts", "n2", "values", "multiple", "nonmultiple", "stable", "top",
                  "seen")
 
     def __init__(self, e: ExpansionOfOne):
@@ -103,7 +104,11 @@ class _Shape(Frozen):
         m = len(digits) if e.is_finite else None
         eps_1, eps_m = digits[0], digits[-1]
         n2 = next(i for i, d in enumerate(digits[1:], start=2) if d)
-        values = tuple(sorted(set(digits) - {0}))
+        firsts: dict[int, int] = {}
+        for i, d in enumerate(digits, start=1):
+            if d:
+                firsts.setdefault(d, i)
+        values = tuple(sorted(firsts))
         multiple = tuple(sorted({*values, eps_1 + eps_m}))
         nonmultiple = tuple(sorted(set(digits[:-1]) - {0} | {eps_1 + eps_m}))
         stable = m - 1 if m else len(e.preperiod) + 2 * len(e.period) - 1
@@ -111,14 +116,14 @@ class _Shape(Frozen):
         first: dict[int, int] = {}
         for s in range(n2 - 1, stable + 1):
             first.setdefault(taus[s], s)
-        Frozen.__init__(self, m, eps_1, eps_m, digits, n2, values, multiple, nonmultiple, stable,
+        Frozen.__init__(self, m, eps_1, eps_m, tuple(firsts.items()), n2, values, multiple, nonmultiple, stable,
                         tuple(accumulate(taus[:stable + 1], max)), tuple(first.items()))
 
     def nonzero(self, upto: int) -> tuple[int, ...]:
         """The sorted nonzero digit values among the first upto digits."""
-        if upto >= len(self.digits):
+        if upto >= self.firsts[-1][1]:
             return self.values
-        return tuple(sorted(set(self.digits[:upto]) - {0}))
+        return tuple(sorted(d for d, i in self.firsts if i <= upto))
 
 
 _shape = lru_cache(maxsize=64)(_Shape)

@@ -18,6 +18,7 @@ import pytest
 
 from beta_words import cli
 from beta_words import DEFAULT_CORPUS, ExpansionOfOne, maximal_runs, run_sets_check, run_sets_formula
+from beta_words import expansion as expansion_mod
 from beta_words import runs as runs_mod
 from beta_words import structure as structure_mod
 from beta_words import verify as verify_mod
@@ -559,6 +560,71 @@ def test_count_table_estimate_bounds_the_table(monkeypatch, text, n):
     assert size <= cli._count_table_bytes(e, n) < 2 * size
 
 
+HUGE_DIGITS = re.compile(r"error: n = (\d+) needs digit rows of about \d+ MiB, over the (\d+) MiB budget: "
+                         r"(.+) allows n <= (\d+)\n")
+
+
+@pytest.mark.parametrize("argv, who", [(("expand", "--seq", "1,1"), "1,1"), (("expand", "--beta", "1.5"), "beta 1.5"),
+                                       (("validate", "--beta", "1.5"), "beta 1.5")])
+def test_huge_digit_n_refused_before_any_digit(monkeypatch, capsys, argv, who):
+    """expand and validate --beta exit 2 in one line at n = 10^9, before
+    they build a digit."""
+    built = []
+    for kind in (expansion_mod.ExpansionOfOne, expansion_mod.ModifiedExpansion):
+        monkeypatch.setattr(kind, "digits_prefix", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "expansion_digits_from_beta", lambda *args: built.append(args))
+    code, out, err = run_cli(capsys, *argv, "--n", "1000000000")
+    assert (code, out, built) == (2, "", [])
+    hit = HUGE_DIGITS.fullmatch(err)
+    assert hit and hit.group(1) == "1000000000" and int(hit.group(2)) * 2**20 == cli.COUNT_TABLE_BUDGET
+    assert hit.group(3) == who
+
+
+@pytest.mark.parametrize("argv", [("expand", "--seq", "2;1"), ("expand", "--beta", "1.5"),
+                                  ("validate", "--beta", "1.5")])
+def test_largest_n_under_the_digit_budget_runs(monkeypatch, capsys, argv):
+    """Under a small budget, the n the refusal names runs, and one more is
+    refused."""
+    monkeypatch.setattr(cli, "COUNT_TABLE_BUDGET", 2**17)
+    largest = int(HUGE_DIGITS.fullmatch(run_cli(capsys, *argv, "--n", "1000000")[2]).group(4))
+    assert run_cli(capsys, *argv, "--n", str(largest))[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--n", str(largest + 1))
+    assert (code, out) == (2, "") and HUGE_DIGITS.fullmatch(err).group(4) == str(largest)
+
+
+@pytest.mark.parametrize("spec", [("--seq", "1,1"), ("--seq", "2;1"), ("--seq", "300;299"),
+                                  ("--seq", "10,0,0,9;0,0,0,9"),
+                                  ("--seq", ",".join(["9" * 200] * 5) + ";" + "9" * 199 + "8"),
+                                  ("--beta", "1.5"), ("--beta", "2.5")])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_digit_rows_estimate_bounds_expand(capsys, spec, fmt):
+    """The digit budget's estimate is at least expand's traced peak, and not
+    three times it; validate --beta keeps less."""
+    n = 3000
+    top = ExpansionOfOne.parse(spec[1]).alphabet_max if spec[0] == "--seq" else int(float(spec[1]))
+    for command in ("expand", "validate") if spec[0] == "--beta" else ("expand",):
+        tracemalloc.start()
+        try:
+            code = cli.main([command, *spec, "--n", str(n), "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak <= cli._digit_rows_bytes(n, top)
+        assert command == "validate" or cli._digit_rows_bytes(n, top) < 3 * peak
+
+
+def test_validate_beta_reads_past_a_boundary_commit_at_once(capsys):
+    """1.5 +- 1e-12 commits to a boundary at digit 65; the digits after it
+    are 0 and cost no arithmetic, so n = 100000 takes well under a second."""
+    start = time.perf_counter()
+    assert run_cli(capsys, "validate", "--beta", "1.5", "--n", "100000")[0] == 0
+    assert time.perf_counter() - start < 1
+    code, out, err = run_cli(capsys, "expand", "--beta", "1.5", "--n", "100000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[1] == {"field": "nonzero", "value": "1,3,9,12,15,17,27,34,39,46,49,52,54,65"}
+
+
 HUGE_TAIL = re.compile(r"error: (\S+) needs a tail table of about (\d+) MiB at n = (\d+), over the (\d+) MiB budget\n")
 
 
@@ -660,3 +726,60 @@ def test_tail_table_estimate_bounds_the_table(text, n):
     finally:
         tracemalloc.stop()
     assert size <= peak <= cli._tail_table_bytes(e, n) < 2 * size
+
+
+# --- the interface: which options each command takes, and their defaults ---
+
+OPTION_VALUES = {"--seq": ["1,1"], "--corpus": ["FILE"], "--beta": ["1.5"], "--tol": ["1e-9"], "--n": ["3"],
+                 "--n-range": ["1..3"], "--start": ["0"], "--limit": ["1"], "--shards": ["1"], "--check": [],
+                 "--format": ["plain"]}
+# verify takes --n as argparse's abbreviation of --n-range
+TAKES = {
+    "expand": {"--seq", "--beta", "--tol", "--n", "--format"},
+    "validate": {"--seq", "--beta", "--tol", "--n", "--format"},
+    "enumerate": {"--seq", "--n", "--start", "--limit", "--format"},
+    "classify": {"--seq", "--tol", "--n", "--n-range", "--start", "--limit", "--check", "--format"},
+    "runs": {"--seq", "--n", "--format"},
+    "tau": {"--seq", "--n", "--format"},
+    "verify": {"--corpus", "--tol", "--n", "--n-range", "--shards"},
+}
+
+
+def parsed_args(monkeypatch, capsys, *argv):
+    """(exit code, stderr, the namespace main handed its command) for argv,
+    with every command's handler replaced by one that only records."""
+    seen = []
+
+    def record(args, out, err=None):
+        seen.append(args)
+        return cli.OK
+
+    for command in TAKES:
+        monkeypatch.setattr(cli, f"cmd_{command}", record)
+    code, _, err = run_cli(capsys, *argv)
+    return code, err, seen[0] if seen else None
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+@pytest.mark.parametrize("option", sorted(OPTION_VALUES))
+def test_each_command_takes_exactly_its_options(monkeypatch, capsys, command, option):
+    code, err, args = parsed_args(monkeypatch, capsys, command, option, *OPTION_VALUES[option])
+    if option in TAKES[command]:
+        assert (code, err) == (0, "") and args is not None
+    else:
+        assert (code, args) == (2, None)
+        assert f"unrecognized arguments: {' '.join([option, *OPTION_VALUES[option]])}" in err
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_command_defaults(monkeypatch, capsys, command):
+    code, err, args = parsed_args(monkeypatch, capsys, command)
+    assert (code, err, args.command) == (0, "", command)
+    assert getattr(args, "n", None) == (16 if command in ("expand", "validate") else None)
+    defaults = {"tol": "1/1000000000000", "shards": 1, "format": "plain", "check": False}
+    for dest, value in defaults.items():
+        if f"--{dest}" in TAKES[command]:
+            assert getattr(args, dest) == value, dest
+    for dest in ("seq", "corpus", "beta", "n_range", "start", "limit"):
+        if f"--{dest.replace('_', '-')}" in TAKES[command]:
+            assert getattr(args, dest) is None, dest

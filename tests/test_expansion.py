@@ -212,6 +212,13 @@ def test_digits_from_interval_straddling_golden():
     assert expansion_digits_from_beta(beta, 4) == [1, 1, 0, 0]
 
 
+def test_digits_after_a_boundary_commit_are_zero():
+    """The golden interval straddles 1 at digit 2; every later digit is that
+    boundary number's, 0, not the interval's upper end's."""
+    beta = BetaInterval(Fraction("1.61803"), Fraction("1.61804"))
+    assert expansion_digits_from_beta(beta, 60) == [1, 1] + [0] * 58
+
+
 def test_digits_wide_interval_exhausts():
     with pytest.raises(PrecisionExhausted) as info:
         expansion_digits_from_beta(BetaInterval(Fraction(2), Fraction(4)), 3)
