@@ -35,12 +35,13 @@ from .structure import (
     _bits_for,
     cylinder,
     decompose,
+    is_full,
     is_full_by_length,
     smallest_tail_length,
     tail_cap,
 )
 from .verify import _compare_run_sets, render_report, verify_report
-from .words import Word, automaton, count, start_at, walk
+from .words import Word, automaton, count, iter_words
 
 OK = 0
 INPUT_ERROR = 2
@@ -100,12 +101,13 @@ COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beta-words",
+        allow_abbrev=False,
         description="Full and non-full words of beta-expansions: expansions, "
                     "admissible words, fullness criteria, run-length sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, options, defaults) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for option in options:
             p.add_argument(option, **OPTIONS[option])
         p.set_defaults(**defaults)
@@ -252,19 +254,15 @@ def _parse_n_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _word_window(e: ExpansionOfOne, n: int, args) -> Iterator[tuple[Word, bool]]:
-    """The words of length n in the --start/--limit window, in lex order,
-    each with its structural verdict."""
+def _word_window(e: ExpansionOfOne, n: int, args) -> Iterator[Word]:
+    """The words of length n in the --start/--limit window, in lex order."""
     start = args.start or 0
     total = count(e, n)
     if not 0 <= start <= total:
         raise BetaWordsError(f"--start {start} outside 0..{total}")
     if args.limit is not None and args.limit < 0:
         raise BetaWordsError("--limit must be >= 0")
-    if start == total:
-        return iter(())
-    digits, states = start_at(e, n, start)
-    return ((Word(tuple(digits)), states[-1] == 1) for _ in walk(e, digits, states, args.limit))
+    return iter_words(e, n, start, args.limit)
 
 
 def _expansion(args) -> ExpansionOfOne:
@@ -365,7 +363,7 @@ def cmd_enumerate(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
     _check_table_budget(e, n)
-    rows = [(i, w.text(), int(full)) for i, (w, full) in enumerate(_word_window(e, n, args), args.start or 0)]
+    rows = [(i, w.text(), int(is_full(w, e))) for i, w in enumerate(_word_window(e, n, args), args.start or 0)]
     _emit_rows(args.format, ["index", "word", "full"], rows, out)
     return OK
 
@@ -388,7 +386,8 @@ def cmd_classify(args, out, err) -> int:
     disagreements = 0
     rows = []
     for n in n_values:
-        for w, full in _word_window(e, n, args):
+        for w in _word_window(e, n, args):
+            full = is_full(w, e)
             if not args.check:
                 rows.append((w.text(), int(full)))
                 continue

@@ -426,9 +426,10 @@ def solve_beta(e: ExpansionOfOne, tol: Fraction | float | str = Fraction(1, 10**
 def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
     """First n digits of eps(1, beta) for every beta in the interval.
 
-    Each digit's floor is certified over the interval; an ambiguous floor
-    triggers refinement (when the interval can refine itself) down to width
-    2^-MAX_PRECISION.  Past that, a floor that straddles one integer is read
+    One pass of the greedy map (_extract_digits), linear in n for an
+    interval of positive width, certifies each digit's floor over the
+    interval.  An ambiguous floor triggers refinement (when the interval can
+    refine itself) down to width 2^-MAX_PRECISION.  Past that, a floor that straddles one integer is read
     as its boundary: that digit is the upper one and every later digit is 0,
     the digits of the beta on the boundary (a decimal input rounded from a
     simple Parry number reads as that number); only the digits before it
@@ -437,8 +438,8 @@ def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
     """
     floor_width = Fraction(1, 2**MAX_PRECISION)
     while True:
-        digits, ambiguous_at = _extract_digits(beta, n, commit_boundary=False)
-        if ambiguous_at is None:
+        digits, straddle = _extract_digits(beta, n)
+        if straddle is None:
             return digits
         if beta.refine is None or beta.width <= floor_width:
             break
@@ -451,23 +452,44 @@ def expansion_digits_from_beta(beta: BetaInterval, n: int) -> list[int]:
     # remainder is 0, so every later digit is 0.  This yields the digits of
     # the boundary number itself (the natural reading when the input is a
     # rounded simple Parry number).  Wider straddles stay errors.
-    digits, ambiguous_at = _extract_digits(beta, n, commit_boundary=True)
-    if ambiguous_at is None:
-        return digits
-    raise PrecisionExhausted(ambiguous_at)
+    position, low, top = straddle
+    if top != low + 1:
+        raise PrecisionExhausted(position)
+    return digits + [top] + [0] * (n - position)
 
 
-def _extract_digits(beta: BetaInterval, n: int, commit_boundary: bool) -> tuple[list[int], int | None]:
-    xlo, xhi = Fraction(1), Fraction(1)
-    digits: list[int] = []
+def _extract_digits(beta: BetaInterval, n: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """The first n digits of eps(1, beta) over the interval, and None; or
+    the digits before the first floor that straddles an integer, and that
+    floor's (position, lower floor, upper floor).
+
+    A point interval steps its one remainder exactly and never straddles.  A
+    wider one keeps the remainders' enclosure in fixed point at p bits,
+    flooring its low end and ceiling its high end, so a step costs p-bit
+    products instead of exact fractions whose denominators grow every digit.
+    Rounding only widens the enclosure, so every digit holds for the whole
+    interval.  p adds the bits of 1/width, of 1/(beta.lo - 1) (1/width when
+    beta.lo is nearer 1), twice those of the largest digit plus one, and 64
+    guard bits, which keep the widening far below the interval's own width.
+    """
+    if beta.lo == beta.hi:
+        x, digits = Fraction(1), []
+        for _ in range(n):
+            x *= beta.lo
+            digits.append(math.floor(x))
+            x -= digits[-1]
+        return digits, None
+    width = beta.width
+    p = (math.ceil(1 / width).bit_length() + math.ceil(1 / max(beta.lo - 1, width)).bit_length()
+         + 2 * (math.floor(beta.hi) + 1).bit_length() + 64)
+    lo, hi = math.floor(beta.lo * 2**p), math.ceil(beta.hi * 2**p)
+    xlo = xhi = 1 << p
+    digits = []
     for i in range(1, n + 1):
-        ylo, yhi = xlo * beta.lo, xhi * beta.hi
-        d = math.floor(ylo)
-        top = math.floor(yhi)
+        ylo, yhi = xlo * lo >> p, -(-xhi * hi >> p)
+        d, top = ylo >> p, yhi >> p
         if top != d:
-            if not (commit_boundary and top == d + 1):
-                return digits, i
-            return digits + [top] + [0] * (n - i), None
+            return digits, (i, d, top)
         digits.append(d)
-        xlo, xhi = max(Fraction(0), ylo - d), yhi - d
+        xlo, xhi = ylo - (d << p), yhi - (d << p)
     return digits, None

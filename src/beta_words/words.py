@@ -246,36 +246,23 @@ def walk(e: ExpansionOfOne, digits: list[int], states: list[int], limit: int | N
         yield t
 
 
-def iter_words(
-    e: ExpansionOfOne,
-    n: int,
-    start: Word | None = None,
-    stop: Word | None = None,
-) -> Iterator[Word]:
-    """All admissible words of length n in lex order, optionally [start, stop).
+def iter_words(e: ExpansionOfOne, n: int, start: int = 0, limit: int | None = None) -> Iterator[Word]:
+    """The admissible words of length n in lex order, from lex rank start,
+    at most limit of them (all by default).
 
-    Each word arrives with its scan: its tuple, automaton(e) and a copy of
-    its walked states (the walk rewrites its own list) become scan_states'
-    memo entry, so the point queries on it scan nothing.
+    start == count(e, n) yields nothing; a start outside 0..count(e, n)
+    raises word_at's ValueError at the first next().  Start 0 builds no count table.  Each word
+    arrives with its scan: its tuple, automaton(e) and a copy of its walked
+    states (the walk rewrites its own list) become scan_states' memo entry,
+    so the point queries on it scan nothing.
     """
     _check_n(n)
+    if start and start == count(e, n):
+        return
     aut = automaton(e)
-    if start is None:
-        digits, states = start_at(e, n, 0)
-    else:
-        if len(start) != n:
-            raise ValueError("start word has the wrong length")
-        states = scan_states(start.digits, e)[:]
-        digits = list(start.digits)
-    stop_digits = None
-    if stop is not None:
-        if len(stop) != n:
-            raise ValueError("stop word has the wrong length")
-        stop_digits = tuple(stop.digits)
-    for _ in walk(e, digits, states):
+    digits, states = start_at(e, n, start)
+    for _ in walk(e, digits, states, limit):
         word = tuple(digits)
-        if stop_digits is not None and word >= stop_digits:
-            return
         _LAST_SCAN[0] = word, aut, states[:]
         yield Word(word)
 

@@ -614,6 +614,17 @@ def test_digit_rows_estimate_bounds_expand(capsys, spec, fmt):
         assert command == "validate" or cli._digit_rows_bytes(n, top) < 3 * peak
 
 
+def test_validate_beta_digits_take_linear_time(capsys):
+    """1.0000001 +- 1e-12 certifies all of its first 100000 digits, 1 and
+    then zeros; exact fractions took time quadratic in n (4.5 s at n = 8000)."""
+    start = time.perf_counter()
+    assert run_cli(capsys, "validate", "--beta", "1.0000001", "--n", "100000")[0] == 0
+    assert time.perf_counter() - start < 2
+    code, out, err = run_cli(capsys, "expand", "--beta", "1.0000001", "--n", "100000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"field": "eps", "value": "1" + "0" * 99999}, {"field": "nonzero", "value": "1"}]
+
+
 def test_validate_beta_reads_past_a_boundary_commit_at_once(capsys):
     """1.5 +- 1e-12 commits to a boundary at digit 65; the digits after it
     are 0 and cost no arithmetic, so n = 100000 takes well under a second."""
@@ -733,7 +744,6 @@ def test_tail_table_estimate_bounds_the_table(text, n):
 OPTION_VALUES = {"--seq": ["1,1"], "--corpus": ["FILE"], "--beta": ["1.5"], "--tol": ["1e-9"], "--n": ["3"],
                  "--n-range": ["1..3"], "--start": ["0"], "--limit": ["1"], "--shards": ["1"], "--check": [],
                  "--format": ["plain"]}
-# verify takes --n as argparse's abbreviation of --n-range
 TAKES = {
     "expand": {"--seq", "--beta", "--tol", "--n", "--format"},
     "validate": {"--seq", "--beta", "--tol", "--n", "--format"},
@@ -741,8 +751,16 @@ TAKES = {
     "classify": {"--seq", "--tol", "--n", "--n-range", "--start", "--limit", "--check", "--format"},
     "runs": {"--seq", "--n", "--format"},
     "tau": {"--seq", "--n", "--format"},
-    "verify": {"--corpus", "--tol", "--n", "--n-range", "--shards"},
+    "verify": {"--corpus", "--tol", "--n-range", "--shards"},
 }
+
+
+@pytest.mark.parametrize("argv", [("classify", "--seq", "1,1", "--n", "3", "--lim", "1"), ("verify", "--n", "5"),
+                                  ("enumerate", "--seq", "1,1", "--n", "3", "--st", "1")])
+def test_abbreviated_options_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def parsed_args(monkeypatch, capsys, *argv):

@@ -1,6 +1,8 @@
 """Digit sequence validation, beta solving, and digit extraction."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,6 +225,43 @@ def test_digits_wide_interval_exhausts():
     with pytest.raises(PrecisionExhausted) as info:
         expansion_digits_from_beta(BetaInterval(Fraction(2), Fraction(4)), 3)
     assert info.value.position == 1
+
+
+def exact_digits_oracle(lo, hi, n):
+    """The greedy map on the exact enclosure of the remainders: the digits
+    and None, or the digits before the first straddling floor and (its
+    position, its lower floor, its upper floor)."""
+    xlo = xhi = Fraction(1)
+    digits = []
+    for i in range(1, n + 1):
+        ylo, yhi = xlo * lo, xhi * hi
+        if math.floor(ylo) != math.floor(yhi):
+            return digits, (i, math.floor(ylo), math.floor(yhi))
+        digits.append(math.floor(ylo))
+        xlo, xhi = ylo - digits[-1], yhi - digits[-1]
+    return digits, None
+
+
+def test_fixed_point_digits_match_exact_fractions():
+    """Random decimal intervals of widths 1e-3 to 1e-40 about centres in
+    (1, 4], and a few named ones: the fixed-point pass gives the exact
+    enclosure's digits and straddle."""
+    rng = random.Random(30)
+    cases = []
+    for _ in range(300):
+        k = rng.randint(3, 40)
+        centre = Fraction(rng.randint(10**k + 1, 4 * 10**k), 10**k)
+        half = Fraction(1, 10**rng.randint(3, 40))
+        cases.append((max(Fraction(1), centre - half), centre + half, rng.randint(1, 199)))
+    for text in ("1.5", "2.5", "3.0", "1.0000001", "1.618033988749"):
+        cases.append((Fraction(text) - DEFAULT_TOL, Fraction(text) + DEFAULT_TOL, 150))
+    cases += [(Fraction(1), Fraction(3, 2), 5), (Fraction(2), Fraction(4), 5)]
+    straddles = 0
+    for lo, hi, n in cases:
+        want = exact_digits_oracle(lo, hi, n)
+        assert expansion_mod._extract_digits(BetaInterval(lo, hi), n) == want, (lo, hi, n)
+        straddles += want[1] is not None
+    assert 0 < straddles < len(cases)
 
 
 def test_round_trip_digits(corpus_members):

@@ -118,8 +118,7 @@ def test_scan_states_rejects_inadmissible():
 
 def test_iter_words_window():
     ws = list(iter_words(PEARL, 3))
-    lo, hi = ws[4], ws[11]
-    assert list(iter_words(PEARL, 3, start=lo, stop=hi)) == ws[4:11]
+    assert list(iter_words(PEARL, 3, start=4, limit=7)) == ws[4:11]
 
 
 def test_admissibility_examples():
@@ -315,14 +314,14 @@ def test_failed_scan_is_not_remembered():
 
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 def test_walking_from_a_word_leaves_its_scan_intact(e):
-    """successor and iter_words(start=w) rewrite a copy of w's states, so the
-    point queries after them read w's own states."""
+    """successor and iter_words from w's rank rewrite a copy of w's states,
+    so the point queries after them read w's own states."""
     aut = automaton(e)
     total = count(e, 9)
     for index in sorted({0, 1, total // 3, total - 2, total - 1}):
         w = word_at(e, 9, index)
         want = oracle_states(w.digits, aut)
-        for step in (lambda: successor(w, e), lambda: list(iter_words(e, 9, start=w))):
+        for step in (lambda: successor(w, e), lambda: list(iter_words(e, 9, index))):
             assert scan_states(w.digits, e) == want
             step()
             assert scan_states(w.digits, e) == want
@@ -399,15 +398,29 @@ def test_iter_words_seeds_the_scan_memo(e):
 @pytest.mark.parametrize("e", default_corpus(), ids=lambda e: e.text())
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_iter_words_window_seeds_the_scan_memo(e, n):
-    """Windows that start inside the enumeration or stop before its end;
-    the whole range is the test above."""
+    """A window from lex rank start, at the first word, inside, at the last
+    word and at the end, with limits of none, 0, 1, 3, to the end and past
+    it, is the words word_at gives at ranks start .. start + limit, cut at
+    the end, each carrying its scan (the point queries on about 1,000 words
+    of a window).  start == count yields nothing and a larger start raises
+    word_at's ValueError."""
     total = count(e, n)
-    for a, b in walk_windows(total):
-        if (a, b) == (0, total):
-            continue
-        start = word_at(e, n, a)
-        stop = word_at(e, n, b) if b < total else None
-        assert_walked_words_carry_their_scan(e, n, iter_words(e, n, start=start, stop=stop), range(a, b))
+    for a in sorted({0, total // 3, total - 1, total}):
+        for k in (None, 0, 1, 3, total - a, total - a + 5):
+            b = total if k is None else min(a + k, total)
+            words = iter_words(e, n, a, k)
+            assert_walked_words_carry_their_scan(e, n, words, range(a, b), max(1, (b - a) // 1000))
+    assert list(iter_words(e, n, total)) == []
+    for start in (total + 1, total + 10**6, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            next(iter_words(e, n, start))
+
+
+def test_iter_words_from_rank_0_builds_no_count_table():
+    e = ExpansionOfOne.parse("2,0,1")
+    words_mod._count_rows.cache_clear()
+    assert [w.digits for w in iter_words(e, 30, limit=2)] == [(0,) * 30, (0,) * 29 + (1,)]
+    assert len(words_mod._count_rows(e)) == 1
 
 
 # --- unranking by compare-and-subtract, with the scan handed over ---
