@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections.abc import Iterator
 from decimal import Decimal
@@ -98,15 +99,20 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv: only argv[0]'s subparser when that names a command, else all.
+    Usage lists all either way; all seven keep argparse's metavar, which names the missing command."""
     parser = argparse.ArgumentParser(
         prog="beta-words",
         allow_abbrev=False,
         description="Full and non-full words of beta-expansions: expansions, "
                     "admissible words, fullness criteria, run-length sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options, defaults) in COMMANDS.items():
+    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if names is COMMANDS else "{" + ",".join(COMMANDS) + "}")
+    for command in names:
+        help_text, options, defaults = COMMANDS[command]
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for option in options:
             p.add_argument(option, **OPTIONS[option])
@@ -141,10 +147,6 @@ def _parse_fraction(text: str, what: str) -> Fraction:
     if value > 2**MAX_PRECISION:
         raise BetaWordsError(f"{what} {text} is above the ceiling 2^{MAX_PRECISION}")
     return value
-
-
-def _parse_tol(args) -> Fraction:
-    return _parse_fraction(args.tol, "tolerance")
 
 
 def _parse_n(args) -> int:
@@ -313,7 +315,7 @@ def _seq_or_beta(args) -> tuple[int, Fraction, ExpansionOfOne | None, BetaInterv
     an expansion, and --beta, as an interval of half-width tol whose n
     digits are held to COUNT_TABLE_BUDGET; the other is None."""
     n = _parse_n(args)
-    tol = _parse_tol(args)
+    tol = _parse_fraction(args.tol, "tolerance")
     if args.beta is None:
         return n, tol, _expansion(args), None
     if args.seq is not None:
@@ -370,7 +372,7 @@ def cmd_enumerate(args, out, err) -> int:
 
 def cmd_classify(args, out, err) -> int:
     e = _expansion(args)
-    tol = _parse_tol(args)
+    tol = _parse_fraction(args.tol, "tolerance")
     if args.n_range is not None:
         if args.start is not None or args.limit is not None:
             raise BetaWordsError("--start and --limit need --n, not --n-range")
@@ -470,7 +472,7 @@ def cmd_tau(args, out, err) -> int:
 def cmd_verify(args, out, err) -> int:
     if args.shards < 1:
         raise BetaWordsError("--shards must be >= 1")
-    tol = _parse_tol(args)
+    tol = _parse_fraction(args.tol, "tolerance")
     n_values = _parse_n_range(args.n_range) if args.n_range else range(1, 13)
     if n_values[-1] > VERIFY_MAX_N:
         raise BetaWordsError(f"n = {n_values[-1]} is past verify's bound n <= {VERIFY_MAX_N}")
@@ -488,8 +490,9 @@ def cmd_verify(args, out, err) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else OK
     out, err = sys.stdout, sys.stderr
@@ -501,6 +504,10 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         err.write(f"error: {exc}\n")
         return MISMATCH
+    except BrokenPipeError:  # the reader left: stop quietly, and let the flush at exit write to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())
+        return OK
     except (BetaWordsError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return INPUT_ERROR

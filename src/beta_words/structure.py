@@ -154,6 +154,12 @@ def tail_automaton(e: ExpansionOfOne, cap: int) -> tuple[tuple, tuple]:
     return tuple(trans), tuple(chains)
 
 
+@lru_cache(maxsize=64)
+def tail_kmin(e: ExpansionOfOne, cap: int) -> tuple[int, ...]:
+    """Per state of tail_automaton(e, cap), the least digit into a match, or eps_1 + 1 if none."""
+    return tuple(next((d for d, k in enumerate(row) if k), len(row)) for row in tail_automaton(e, cap)[0])
+
+
 def _tail_matches(w: Word, e: ExpansionOfOne) -> list[int]:
     """Lengths s <= tail_cap, ascending, for which w ends with eps_1..eps_s.
 

@@ -40,6 +40,7 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
@@ -62,7 +63,7 @@ from .runs import (
     tail_run_prediction,
     tau_table,
 )
-from .structure import DEFAULT_TOL, _bits_for, cylinder_calc, decompose, is_full, tail_automaton, tail_cap
+from .structure import DEFAULT_TOL, _bits_for, cylinder_calc, decompose, is_full, tail_automaton, tail_cap, tail_kmin
 from .words import (Word, _check_n, _count_table, automaton, count, iter_words, max_word, scan_states, start_at,
                     walk, word_at)
 
@@ -107,6 +108,13 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
             f"but sits {pos} above the last full word, expected tau({s}) = {tau}")
 
 
+@lru_cache(maxsize=64)
+def _family_runs(e: ExpansionOfOne) -> tuple:
+    """Per block state j, the run summary of a state-j family; every sweep of e shares it."""
+    aut = automaton(e)
+    return tuple(merge_runs(one_run(True, c), one_run(False, 1 if a else 0)) for c, a in zip(aut.cmp, aut.adv))
+
+
 def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_stop: int | None = None) -> dict:
     """Check the three fullness criteria and the tail-run prediction on all
     words whose length-(n-1) prefixes have rank in [prefix_start, prefix_stop),
@@ -142,8 +150,8 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     the families before the window are stepped back over, as the window's
     right edge looks ahead, to get the length of the non-full run that ends
     just before it.  Lengths read structure.cylinder_calc, tails
-    structure.tail_automaton and block states words.automaton only.  The
-    descent runs on a stack of generators, not of Python frames, so no
+    structure.tail_automaton and its tail_kmin rows, and block states
+    words.automaton only.  The descent runs on a stack of generators, so no
     recursion limit bounds n.
 
     The chunk's "runs" entry is the shard's run summary in the shape
@@ -166,12 +174,11 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     if prefix_stop <= prefix_start:
         return chunk
     failures = chunk["failures"]
-    case = e.text()
     aut = automaton(e)
     cmp_, adv_, maxdig = aut.cmp, aut.adv, aut.maxdig
     s_cap = tail_cap(e, n)
     trans, chains = tail_automaton(e, s_cap)
-    kmin = [next((d for d, k in enumerate(row) if k), len(row)) for row in trans]  # least digit into a match
+    kmin = tail_kmin(e, s_cap)
     taus = tau_table(e, s_cap)
     calc = cylinder_calc(e, n, tol)
     pow_lo, pow_hi = calc.pow_lo, calc.pow_hi
@@ -180,7 +187,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     # per block state: the last digit and verdict, thresholds
     families = [(d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack, (d + 1) * xn_lo + slack)
                 for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
-    family_runs = [merge_runs(one_run(True, c), one_run(False, 1 if a else 0)) for c, a in zip(cmp_, adv_)]
+    family_runs = _family_runs(e)
     last = n - 1
     sizes = _count_table(e, last)  # sizes[m][j]: families below a state-j node m digits above them
     memo: dict[tuple[int, int, int], tuple] = {}
@@ -213,7 +220,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
         if diff_hi < short_hi:
             full = False
         elif diff_lo > long_lo:
-            fail(lambda: f"{case} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
+            fail(lambda: f"{e.text()} n={n}: cylinder of {_word_text(e, n, rank, last_digit)} "
                          "certified longer than beta^-n")
             return
         elif diff_lo >= full_lo and diff_hi <= full_hi:
@@ -223,7 +230,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
             faults += 1
             return
         if full != last_full:
-            fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, last_digit)} is "
+            fail(lambda: f"{e.text()} n={n}: word {_word_text(e, n, rank, last_digit)} is "
                          f"{'full' if last_full else 'non-full'} structurally but the "
                          "cylinder-length criterion disagrees")
 
@@ -254,7 +261,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
         krow = trans[k]
         for d in range(kmin[k], c):
             if krow[d]:
-                fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, d)} is "
+                fail(lambda: f"{e.text()} n={n}: word {_word_text(e, n, rank, d)} is "
                              "structurally full but ends with a prefix of the expansion")
         if c:
             run_len = 0
@@ -262,7 +269,7 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
             run_len += 1
             k_adv = krow[c]
             if k_adv == 0:
-                fail(lambda: f"{case} n={n}: word {_word_text(e, n, rank, c)} is structurally "
+                fail(lambda: f"{e.text()} n={n}: word {_word_text(e, n, rank, c)} is structurally "
                              "non-full but ends with no prefix of the expansion")
             for sv in chains[k_adv]:
                 if run_len != taus[sv]:

@@ -279,15 +279,15 @@ def test_beta_screened_like_tol(capsys, command, beta, message):
 def test_tol_ceiling_and_accepted_values():
     for tol in ("1e1234", f"{2**4096 + 1}", f"{2**4096 + 1}/1"):
         with pytest.raises(BetaWordsError, match="above the ceiling 2\\^4096"):
-            cli._parse_tol(argparse.Namespace(tol=tol))
+            cli._parse_fraction(tol, "tolerance")
     accepted = ["1e-12", "1/1000000000000", "0.5", " 2.5e-7 ", "3", "1_000", "+.5E-3", "5.", "1e-1233",
                 f"1/{2**4096}", f"{2**4096}", "9.99e1232", "1e1233", "7/3", "１e-3",
                 "9.6e-1234", "1.04e1233"]  # 2^-4096 = 9.58...e-1234, 2^4096 = 1.044...e1233
     for tol in accepted:
-        assert cli._parse_tol(argparse.Namespace(tol=tol)) == Fraction(tol), tol
+        assert cli._parse_fraction(tol, "tolerance") == Fraction(tol), tol
     for tol in ("nan", "inf", "1/0", "1__0", "0x10", "1e-99999999999999999999999"):
         with pytest.raises(BetaWordsError, match="cannot parse"):
-            cli._parse_tol(argparse.Namespace(tol=tol))
+            cli._parse_fraction(tol, "tolerance")
 
 
 # --- runs: one walk, read off the records, against the two-walk path ---
@@ -801,3 +801,139 @@ def test_command_defaults(monkeypatch, capsys, command):
     for dest in ("seq", "corpus", "beta", "n_range", "start", "limit"):
         if f"--{dest.replace('_', '-')}" in TAKES[command]:
             assert getattr(args, dest) is None, dest
+
+
+# --- one subparser for the command that runs, and the text of every parse ---
+
+
+def parser_of_every_command():
+    """A parser of all seven commands with argparse's own metavar, built
+    from the same tables but apart from cli._build_parser."""
+    parser = argparse.ArgumentParser(prog="beta-words", allow_abbrev=False,
+                                     description=cli._build_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, options, defaults) in cli.COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **cli.OPTIONS[option])
+        p.set_defaults(**defaults)
+    return parser
+
+
+def parse_with_every_command(capsys, argv):
+    """(exit code, stdout, stderr) of argv through parser_of_every_command,
+    as main maps a parse that exits; None for the code when the parse goes
+    through."""
+    try:
+        parser_of_every_command().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = cli.INPUT_ERROR if exc.code else cli.OK
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def abbreviation(command):
+    """The command's first option cut to its first four characters, a
+    unique prefix of it, with a value."""
+    option = cli.COMMANDS[command][1][0]
+    return option[:4], OPTION_VALUES[option][0]
+
+
+def parse_matrix():
+    """The top-level help, no arguments and an unknown command; per command
+    its help, an unrecognized option, an abbreviated option, a bad int and a
+    missing value."""
+    cases = [("--help",), ("-h",), (), ("bogus",), ("bogus", "--n", "3"), ("--bogus",)]
+    for command, (_, options, _) in cli.COMMANDS.items():
+        int_option = next(o for o in options if cli.OPTIONS[o].get("type") is int)
+        cases += [(command, "--help"), (command, "--bogus"), (command, *abbreviation(command)),
+                  (command, int_option, "x"), (command, options[0])]
+    return cases
+
+
+@pytest.mark.parametrize("argv", parse_matrix(), ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_text_matches_a_parser_of_every_command(capsys, argv):
+    """main builds only the subparser of the command that runs, yet its
+    stdout, stderr and exit code equal those of a parser with all seven
+    commands, in this interpreter, whose argparse sets the text."""
+    want = parse_with_every_command(capsys, list(argv))
+    assert want[0] is not None
+    assert run_cli(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("argv, built", [(("verify", "--n-range", "1..2"), ["verify"]),
+                                         (("tau", "--seq", "1,1", "--n", "3"), ["tau"]),
+                                         ((), list(cli.COMMANDS)), (("--help",), list(cli.COMMANDS)),
+                                         (("bogus",), list(cli.COMMANDS))])
+def test_main_builds_only_the_subparser_that_runs(monkeypatch, capsys, argv, built):
+    real = argparse._SubParsersAction.add_parser
+    names = []
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    run_cli(capsys, *argv)
+    assert names == built
+
+
+def test_usage_lists_every_command_after_a_one_command_parse(capsys):
+    code, out, err = run_cli(capsys, "verify", "--bogus")
+    assert (code, out) == (2, "")
+    assert "{expand,validate,enumerate,classify,runs,tau,verify}" in err.splitlines()[1]
+
+
+# --- a reader that closes stdout early ---
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--seq", "1,1", "--n", "5"),
+                                  ("enumerate", "--seq", "1,1", "--n", "5", "--format", "csv"),
+                                  ("enumerate", "--seq", "1,1", "--n", "5", "--format", "json"),
+                                  ("runs", "--seq", "1,1", "--n", "5"), ("verify", "--n-range", "1..2")])
+def test_a_closed_stdout_ends_quietly(monkeypatch, capsys, tmp_path, argv):
+    """A closed stdout is no input error: main prints no error line, exits
+    0, and points the stream's descriptor at devnull, so the flush at exit
+    raises nothing."""
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = cli.main(list(argv))
+        os.write(fd, b"after the reader left\n")
+    finally:
+        os.close(fd)
+    assert (code, capsys.readouterr().err, target.read_bytes()) == (0, "", b"")
+
+
+def test_enumerate_into_a_pipe_closed_after_one_line(capsys):
+    """`beta-words enumerate ... | head -1`: the process exits 0 with nothing
+    on stderr, no error line and no exception at exit."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "beta_words", "enumerate", "--seq", "1,1", "--n", "22"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (first.split(), code, err) == ([b"index", b"word", b"full"], 0, b"")

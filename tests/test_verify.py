@@ -449,6 +449,18 @@ def tau_off_by_one(monkeypatch):
                         lambda e, bound: [t + 1 if s else t for s, t in enumerate(real(e, bound))])
 
 
+def kmin_rows(trans):
+    """The least digit into a match per KMP state, as the sweep once built it."""
+    return [next((d for d, k in enumerate(row) if k), len(row)) for row in trans]
+
+
+def patch_tail_automaton(monkeypatch, fake):
+    """Give the sweep the tail automaton fake, with the kmin rows read off
+    fake's own transitions, as the cached rows are read off the real one."""
+    monkeypatch.setattr(verify_mod, "tail_automaton", fake)
+    monkeypatch.setattr(verify_mod, "tail_kmin", lambda e, cap: kmin_rows(fake(e, cap)[0]))
+
+
 def kmp_first_row(value):
     def inject(monkeypatch):
         real = verify_mod.tail_automaton
@@ -457,7 +469,7 @@ def kmp_first_row(value):
             trans, chains = real(e, cap)
             return ((value,) * len(trans[0]),) + trans[1:], chains
 
-        monkeypatch.setattr(verify_mod, "tail_automaton", fake)
+        patch_tail_automaton(monkeypatch, fake)
     return inject
 
 
@@ -509,7 +521,7 @@ def kmp_eps1_column(monkeypatch):
         top = e.alphabet_max
         return (trans[0],) + tuple(row[:top] + (0,) for row in trans[1:]), chains
 
-    monkeypatch.setattr(verify_mod, "tail_automaton", fake)
+    patch_tail_automaton(monkeypatch, fake)
 
 
 def widened_pow_hi_n1(monkeypatch):
@@ -1498,3 +1510,35 @@ def test_report_refuses_n_past_its_deepest_sweep(monkeypatch, capsys, tmp_path, 
     swept, failures = verify_report([GOLDEN, GOLDEN], [1500], shards=shards)
     assert failures == [] and render_report(swept) == render_report(rows)
     assert FakeExecutor.sizes == ([shards] if shards > 1 else [])
+
+
+# --- the sweep's n-independent tables, built once ---
+
+KMIN_CASES = [*default_corpus(), *map(ExpansionOfOne.parse, ["2;1", "4;2", "1;1,0", "1000,1"])]
+
+
+@pytest.mark.parametrize("e", KMIN_CASES, ids=lambda e: e.text())
+def test_cached_kmin_rows_equal_the_per_sweep_rows(e):
+    for cap in range(21):
+        assert list(verify_mod.tail_kmin(e, cap)) == kmin_rows(verify_mod.tail_automaton(e, cap)[0]), cap
+
+
+def test_report_builds_each_members_family_summaries_once():
+    corpus = default_corpus()
+    verify_mod._family_runs.cache_clear()
+    verify_report(corpus, range(1, 13))
+    info = verify_mod._family_runs.cache_info()
+    assert (info.misses, info.currsize) == (len(corpus), len(corpus))
+
+
+def test_reports_leave_the_cached_family_summaries_unchanged(monkeypatch):
+    """The summaries hold sets that every sweep of the expansion shares:
+    a report, and folds of prefix windows, which merge them with merge_runs
+    in every grouping, leave them as they were built."""
+    corpus = default_corpus()
+    before = [copy.deepcopy(verify_mod._family_runs(e)) for e in corpus]
+    verify_report(corpus, range(1, 13))
+    for e in corpus:
+        for k in (2, 3):
+            fold_windows(e, 7, k)
+    assert [verify_mod._family_runs(e) for e in corpus] == before
