@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import floor, log2
 
-from .corpus import default_corpus, load_corpus
+from .corpus import corpus_specs, default_corpus
 from .errors import BetaWordsError, IntegerBeta, VerificationError
 from .expansion import (
     MAX_PRECISION,
@@ -190,6 +190,15 @@ def _digit_rows_bytes(n: int, top: int) -> float:
     return n * (80 + 10 * (len(str(top)) + 1) + 8 * (len(str(n)) + 1))
 
 
+def _tau_rows_bytes(n: int, fmt: str) -> float:
+    """An upper estimate of the peak bytes of tau at length n: per s, 170
+    bytes of list and tuple slots and integers for the tau row, the digits
+    and the printed row, and what the format builds of the row before it
+    writes: 230 bytes for plain's text cells, 250 for json's dict, and 30 for
+    csv, which writes each row as it goes."""
+    return n * (170 + {"plain": 230, "json": 250, "csv": 30}[fmt])
+
+
 def _check_budget(n: int, size, what: str, who: str) -> None:
     """Refuse, before anything is built, an n whose what would take more
     than COUNT_TABLE_BUDGET bytes by the estimate size, naming the largest n
@@ -229,9 +238,18 @@ def _tail_table_bytes(e: ExpansionOfOne, n: int) -> float:
     return (cap + 2) * (64 + 8 * (e.alphabet_max + 1)) + (cap + 1) * 160
 
 
-def _check_digits(e: ExpansionOfOne) -> None:
+def _spec_digits(text: str) -> int:
+    """The digits of an expansion spec, counted from its text as parsing
+    counts them: its commas and semicolons plus one, less the trailing zeros
+    that parsing drops from a finite spec.  Parsing a line to count its
+    digits would take about 24 times its size."""
+    if ";" in text:
+        return text.count(",") + text.count(";") + 1
+    return text.rstrip("0, \t").count(",") + 1
+
+
+def _check_digits(digits: int) -> None:
     """Refuse, before beta is solved, an expansion past MAX_DIGITS digits."""
-    digits = len(e.preperiod) + len(e.period)
     if digits > MAX_DIGITS:
         raise BetaWordsError(f"an expansion of {digits} digits is past the bound of {MAX_DIGITS} digits "
                              "(preperiod plus period) that verify and classify --check solve beta for")
@@ -380,7 +398,7 @@ def cmd_classify(args, out, err) -> int:
     else:
         n_values = [_parse_n(args)]
     if args.check:
-        _check_digits(e)
+        _check_digits(len(e.preperiod) + len(e.period))
     _check_table_budget(e, n_values[-1], tol if args.check else None)
     if args.check:
         _check_tail_budget(e, n_values[-1])
@@ -462,7 +480,7 @@ def cmd_runs(args, out, err) -> int:
 def cmd_tau(args, out, err) -> int:
     e = _expansion(args)
     n = _parse_n(args)
-    _check_table_budget(e, n)
+    _check_budget(n, lambda m: _tau_rows_bytes(m, args.format), "tau rows", e.text())
     taus = tau_table(e, n)
     rows = [(s, taus[s]) for s in range(1, n + 1)]
     _emit_rows(args.format, ["s", "tau"], rows, out)
@@ -476,11 +494,16 @@ def cmd_verify(args, out, err) -> int:
     n_values = _parse_n_range(args.n_range) if args.n_range else range(1, 13)
     if n_values[-1] > VERIFY_MAX_N:
         raise BetaWordsError(f"n = {n_values[-1]} is past verify's bound n <= {VERIFY_MAX_N}")
-    corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
+    if args.corpus:
+        specs = corpus_specs(args.corpus)
+        for text in specs:
+            _check_digits(_spec_digits(text))
+        corpus = [ExpansionOfOne.parse(text) for text in specs]
+    else:
+        corpus = default_corpus()
     if not corpus:
         raise BetaWordsError(f"corpus file {args.corpus} holds no expansion, so there is nothing to verify")
     for e in corpus:
-        _check_digits(e)
         _check_tail_budget(e, n_values[-1])
     rows, failures = verify_report(corpus, n_values, tol, args.shards)
     out.write(render_report(rows))

@@ -25,12 +25,13 @@ def default_corpus() -> list[ExpansionOfOne]:
     return [ExpansionOfOne.parse(spec) for spec in DEFAULT_CORPUS]
 
 
+def corpus_specs(path: str) -> list[str]:
+    """The expansion specs of a corpus file, one a line, unparsed; blank
+    lines and # comments skipped."""
+    with open(path, encoding="utf-8") as handle:
+        return [text for line in handle if (text := line.split("#", 1)[0].strip())]
+
+
 def load_corpus(path: str) -> list[ExpansionOfOne]:
     """Read one expansion spec per line; blank lines and # comments skipped."""
-    members = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.split("#", 1)[0].strip()
-            if text:
-                members.append(ExpansionOfOne.parse(text))
-    return members
+    return [ExpansionOfOne.parse(text) for text in corpus_specs(path)]

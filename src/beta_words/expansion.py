@@ -214,6 +214,42 @@ class ExpansionOfOne(Frozen, derived=("_hash",)):
         return pre + ";" + ",".join(str(d) for d in self.period)
 
 
+STORE_CAP = 64  # the most expansions whose derived tables the store keeps
+
+
+class Derived:
+    """The tables derived from one expansion of 1, one slot each, None until
+    the module that reads a table builds it there with its own code.  Tables
+    keyed on an argument that grows with n keep lru_caches bounded per entry
+    (tail_automaton, tail_kmin, _scaled_inverse, _calc): one CylinderCalc at
+    n = 959 holds 0.63 MiB, so one of each n <= 959 would take hundreds of MiB."""
+
+    __slots__ = ("e", "automaton", "count_rows", "count_column", "tau_row", "shape", "spellings", "narrowest",
+                 "family_runs")
+
+    def __init__(self, e: ExpansionOfOne | None):
+        for name in self.__slots__:
+            setattr(self, name, None)
+        self.e = e
+
+
+_STORE: dict[ExpansionOfOne, Derived] = {}  # in the order of the last reads, the latest last
+_LAST = [Derived(None)]  # the record read last, in a slot changed in place
+
+
+def derived(e: ExpansionOfOne) -> Derived:
+    """e's record, empty at the first read of e.  The store keeps the records
+    of the STORE_CAP expansions read last, and drops the one read longest
+    ago with all its tables; the one read last is found by identity."""
+    if _LAST[0].e is not e:
+        _LAST[0] = _STORE.pop(e, None) or Derived(e)
+        _LAST[0].e = e  # the next read of this object takes the identity check
+        if len(_STORE) >= STORE_CAP:
+            del _STORE[next(iter(_STORE))]
+        _STORE[e] = _LAST[0]
+    return _LAST[0]
+
+
 def validate_expansion_of_one(seq) -> ExpansionOfOne:
     """Validate a digit list (finite) or a (preperiod, period) pair.
 

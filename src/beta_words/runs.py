@@ -11,11 +11,11 @@ single streamed pass, so they can be checked against each other.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
 
 from .errors import IntegerBeta, TailMismatch, VerificationError
-from .expansion import ExpansionOfOne, Frozen
+from .expansion import ExpansionOfOne, Frozen, derived
 from .structure import _tail_matches, is_full
 from .words import Word, _check_n, automaton, count, predecessor, start_at, walk
 
@@ -23,16 +23,10 @@ FULL = "full"
 NONFULL = "nonfull"
 
 
-@lru_cache(maxsize=64)
-def _tau_row(e: ExpansionOfOne) -> list[int]:
-    """The tau row of e so far, tau(0) = 0 at first; _tau extends it in
-    place.  tau_table and tau read it; the closed forms read _shape(e),
-    which reads it once, through its stable position (see _Shape)."""
-    return [0]
-
-
 def _tau(e: ExpansionOfOne, bound: int) -> list[int]:
-    """_tau_row(e) grown to at least bound + 1 entries, for reading only.
+    """e's tau row, tau(0) = 0 at first, grown in place to at least bound + 1
+    entries, for reading only.  tau_table and tau read it; the closed forms
+    read _shape(e), which reads it once, through its stable position.
 
     The greedy walk from s first subtracts P(s), the largest nonzero digit
     position <= s, and then walks on from s - P(s), so
@@ -40,7 +34,8 @@ def _tau(e: ExpansionOfOne, bound: int) -> list[int]:
     twice its length, whichever is more, so rising bounds slice the digit
     prefix O(log bound) times, not once per bound.
     """
-    table = _tau_row(e)
+    record = derived(e)
+    record.tau_row = table = record.tau_row or [0]
     start = len(table)
     if start <= bound:
         stop = max(bound, 2 * start)
@@ -65,7 +60,7 @@ def tau(e: ExpansionOfOne, s: int) -> int:
 def tau_table(e: ExpansionOfOne, bound: int) -> list[int]:
     """tau(e, s) for s = 1..bound; index 0 holds tau(0) = 0.
 
-    A copy of the first bound + 1 entries of one row per expansion, which
+    A copy of the first bound + 1 entries of the expansion's tau row, which
     _tau grows in chunks (see there) as far as the largest bound asked for.
     """
     if bound < 0:
@@ -126,7 +121,11 @@ class _Shape(Frozen):
         return tuple(sorted(d for d, i in self.firsts if i <= upto))
 
 
-_shape = lru_cache(maxsize=64)(_Shape)
+def _shape(e: ExpansionOfOne) -> _Shape:
+    record = derived(e)
+    if record.shape is None:
+        record.shape = _Shape(e)
+    return record.shape
 
 
 def second_nonzero_position(e: ExpansionOfOne) -> int:

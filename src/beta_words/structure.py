@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import VerificationError
-from .expansion import BetaInterval, ExpansionOfOne, Frozen, solve_beta
+from .expansion import ExpansionOfOne, Frozen, derived, solve_beta
 from .words import Word, scan_states, walk
 
 
@@ -59,8 +59,11 @@ class Decomposition(Frozen):
         _set_tail(self, tail)
 
     def reconstruct(self, e: ExpansionOfOne) -> Word:
-        """The word the pieces spell, joined from _spellings(e); a piece with L < 1 raises ValueError."""
-        spell = _spellings(e)
+        """The word the pieces spell, joined from e's spelled pieces; a piece with L < 1 raises ValueError."""
+        record = derived(e)
+        if record.spellings is None:
+            record.spellings = _Spellings(e)
+        spell = record.spellings
         digits: list[int] = []
         for piece in self.blocks:
             digits += spell[piece]
@@ -87,9 +90,6 @@ class _Spellings(dict):
         if length <= SPELL_CAP and len(self) < SPELL_CAP:
             self[piece] = spelled
         return spelled
-
-
-_spellings = lru_cache(maxsize=16)(_Spellings)
 
 
 def decompose(w: Word, e: ExpansionOfOne) -> Decomposition:
@@ -189,27 +189,21 @@ def smallest_tail_length(w: Word, e: ExpansionOfOne) -> int | None:
     return matches[0] if matches else None
 
 
-@lru_cache(maxsize=16)
-def _narrowest(e: ExpansionOfOne) -> list[BetaInterval | None]:
-    """The narrowest beta bracket of e that _scaled_inverse has made, in a
-    one-slot list (None before the first)."""
-    return [None]
-
-
 @lru_cache(maxsize=64)
 def _scaled_inverse(e: ExpansionOfOne, bits: int) -> tuple[int, int]:
     """(x_lo, x_hi): 1/beta scaled by 2^bits, rounded down and up, from a
     beta bracket 2^-(bits - 16) wide.  It depends on bits only, not on n,
-    so every n that shares bits solves beta once.  When the narrowest
-    bracket made so far is at least that wide, it is refined rather than
-    beta solved again; refining gives the bracket solve_beta gives, bit for
-    bit, and the refined bracket becomes the narrowest."""
+    so every n that shares bits solves beta once.  When e's record holds a
+    bracket at least that wide, it is refined rather than beta solved again;
+    refining gives the bracket solve_beta gives, bit for bit, and the
+    refined bracket, the narrowest made, takes its place."""
     target = Fraction(1, 2 ** (bits - 16))
-    slot = _narrowest(e)
-    wide = slot[0] is not None and slot[0].width >= target
-    beta = slot[0].refine(target) if wide else solve_beta(e, target)
-    if wide or slot[0] is None:
-        slot[0] = beta
+    record = derived(e)
+    narrowest = record.narrowest
+    wide = narrowest is not None and narrowest.width >= target
+    beta = narrowest.refine(target) if wide else solve_beta(e, target)
+    if wide or narrowest is None:
+        record.narrowest = beta
     q, r = divmod(beta.lo.denominator << bits, beta.lo.numerator)
     return (beta.hi.denominator << bits) // beta.hi.numerator, q if r == 0 else q + 1
 

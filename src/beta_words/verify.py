@@ -40,11 +40,10 @@ import json
 import os
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import NotAdmissible, TailMismatch, VerificationError
-from .expansion import ExpansionOfOne, Frozen, max_zero_run, nonzero_sequence
+from .expansion import ExpansionOfOne, Frozen, derived, max_zero_run, nonzero_sequence
 from .runs import (
     FULL,
     classify_last_run,
@@ -108,9 +107,8 @@ def _tail_run_failure(e: ExpansionOfOne, n: int, rank: int, digit: int, s: int, 
             f"but sits {pos} above the last full word, expected tau({s}) = {tau}")
 
 
-@lru_cache(maxsize=64)
 def _family_runs(e: ExpansionOfOne) -> tuple:
-    """Per block state j, the run summary of a state-j family; every sweep of e shares it."""
+    """Per block state j, the run summary of a state-j family; kept in e's record, so every sweep of e shares it."""
     aut = automaton(e)
     return tuple(merge_runs(one_run(True, c), one_run(False, 1 if a else 0)) for c, a in zip(aut.cmp, aut.adv))
 
@@ -187,7 +185,10 @@ def sweep_shard(e: ExpansionOfOne, n: int, tol, prefix_start: int = 0, prefix_st
     # per block state: the last digit and verdict, thresholds
     families = [(d, not a, (d + 1) * xn_lo, (d + 1) * xn_hi, (d + 1) * xn_hi - slack, (d + 1) * xn_lo + slack)
                 for c, a in zip(cmp_, adv_) for d in [c if a else c - 1]]
-    family_runs = _family_runs(e)
+    record = derived(e)
+    if record.family_runs is None:
+        record.family_runs = _family_runs(e)
+    family_runs = record.family_runs
     last = n - 1
     sizes = _count_table(e, last)  # sizes[m][j]: families below a state-j node m digits above them
     memo: dict[tuple[int, int, int], tuple] = {}

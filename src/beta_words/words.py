@@ -18,7 +18,7 @@ given number of words.
 
 Random access runs on the count table (table[m][j]: admissible length-m
 continuations from state j), and reads only its state-1 column, the word
-counts count(e, m), which each expansion keeps beside its rows and extends
+counts count(e, m), which e's store record keeps beside its rows and extends
 with them.  rank_of sums each digit times the count of the words one digit
 shorter; word_at reads the digits back by comparing the index with that
 count, subtracting it once for a digit 1 and dividing by it for a larger
@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 from itertools import repeat
 
 from .errors import AlphabetMismatch, NotAdmissible, VerificationError
-from .expansion import ExpansionOfOne, Frozen, lex_compare, modified_expansion
+from .expansion import ExpansionOfOne, Frozen, derived, lex_compare, modified_expansion
 
 
 class Word(Frozen):
@@ -87,20 +86,22 @@ class Automaton(Frozen, derived=("zero",)):
         object.__setattr__(self, "zero", tuple(a if c == 0 else 1 for c, a in zip(cmp, adv)))
 
 
-@lru_cache(maxsize=64)
 def automaton(e: ExpansionOfOne) -> Automaton:
+    record = derived(e)
+    if record.automaton is not None:
+        return record.automaton
     if e.is_finite:
         digits = e.preperiod
         m = len(digits)
         cmp = (0,) + digits
         adv = (0,) + tuple(j + 1 for j in range(1, m)) + (0,)
         maxdig = (0,) + digits[:-1] + (digits[-1] - 1,)
-        return Automaton(cmp, adv, maxdig)
-    pre, per = e.preperiod, e.period
-    length = len(pre) + len(per)
-    cmp = (0,) + pre + per
-    adv = (0,) + tuple(j + 1 for j in range(1, length)) + (len(pre) + 1,)
-    return Automaton(cmp, adv, cmp)
+    else:
+        pre, per = e.preperiod, e.period
+        cmp = maxdig = (0,) + pre + per
+        adv = (0,) + tuple(j + 1 for j in range(1, len(cmp) - 1)) + (len(pre) + 1,)
+    record.automaton = Automaton(cmp, adv, maxdig)
+    return record.automaton
 
 
 def check_alphabet(digits: Sequence[int], e: ExpansionOfOne) -> None:
@@ -267,33 +268,21 @@ def iter_words(e: ExpansionOfOne, n: int, start: int = 0, limit: int | None = No
         yield Word(word)
 
 
-class _CountRows(list):
-    """Count rows, and beside them their state-1 column: column[m] = rows[m][1]."""
-
-    __slots__ = ("column",)
-
-
-@lru_cache(maxsize=64)
-def _count_rows(e: ExpansionOfOne) -> _CountRows:
-    """The count rows of e so far, row 0 at first; _count_table extends the
-    rows and their column together, in place."""
-    rows = _CountRows([(0,) + (1,) * (len(automaton(e).cmp) - 1)])
-    rows.column = [1]
-    return rows
-
-
-def _count_table(e: ExpansionOfOne, n: int) -> _CountRows:
+def _count_table(e: ExpansionOfOne, n: int) -> list[tuple[int, ...]]:
     """table[m][j] = number of admissible length-m continuations from state j.
 
-    One row list per expansion (_count_rows), extended on demand, so it holds
+    e's record holds the rows, extended in place with their state-1 column,
     at least rows 0..n and never more rows than the largest n asked for.
     """
-    table = _count_rows(e)
+    record = derived(e)
+    if record.count_rows is None:
+        record.count_rows, record.count_column = [(0,) + (1,) * (len(automaton(e).cmp) - 1)], [1]
+    table = record.count_rows
     if len(table) <= n:
         aut = automaton(e)
         cmp, adv = aut.cmp, aut.adv
         width = len(cmp)
-        column = table.column
+        column = record.count_column
         while len(table) <= n:
             prev = table[-1]
             row = [0] * width
@@ -310,7 +299,8 @@ def _count_table(e: ExpansionOfOne, n: int) -> _CountRows:
 def _count_column(e: ExpansionOfOne, n: int) -> list[int]:
     """column[m] = count(e, m) for m <= n (column[0] = 1): state 1 of the
     count table, the only state random access reads."""
-    return _count_table(e, n).column
+    _count_table(e, n)
+    return derived(e).count_column
 
 
 def count(e: ExpansionOfOne, n: int) -> int:

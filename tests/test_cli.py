@@ -450,6 +450,37 @@ def test_a_line_past_the_digit_bound_is_refused_at_once(capsys, tmp_path, comman
                    "digits (preperiod plus period) that verify and classify --check solve beta for\n")
 
 
+@pytest.mark.parametrize("line", ["2," * 2_500_000 + "1", "3;" + "2,1," * 1_249_999 + "2,1"],
+                         ids=["finite", "periodic"])
+def test_a_long_corpus_line_is_refused_before_it_is_parsed(capsys, tmp_path, line):
+    """A one-line corpus of 2.5 M digits (5 MB) is refused with the digit
+    bound's message, its digits counted from the text: the traced peak
+    stays within three times the line's size (parsing the line first took
+    about 24 times)."""
+    corpus = tmp_path / "long.txt"
+    corpus.write_text(line + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"error: an expansion of 2500001 digits is past the bound of {cli.MAX_DIGITS} "
+                   "digits (preperiod plus period) that verify and classify --check solve beta for\n")
+    assert peak < 3 * len(line)
+
+
+@pytest.mark.parametrize("text", ["1,1", "2,1,0,0", "20,10", "2, 1 ,0 , 0", "1000,100,00", "3,0,0,2;0,0,0,2",
+                                  "1,0,0,0,0,1;0,0,0,0,0,1", "3;2,1,0", " 2 ; 1 , 0 , 1 "])
+def test_spec_digits_count_as_parsing_does(text):
+    """The digits counted from a spec's text are those of the parsed
+    expansion: a finite spec's trailing zeros are not counted, and a
+    periodic spec keeps its zeros."""
+    e = ExpansionOfOne.parse(text)
+    assert cli._spec_digits(text.strip()) == len(e.preperiod) + len(e.period)
+
+
 # Loads a corpus file and prints the shift its one line fails at (None when
 # it is valid), whether its spec reads back as the line, and the seconds taken.
 LOAD_ONE_LINE = """
@@ -514,7 +545,7 @@ def test_verify_sweeps_up_to_its_bound(tmp_path, capsys):
     assert (code, err) == (0, "") and json.loads(out)[0]["n"] == cli.VERIFY_MAX_N
 
 
-HUGE_N = re.compile(r"error: n = (\d+) needs a count table of about \d+ MiB, over the (\d+) MiB budget: "
+HUGE_N = re.compile(r"error: n = (\d+) needs (a count table|tau rows) of about \d+ MiB, over the (\d+) MiB budget: "
                     r"1,1 allows n <= (\d+)\n")
 
 
@@ -522,35 +553,66 @@ HUGE_N = re.compile(r"error: n = (\d+) needs a count table of about \d+ MiB, ove
                                   ("classify", "--n-range", "1..1000000"), ("runs", "--n", "1000000"),
                                   ("tau", "--n", "1000000")])
 def test_huge_n_refused_before_any_table(monkeypatch, capsys, argv):
-    """At n = 10^6 the count table of 1,1 would take about 120 GiB; the
-    command exits 2 in one line before it builds that table or any other."""
+    """At n = 10^6 the count table of 1,1 would take about 120 GiB, and
+    tau's rows about 380 MiB; the command exits 2 in one line before it
+    builds that table or any other."""
     built = []
     monkeypatch.setattr(words_mod, "_count_table", lambda *args: built.append(args))
     monkeypatch.setattr(cli, "tau_table", lambda *args: built.append(args))
     code, out, err = run_cli(capsys, argv[0], "--seq", "1,1", *argv[1:])
     assert (code, out, built) == (2, "", [])
     hit = HUGE_N.fullmatch(err)
-    assert hit and hit.group(1) == "1000000" and int(hit.group(2)) * 2**20 == cli.COUNT_TABLE_BUDGET
+    assert hit and hit.group(1) == "1000000" and int(hit.group(3)) * 2**20 == cli.COUNT_TABLE_BUDGET
+    assert hit.group(2) == ("tau rows" if argv[0] == "tau" else "a count table")
 
 
 def test_largest_n_under_the_table_budget_runs(monkeypatch, capsys):
     """The n the refusal names runs, and one more is refused."""
     monkeypatch.setattr(cli, "COUNT_TABLE_BUDGET", 2**17)
     e = ExpansionOfOne.parse("1,1")
-    code, _, err = run_cli(capsys, "tau", "--seq", "1,1", "--n", "1000000")
-    largest = int(HUGE_N.fullmatch(err).group(3))
+    code, _, err = run_cli(capsys, "enumerate", "--seq", "1,1", "--n", "1000000", "--limit", "1")
+    largest = int(HUGE_N.fullmatch(err).group(4))
     assert run_cli(capsys, "enumerate", "--seq", "1,1", "--n", str(largest), "--limit", "1")[0] == 0
     assert cli._count_table_bytes(e, largest) <= 2**17 < cli._count_table_bytes(e, largest + 1)
     code, out, err = run_cli(capsys, "enumerate", "--seq", "1,1", "--n", str(largest + 1), "--limit", "1")
-    assert (code, out) == (2, "") and HUGE_N.fullmatch(err).group(3) == str(largest)
+    assert (code, out) == (2, "") and HUGE_N.fullmatch(err).group(4) == str(largest)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_largest_n_under_the_tau_budget_runs(monkeypatch, capsys, fmt):
+    """tau is held to an estimate of the rows it prints, not to a count
+    table it never builds: the n its refusal names runs, and one more is
+    refused."""
+    monkeypatch.setattr(cli, "COUNT_TABLE_BUDGET", 2**20)
+    argv = ["tau", "--seq", "1,1", "--format", fmt, "--n"]
+    largest = int(HUGE_N.fullmatch(run_cli(capsys, *argv, "1000000")[2]).group(4))
+    assert cli._tau_rows_bytes(largest, fmt) <= 2**20 < cli._tau_rows_bytes(largest + 1, fmt)
+    assert run_cli(capsys, *argv, str(largest))[0] == 0
+    code, out, err = run_cli(capsys, *argv, str(largest + 1))
+    assert (code, out) == (2, "") and HUGE_N.fullmatch(err).group(2, 4) == ("tau rows", str(largest))
+
+
+@pytest.mark.parametrize("text", ["1,1", "2;1", "1000,1", "3,0,2,0,0,0,0,1"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_tau_rows_estimate_bounds_tau(capsys, fresh_store, text, fmt):
+    """tau's estimate is at least the command's traced peak at n = 50,000,
+    printed rows included, and not twice it."""
+    n = 50_000
+    tracemalloc.start()
+    try:
+        code = cli.main(["tau", "--seq", text, "--n", str(n), "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert peak <= cli._tau_rows_bytes(n, fmt) < 2 * peak
 
 
 @pytest.mark.parametrize("text, n", [("1,1", 3000), ("3,0,2,0,0,0,0,1", 1500), ("9,9,9", 1500), ("2;1", 2000)])
-def test_count_table_estimate_bounds_the_table(monkeypatch, text, n):
+def test_count_table_estimate_bounds_the_table(fresh_store, text, n):
     """The budget's estimate is at least the table's traced size, and not
     twice it."""
     e = ExpansionOfOne.parse(text)
-    words_mod._count_rows.cache_clear()
     tracemalloc.start()
     try:
         words_mod._count_table(e, n)

@@ -455,3 +455,46 @@ def test_poor_start_runs_no_newton_round_at_the_target_level(monkeypatch):
     assert len(levels) == 13 and max(levels) < 1136, levels
     want = solve_oracle(e, Fraction(1, 2**1136))
     assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+# --- the store of tables derived from one expansion ---
+
+
+def read_every_table(e):
+    """Build each table of e's record through the module that reads it."""
+    from beta_words import runs, structure, verify, words
+
+    runs.run_sets_formula(e, 6)  # the closed-form record and the tau row
+    structure.decompose(words.word_at(e, 6, 2), e).reconstruct(e)  # automaton, count rows, spellings
+    structure._scaled_inverse.__wrapped__(e, 320)  # unwrapped, as a cached bracket would not reach the record
+    verify.sweep_shard(e, 3, DEFAULT_TOL)  # the family run summaries
+    record = expansion_mod.derived(e)
+    return record, [getattr(record, name) for name in expansion_mod.Derived.__slots__[1:]]
+
+
+def test_store_keeps_the_records_read_last(fresh_store):
+    """70 expansions 2,0^k,1 overflow STORE_CAP.  The store keeps the records
+    of the 64 read last, in the order of their last reads, whichever call
+    reads them; an equal expansion reads the same record.  An evicted
+    expansion loses all its tables together, and reading it again builds
+    them equal to fresh ones."""
+    from beta_words import count, iter_words, tau, word_at
+
+    store = expansion_mod._STORE
+    members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
+    records = [read_every_table(e) for e in members]
+    assert expansion_mod.STORE_CAP == 64 and list(store) == members[6:]
+    assert None not in [table for _, tables in records for table in tables]
+    word_at(members[7], 5, 0)
+    assert expansion_mod.derived(ExpansionOfOne.parse(members[9].text())) is records[9][0]
+    tau(members[6], 3)
+    assert list(store) == [members[8], *members[10:], members[7], members[9], members[6]]
+    # members[0] comes back, and pushes out members[8], the one read longest ago
+    again, tables = read_every_table(members[0])
+    assert list(store) == [*members[10:], members[7], members[9], members[6], members[0]]
+    assert again is not records[0][0] and tables == records[0][1]
+    assert (again.automaton.cmp, again.automaton.adv, again.automaton.maxdig) == ((0, 2, 1), (0, 2, 0), (0, 2, 0))
+    assert count(members[0], 5) == len(list(iter_words(members[0], 5))) == 99
+    record = expansion_mod.derived(members[8])
+    assert record is not records[8][0] and list(store)[-1] == members[8]
+    assert [getattr(record, name) for name in expansion_mod.Derived.__slots__[1:]] == [None] * 8

@@ -7,7 +7,9 @@ from bisect import bisect_right
 
 import pytest
 
+from beta_words import expansion as expansion_mod
 from beta_words import runs
+from beta_words.expansion import derived
 from beta_words import (
     ExpansionOfOne,
     IntegerBeta,
@@ -515,23 +517,19 @@ HEAD_ORDERS = {
 
 
 @pytest.mark.parametrize("order", HEAD_ORDERS)
-def test_closed_forms_match_the_per_call_code(order):
+def test_closed_forms_match_the_per_call_code(order, fresh_store):
     """Every public closed form at every n in 1..600 equals the per-call
     code's value, whichever order the (expansion, n) pairs come in and so
     however the per-expansion records and rows have grown."""
-    runs._shape.cache_clear()
-    runs._tau_row.cache_clear()
     for e, n in HEAD_ORDERS[order]:
         assert closed_forms(e, n) == head_values(e, n), (e.text(), n)
         assert second_nonzero_position(e) == head_second_nonzero_position(e), e.text()
 
 
 @pytest.mark.parametrize("text", HEAD_MEMBERS)
-def test_prefix_max_row_is_the_max_of_the_tau_table(text):
+def test_prefix_max_row_is_the_max_of_the_tau_table(text, fresh_store):
     """The record's prefix maxima, read at min(n, stable), are the maxima of
     tau over 1..tail_cap(e, n) at every n, however far the row has grown."""
-    runs._tau_row.cache_clear()
-    runs._shape.cache_clear()
     e = ExpansionOfOne.parse(text)
     sh = runs._shape(e)
     assert len(sh.top) == sh.stable + 1
@@ -563,11 +561,9 @@ def check_closed_form_period(e):
 
 
 @pytest.mark.parametrize("text", HEAD_MEMBERS)
-def test_closed_forms_are_eventually_periodic(text):
+def test_closed_forms_are_eventually_periodic(text, fresh_store):
     """The record is final when built, so a fresh one answers n = 10^18 as
     it answers the residue, within a megabyte of traced memory."""
-    runs._shape.cache_clear()
-    runs._tau_row.cache_clear()
     tracemalloc.start()
     try:
         check_closed_form_period(ExpansionOfOne.parse(text))
@@ -578,17 +574,14 @@ def test_closed_forms_are_eventually_periodic(text):
 
 
 @pytest.mark.parametrize("text", ["3,0,0,2;0,0,0,2", "1,0,0,0,0,1;0,0,0,0,0,1"])
-def test_periodic_members_answer_a_billion_at_once(text):
+def test_periodic_members_answer_a_billion_at_once(text, fresh_store):
     """Both periodic members' run sets and longest non-full run at n = 10^9,
     from a fresh record, take well under 10 ms and a megabyte."""
     e = ExpansionOfOne.parse(text)
-    runs._shape.cache_clear()
-    runs._tau_row.cache_clear()
     start = time.perf_counter()
     got = run_sets_formula(e, 10**9), max_nonfull_run_length(e, 10**9)
     elapsed = time.perf_counter() - start
-    runs._shape.cache_clear()
-    runs._tau_row.cache_clear()
+    fresh_store()
     tracemalloc.start()
     try:
         assert (run_sets_formula(e, 10**9), max_nonfull_run_length(e, 10**9)) == got
@@ -820,10 +813,9 @@ def test_closed_run_sets_of_no_words():
 
 
 @pytest.mark.parametrize("text", ORACLE_MEMBERS)
-def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
+def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text, fresh_store):
     """Bounds asked in rising, falling and repeated order all read the row
-    of a fresh greedy walk, and a caller's edits do not reach the cache."""
-    runs._tau_row.cache_clear()
+    of a fresh greedy walk, and a caller's edits do not reach the store."""
     e = ExpansionOfOne.parse(text)
     fresh = oracle_tau_table(e, 300)
     rng = random.Random(text)
@@ -837,7 +829,7 @@ def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
             table.append(-1)
     # one row per expansion, extended in place in chunks, and the prefix
     # maxima of the expansion's record, final past its stable position
-    row = runs._tau_row(e)
+    row = derived(e).tau_row
     assert len(row) >= 301
     assert row[:301] == fresh
     sh = runs._shape(e)
@@ -846,11 +838,10 @@ def test_cached_tau_rows_match_a_fresh_walk_in_any_order(text):
 
 
 @pytest.mark.parametrize("text", ["3,0,0,2;0,0,0,2", "1,0,0,0,0,1;0,0,0,0,0,1", "2,1,1"])
-def test_rising_bounds_grow_the_tau_row_in_chunks(text, monkeypatch):
+def test_rising_bounds_grow_the_tau_row_in_chunks(text, monkeypatch, fresh_store):
     """Bounds 1..4096 in turn slice the digit prefix once per doubling of the
     row, 12 times, not once per bound, and read the values a fresh walk
     gives; so do the prefix maxima that max_nonfull_run_length reads."""
-    runs._tau_row.cache_clear()
     e = ExpansionOfOne.parse(text)
     real = ExpansionOfOne.digits_prefix
     slices = []
@@ -870,30 +861,28 @@ def test_rising_bounds_grow_the_tau_row_in_chunks(text, monkeypatch):
         max(fresh[1:min(n, cap) + 1]) for n in range(1, 4097)]
 
 
-def lookups(cache, call):
-    """The (hits, misses) that call adds to an lru_cache."""
-    before = cache.cache_info()
+def built(e, slot, call):
+    """Whether call builds e's table `slot` afresh, not reading the one the
+    store keeps; the store is read without reordering it."""
+    record = expansion_mod._STORE.get(e)
+    before = None if record is None else getattr(record, slot)
     call()
-    after = cache.cache_info()
-    return after.hits - before.hits, after.misses - before.misses
+    return getattr(expansion_mod._STORE[e], slot) is not before
 
 
-def test_tau_rows_are_bounded():
-    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
-    rows = runs._tau_row
-    rows.cache_clear()
+def test_tau_rows_are_bounded(fresh_store):
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion store
     members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
     for e in members:
         tau_table(e, 5)
-    info = rows.cache_info()
-    assert (info.currsize, info.maxsize, info.misses) == (64, 64, 70)
+    assert len(expansion_mod._STORE) == 64 and list(expansion_mod._STORE) == members[6:]
     # a call marks its expansion most recently used, so it outlives older ones
-    assert lookups(rows, lambda: tau(members[7], 3)) == (1, 0)
-    assert lookups(rows, lambda: tau_table(members[0], 80)) == (0, 1)  # evicts members[6]
-    assert lookups(rows, lambda: tau_table(members[1], 5)) == (0, 1)  # evicts members[8]
-    assert lookups(rows, lambda: tau_table(members[7], 5)) == (1, 0)
-    assert lookups(rows, lambda: tau_table(members[0], 80)) == (1, 0)
+    assert not built(members[7], "tau_row", lambda: tau(members[7], 3))
+    assert built(members[0], "tau_row", lambda: tau_table(members[0], 80))  # evicts members[6]
+    assert built(members[1], "tau_row", lambda: tau_table(members[1], 5))  # evicts members[8]
+    assert not built(members[7], "tau_row", lambda: tau_table(members[7], 5))
+    assert not built(members[0], "tau_row", lambda: tau_table(members[0], 80))
     assert tau_table(members[0], 80) == oracle_tau_table(members[0], 80)
-    assert lookups(rows, lambda: tau_table(members[6], 5)) == (0, 1)
-    assert lookups(rows, lambda: tau_table(members[8], 5)) == (0, 1)
-    assert rows.cache_info().currsize == 64
+    assert built(members[6], "tau_row", lambda: tau_table(members[6], 5))
+    assert built(members[8], "tau_row", lambda: tau_table(members[8], 5))
+    assert len(expansion_mod._STORE) == 64

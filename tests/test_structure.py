@@ -28,6 +28,7 @@ from beta_words import (
 )
 from beta_words import AlphabetMismatch, BetaWordsError, NotAdmissible, VerificationError
 from beta_words import structure as structure_mod
+from beta_words.expansion import derived
 from beta_words.structure import (
     DEFAULT_TOL,
     UNDECIDED,
@@ -293,7 +294,7 @@ def test_pi_bounds_split_at_any_index(text):
                 assert (head[0] + tail[0], head[1] + tail[1]) == whole
 
 
-def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
+def test_cylinder_calc_solves_beta_once_per_member(monkeypatch, fresh_store):
     """All n <= 12 share the working precision, so cylinder_calc at n 1..12
     solves beta once per member; its power tables are those built from a
     fresh solve_beta, 1/beta rounded down and up at that precision."""
@@ -308,7 +309,6 @@ def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
     members = [ExpansionOfOne.parse(text) for text in DEFAULT_CORPUS]
     structure_mod._calc.cache_clear()
     structure_mod._scaled_inverse.cache_clear()
-    structure_mod._narrowest.cache_clear()
     try:
         for e in members:
             for n in range(1, 13):
@@ -328,7 +328,7 @@ def test_cylinder_calc_solves_beta_once_per_member(monkeypatch):
     assert calls == members
 
 
-def test_wider_bits_refine_the_narrowest_bracket_made(monkeypatch):
+def test_wider_bits_refine_the_narrowest_bracket_made(monkeypatch, fresh_store):
     """On the 256-digit 1000,...,1000,1 line, verify's n = 1..12 need 1/beta
     at three precisions.  Beta is solved once; the next two brackets refine
     the one before, and every (x_lo, x_hi) equals the one a fresh solve_beta
@@ -347,15 +347,13 @@ def test_wider_bits_refine_the_narrowest_bracket_made(monkeypatch):
 
     monkeypatch.setattr(structure_mod, "solve_beta", spy)
     structure_mod._scaled_inverse.cache_clear()
-    structure_mod._narrowest.cache_clear()
     try:
         got = [structure_mod._scaled_inverse(e, bits) for bits in widths]
         assert calls == [Fraction(1, 2 ** (2688 - 16))]
         assert structure_mod._scaled_inverse(e, 320) and calls[1:] == [Fraction(1, 2 ** (320 - 16))]
-        assert structure_mod._narrowest(e)[0].width == Fraction(1, 2 ** (2816 - 16))
+        assert derived(e).narrowest.width == Fraction(1, 2 ** (2816 - 16))
     finally:
         structure_mod._scaled_inverse.cache_clear()
-        structure_mod._narrowest.cache_clear()
     for bits, (x_lo, x_hi) in zip(widths, got):
         beta = real(e, Fraction(1, 2 ** (bits - 16)))
         assert x_lo == (beta.hi.denominator << bits) // beta.hi.numerator, bits
@@ -590,7 +588,7 @@ def test_short_piece_refused_with_the_store_warm(pieces):
     e = ExpansionOfOne.parse("2,1,1")
     warm = Decomposition(((2, 0), (1, 0), (1, 1)), (2, 1))
     assert warm.reconstruct(e) == reconstruct_oracle(warm, e)
-    assert set(warm.blocks) <= set(structure_mod._spellings(e))
+    assert set(warm.blocks) <= set(derived(e).spellings)
     with pytest.raises(ValueError, match="decomposition pieces must have length >= 1"):
         Decomposition(pieces[:-1], pieces[-1]).reconstruct(e)
 
@@ -603,7 +601,7 @@ def test_spelled_piece_store_stays_bounded():
     for length in range(1, 2 * cap + 1, 3):
         dec = Decomposition(tuple((length, d) for d in range(3)), (length, 3))
         assert dec.reconstruct(e) == reconstruct_oracle(dec, e)
-    kept = structure_mod._spellings(e)
+    kept = derived(e).spellings
     assert 0 < len(kept) <= cap and max(map(len, kept.values())) <= cap
 
 

@@ -28,6 +28,7 @@ from beta_words import runs as runs_mod
 from beta_words import verify as verify_mod
 from beta_words import words as words_mod
 from beta_words.errors import NotAdmissible, VerificationError
+from beta_words.expansion import derived
 from beta_words.structure import DEFAULT_TOL, Decomposition, cylinder_calc, is_full, tail_cap
 from beta_words.words import Automaton, Word, iter_words, rank_of, word_at
 
@@ -1523,12 +1524,14 @@ def test_cached_kmin_rows_equal_the_per_sweep_rows(e):
         assert list(verify_mod.tail_kmin(e, cap)) == kmin_rows(verify_mod.tail_automaton(e, cap)[0]), cap
 
 
-def test_report_builds_each_members_family_summaries_once():
+def test_report_builds_each_members_family_summaries_once(monkeypatch, fresh_store):
     corpus = default_corpus()
-    verify_mod._family_runs.cache_clear()
+    built = []
+    build = verify_mod._family_runs
+    monkeypatch.setattr(verify_mod, "_family_runs", lambda e: built.append(e) or build(e))
     verify_report(corpus, range(1, 13))
-    info = verify_mod._family_runs.cache_info()
-    assert (info.misses, info.currsize) == (len(corpus), len(corpus))
+    assert built == corpus
+    assert [derived(e).family_runs for e in corpus] == [build(e) for e in corpus]
 
 
 def test_reports_leave_the_cached_family_summaries_unchanged(monkeypatch):
@@ -1541,4 +1544,4 @@ def test_reports_leave_the_cached_family_summaries_unchanged(monkeypatch):
     for e in corpus:
         for k in (2, 3):
             fold_windows(e, 7, k)
-    assert [verify_mod._family_runs(e) for e in corpus] == before
+    assert [derived(e).family_runs for e in corpus] == before

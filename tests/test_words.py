@@ -30,7 +30,9 @@ from beta_words import (
     successor,
     word_at,
 )
+from beta_words import expansion as expansion_mod
 from beta_words import words as words_mod
+from beta_words.expansion import derived
 from beta_words.runs import scan_run_lengths, tail_run_prediction
 from beta_words.words import Automaton, start_at, walk
 
@@ -195,8 +197,7 @@ def fresh_count_table(e, n):
 
 
 @pytest.mark.parametrize("text", MEMBERS)
-def test_count_table_out_of_order(text):
-    words_mod._count_rows.cache_clear()
+def test_count_table_out_of_order(text, fresh_store):
     e = ExpansionOfOne.parse(text)
     fresh = fresh_count_table(e, 40)
     assert count(e, 40) == fresh[40][1]
@@ -206,53 +207,54 @@ def test_count_table_out_of_order(text):
         assert word_at(e, 7, i) == w
         assert rank_of(w, e) == i
     assert [count(e, n) for n in range(1, 41)] == [fresh[n][1] for n in range(1, 41)]
-    # one row list per expansion, extended in place
-    assert words_mod._count_table(e, 3) is words_mod._count_rows(e)
-    assert len(words_mod._count_rows(e)) == 41
+    # one row list per expansion, extended in place, and its state-1 column
+    record = derived(e)
+    assert words_mod._count_table(e, 3) is record.count_rows
+    assert len(record.count_rows) == len(record.count_column) == 41
+    assert record.count_column == [row[1] for row in fresh]
 
 
-def lookups(cache, call):
-    """The (hits, misses) that call adds to an lru_cache."""
-    before = cache.cache_info()
+def built(e, slot, call):
+    """Whether call builds e's table `slot` afresh, not reading the one the
+    store keeps; the store is read without reordering it."""
+    record = expansion_mod._STORE.get(e)
+    before = None if record is None else getattr(record, slot)
     call()
-    after = cache.cache_info()
-    return after.hits - before.hits, after.misses - before.misses
+    return getattr(expansion_mod._STORE[e], slot) is not before
 
 
-def test_automaton_cache_is_bounded():
-    # 70 distinct valid expansions 2,0^k,1 overflow the 64-entry cache
+def test_automaton_cache_is_bounded(fresh_store):
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion store
     members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
     for e in members:
         automaton(e)
-    assert automaton.cache_info().currsize <= 64
+    assert len(expansion_mod._STORE) == expansion_mod.STORE_CAP == 64
     first = members[0]
-    misses = automaton.cache_info().misses
+    assert built(first, "automaton", lambda: automaton(first))
+    assert not built(first, "automaton", lambda: automaton(first))
     aut = automaton(first)
-    assert automaton.cache_info().misses == misses + 1
     assert (aut.cmp, aut.adv, aut.maxdig) == ((0, 2, 1), (0, 2, 0), (0, 2, 0))
     assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
 
 
-def test_count_rows_are_bounded():
-    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion bound
-    rows = words_mod._count_rows
-    rows.cache_clear()
+def test_count_rows_are_bounded(fresh_store):
+    # 70 distinct valid expansions 2,0^k,1 overflow the 64-expansion store
     members = [ExpansionOfOne.finite((2,) + (0,) * k + (1,)) for k in range(70)]
     for e in members:
         count(e, 5)
-    info = rows.cache_info()
-    assert (info.currsize, info.maxsize, info.misses) == (64, 64, 70)
+    assert len(expansion_mod._STORE) == 64 and list(expansion_mod._STORE) == members[6:]
     first = members[0]
     # the oldest was evicted: first is built again, and pushes out members[6]
-    assert lookups(rows, lambda: count(first, 5)) == (0, 1)
+    assert built(first, "count_rows", lambda: count(first, 5))
     assert count(first, 5) == len(brute_words(first, 5)) == len(list(iter_words(first, 5)))
     # a call marks its expansion most recently used, so it outlives older ones
-    assert lookups(rows, lambda: word_at(members[7], 5, 0)) == (1, 0)
-    assert lookups(rows, lambda: count(ExpansionOfOne.parse("1,1"), 3)) == (0, 1)
-    assert lookups(rows, lambda: count(members[7], 5)) == (1, 0)
-    assert lookups(rows, lambda: count(members[8], 5)) == (0, 1)
-    assert lookups(rows, lambda: count(members[6], 5)) == (0, 1)
-    assert rows.cache_info().currsize == 64
+    assert not built(members[7], "count_rows", lambda: word_at(members[7], 5, 0))
+    golden = ExpansionOfOne.parse("1,1")
+    assert built(golden, "count_rows", lambda: count(golden, 3))
+    assert not built(members[7], "count_rows", lambda: count(members[7], 5))
+    assert built(members[8], "count_rows", lambda: count(members[8], 5))
+    assert built(members[6], "count_rows", lambda: count(members[6], 5))
+    assert len(expansion_mod._STORE) == 64
 
 
 # --- the one-slot scan memo ---
@@ -416,11 +418,10 @@ def test_iter_words_window_seeds_the_scan_memo(e, n):
             next(iter_words(e, n, start))
 
 
-def test_iter_words_from_rank_0_builds_no_count_table():
+def test_iter_words_from_rank_0_builds_no_count_table(fresh_store):
     e = ExpansionOfOne.parse("2,0,1")
-    words_mod._count_rows.cache_clear()
     assert [w.digits for w in iter_words(e, 30, limit=2)] == [(0,) * 30, (0,) * 29 + (1,)]
-    assert len(words_mod._count_rows(e)) == 1
+    assert derived(e).count_rows is None
 
 
 # --- unranking by compare-and-subtract, with the scan handed over ---
